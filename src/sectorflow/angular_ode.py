@@ -10,12 +10,12 @@ and a pole estimate instead of raising.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import cumulative_trapezoid
 from .errors import SingularSwirl, ZeroSwirl
 from .exact import AngularProfile
 
@@ -213,10 +213,6 @@ def periodic_shooting(
     }
 
 
-def shooting_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
-
-
 def w_equation_residual(prof: AngularProfile, c: float) -> float:
     """Max residual of w'' = lambda w with w = exp(-int f / c).
 
@@ -228,24 +224,14 @@ def w_equation_residual(prof: AngularProfile, c: float) -> float:
         raise ZeroSwirl("w-substitution requires c != 0")
     lam = -(c * c + 2.0 * prof.p) / (c * c)
     h = prof.h_theta
-    integral = np.concatenate(
-        [[0.0], np.cumsum((prof.f_vals[1:] + prof.f_vals[:-1]) * (h / 2.0))]
-    )
-    w = np.exp(-integral / c)
+    w = np.exp(-cumulative_trapezoid(prof.f_vals, h) / c)
     wpp = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
     return float(np.max(np.abs(wpp - lam * w[1:-1])))
 
 
 def mass_identity_defect(prof: AngularProfile) -> float:
     """Max defect of v(theta) - v(0) = (alpha - 1) * int_0^theta f."""
-    h = prof.h_theta
-    integral = np.concatenate(
-        [[0.0], np.cumsum((prof.f_vals[1:] + prof.f_vals[:-1]) * (h / 2.0))]
-    )
+    integral = cumulative_trapezoid(prof.f_vals, prof.h_theta)
     return float(
-        np.max(
-            np.abs(
-                (prof.v_vals - prof.v_vals[0]) - (prof.alpha - 1.0) * integral
-            )
-        )
+        np.max(np.abs((prof.v_vals - prof.v_vals[0]) - (prof.alpha - 1.0) * integral))
     )

@@ -20,27 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .scenarios import parse_config, run_batch, run_scenario
-
-_SUBCOMMAND_TAGS = {
-    "exact": {
-        "AppendixAtlas",
-        "Thm2_A2",
-        "Thm2_A3",
-        "Thm2_A4",
-        "Thm3",
-        "Thm4_B1",
-        "Thm4_B2",
-        "Thm4_B3",
-        "Thm4_B4",
-        "Thm5i",
-        "Thm5ii",
-    },
-    "ode": {"Cor1"},
-    "solve": {"Thm1i", "Thm1ii", "Thm2_A1"},
-    "verify": {"Verify"},
-    "slide": {"Slide"},
-}
+from .scenarios import TAGS, parse_config, run_batch, run_scenario
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -62,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on sector domains.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("exact", "ode", "solve", "verify", "slide", "batch"):
+    for name in [*dict.fromkeys(spec.subcommand for spec in TAGS.values()), "batch"]:
         sub = subs.add_parser(name)
         _add_common(sub)
     return parser
@@ -78,11 +58,11 @@ def main(argv=None) -> int:
                 print(f"{item['name']}: {status}")
             return code
         scn = parse_config(args.config)
-        allowed = _SUBCOMMAND_TAGS[args.command]
-        if scn.tag not in allowed:
+        if TAGS[scn.tag].subcommand != args.command:
+            allowed = sorted(t for t, spec in TAGS.items() if spec.subcommand == args.command)
             raise ConfigError(
                 f"tag {scn.tag!r} is not runnable by '{args.command}' "
-                f"(expected one of {sorted(allowed)})"
+                f"(expected one of {allowed})"
             )
         if args.seed is not None:
             scn.solver["seed"] = str(args.seed)

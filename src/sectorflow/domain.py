@@ -207,3 +207,11 @@ def grid_from_metadata(meta: dict) -> tuple[LogPolarGrid, SectorDomain | None]:
         b = math.inf if meta["b"] == "inf" else float(meta["b"])
         dom = make_sector(float(meta["a"]), b, float(meta["theta0"]))
     return grid, dom
+
+
+def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Trapezoid-rule integral of samples ``y`` (node spacing ``h``) from
+    the first node along ``axis``; same shape as ``y``, starting at 0."""
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    steps = np.cumsum((y[1:] + y[:-1]) * (h / 2.0), axis=0)
+    return np.moveaxis(np.concatenate([np.zeros_like(y[:1]), steps]), 0, axis)

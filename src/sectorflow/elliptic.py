@@ -28,6 +28,7 @@ from .errors import (
     SingularJacobian,
 )
 from .fields import Alpha1Frame, FrameTag, GeneralFrame, RawFrame, ScalarField
+from .rigidity import s_variance
 
 #: Newton damping floor: step fraction never drops below 2**-10
 DAMPING_FLOOR = 2.0**-10
@@ -473,20 +474,18 @@ def solve_semilinear(
                 break
             lam *= 0.5
             if lam < DAMPING_FLOOR:
-                report = SolveReport(
-                    iters, res_norm, _s_var(Psi), False, history
-                )
+                best = ScalarField(grid, Psi)
                 raise NoConvergence(
                     "damping floor reached without residual decrease",
-                    field=ScalarField(grid, Psi),
-                    report=report,
+                    field=best,
+                    report=SolveReport(iters, res_norm, s_variance(best), False, history),
                 )
         iters += 1
         history.append(res_norm)
 
     converged = res_norm <= tol
-    report = SolveReport(iters, res_norm, _s_var(Psi), converged, history)
     out = ScalarField(grid, Psi)
+    report = SolveReport(iters, res_norm, s_variance(out), converged, history)
     if not converged:
         raise NoConvergence(
             f"residual {res_norm:.3e} above tolerance after {iters} iterations",
@@ -494,7 +493,3 @@ def solve_semilinear(
             report=report,
         )
     return out, report
-
-
-def _s_var(vals: np.ndarray) -> float:
-    return float(np.max(vals.max(axis=0) - vals.min(axis=0)))

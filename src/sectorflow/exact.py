@@ -209,6 +209,16 @@ def construct_exact(
     return builder(dict(params), float(theta0))
 
 
+def _zero(t):
+    """Profile that is identically 0."""
+    return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def _const(value: float):
+    """Profile that is identically ``value``."""
+    return lambda t: np.full_like(np.asarray(t, dtype=float), value)
+
+
 def _build_radial_alpha1(params, theta0):
     p = float(params["p"])
     sign = float(params.get("sign", 1.0))
@@ -220,10 +230,10 @@ def _build_radial_alpha1(params, theta0):
     return HomogeneousSolution(
         FamilyKind.RADIAL_ALPHA1, 1.0, p, {"p": p, "sign": sign},
         (-math.inf, math.inf),
-        v=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        f=lambda t: np.full_like(np.asarray(t, dtype=float), f0),
-        v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        f_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v=_zero,
+        f=_const(f0),
+        v_prime=_zero,
+        f_prime=_zero,
         stream_h=lambda t: -f0 * np.asarray(t, dtype=float),
     )
 
@@ -253,9 +263,9 @@ def _build_tan(params, theta0):
 
     return HomogeneousSolution(
         FamilyKind.TAN, 1.0, p, {"v": v0, "p": p, "C": C}, validity,
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
+        v=_const(v0),
         f=f,
-        v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v_prime=_zero,
         f_prime=f_prime,
         stream_h=stream_h,
     )
@@ -272,11 +282,11 @@ def _build_rational(params, theta0):
         return HomogeneousSolution(
             FamilyKind.RATIONAL, 1.0, p, {"v": v0, "C": None},
             (-math.inf, math.inf),
-            v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
-            f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            f_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            stream_h=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            v=_const(v0),
+            f=_zero,
+            v_prime=_zero,
+            f_prime=_zero,
+            stream_h=_zero,
         )
     C = float(C)
     validity = _validity_from_poles([-C], theta0)
@@ -286,9 +296,9 @@ def _build_rational(params, theta0):
 
     return HomogeneousSolution(
         FamilyKind.RATIONAL, 1.0, p, {"v": v0, "C": C}, validity,
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
+        v=_const(v0),
         f=f,
-        v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v_prime=_zero,
         f_prime=lambda t: v0 / (np.asarray(t, dtype=float) + C) ** 2,
         stream_h=lambda t: v0
         * (np.log(np.abs(np.asarray(t, dtype=float) + C)) - math.log(abs(C))),
@@ -313,10 +323,10 @@ def _build_tanh(params, theta0):
         return HomogeneousSolution(
             FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C},
             (-math.inf, math.inf),
-            v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
-            f=lambda t: np.full_like(np.asarray(t, dtype=float), -k),
-            v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            f_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            v=_const(v0),
+            f=_const(-k),
+            v_prime=_zero,
+            f_prime=_zero,
             stream_h=lambda t: k * np.asarray(t, dtype=float),
         )
     poles = []
@@ -340,9 +350,9 @@ def _build_tanh(params, theta0):
 
     return HomogeneousSolution(
         FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C}, validity,
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), v0),
+        v=_const(v0),
         f=f,
-        v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v_prime=_zero,
         f_prime=f_prime,
         stream_h=stream_h,
     )
@@ -425,19 +435,14 @@ def _build_pure_rotation(params, theta0):
     if c == 0.0:
         raise ParameterDomain("pure rotation needs c != 0")
     p = -c * c / (2.0 * alpha)
-    if alpha == 1.0:
-        stream_h = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    else:
-        stream_h = lambda t: np.full_like(
-            np.asarray(t, dtype=float), c / (1.0 - alpha)
-        )
+    stream_h = _zero if alpha == 1.0 else _const(c / (1.0 - alpha))
     return HomogeneousSolution(
         FamilyKind.PURE_ROTATION, alpha, p, {"alpha": alpha, "c": c},
         (-math.inf, math.inf),
-        v=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-        f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        v_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        f_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        v=_const(c),
+        f=_zero,
+        v_prime=_zero,
+        f_prime=_zero,
         stream_h=stream_h,
     )
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import LogPolarGrid
+from .domain import LogPolarGrid, cumulative_trapezoid
 from .errors import NotDivergenceFree
 from .exact import HomogeneousSolution
 
@@ -141,25 +141,9 @@ def stream_from_velocity(u: VectorField, tol: float = DIVERGENCE_TOL) -> ScalarF
         )
     r = g.r_nodes
     # psi along theta = 0: integral of u_theta dr = u_theta e^s ds
-    base = np.concatenate(
-        [
-            [0.0],
-            np.cumsum(
-                (u.utheta_vals[1:, 0] * r[1:] + u.utheta_vals[:-1, 0] * r[:-1])
-                * (g.h_s / 2.0)
-            ),
-        ]
-    )
+    base = cumulative_trapezoid(u.utheta_vals[:, 0] * r, g.h_s)
     # along each ray: psi_theta = -r u_r
-    ray = np.concatenate(
-        [
-            np.zeros((g.n_s + 1, 1)),
-            np.cumsum(
-                (u.ur_vals[:, 1:] + u.ur_vals[:, :-1]) * (g.h_theta / 2.0), axis=1
-            ),
-        ],
-        axis=1,
-    )
+    ray = cumulative_trapezoid(u.ur_vals, g.h_theta, axis=1)
     vals = base[:, None] - r[:, None] * ray
     return ScalarField(g, vals)
 
@@ -168,23 +152,8 @@ def stream_path_defect(u: VectorField, psi: ScalarField) -> float:
     """Max gap against the theta-first integration order (path independence)."""
     g = u.grid
     r = g.r_nodes
-    edge = -r[0] * np.concatenate(
-        [
-            [0.0],
-            np.cumsum((u.ur_vals[0, 1:] + u.ur_vals[0, :-1]) * (g.h_theta / 2.0)),
-        ]
-    )
-    col = np.concatenate(
-        [
-            np.zeros((1, g.n_theta + 1)),
-            np.cumsum(
-                (u.utheta_vals[1:, :] * r[1:, None] + u.utheta_vals[:-1, :] * r[:-1, None])
-                * (g.h_s / 2.0),
-                axis=0,
-            ),
-        ],
-        axis=0,
-    )
+    edge = -r[0] * cumulative_trapezoid(u.ur_vals[0], g.h_theta)
+    col = cumulative_trapezoid(u.utheta_vals * r[:, None], g.h_s)
     alt = edge[None, :] + col
     return float(np.max(np.abs(alt - psi.vals)))
 

@@ -5,55 +5,71 @@ A scenario names a theorem tag, a domain/grid, family or boundary data,
 and tolerances.  Running it executes the tag's pipeline (construct or
 solve, transform, certify), writes a JSON report plus CSV dumps, and
 returns exit status 0 only if every check for the tag passes.
+
+A tag is one :data:`TAGS` entry: its pipeline, the CLI subcommand that
+runs it, its default domain, and the config keys it cannot run without.
 """
 
 from __future__ import annotations
 
+import ast
 import configparser
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
-from .domain import build_grid, make_sector
+from .domain import LogPolarGrid, build_grid, make_sector
 from .errors import ConfigError, PipelineFailure, SectorflowError
 from .exact import FamilyKind
 
-KNOWN_TAGS = (
-    "Thm1i",
-    "Thm1ii",
-    "Thm2_A1",
-    "Thm2_A2",
-    "Thm2_A3",
-    "Thm2_A4",
-    "Thm3",
-    "Thm4_B1",
-    "Thm4_B2",
-    "Thm4_B3",
-    "Thm4_B4",
-    "Thm5i",
-    "Thm5ii",
-    "Cor1",
-    "AppendixAtlas",
-    "Slide",
-    "Verify",
-)
-
 _EXPR_NAMES = {"pi": math.pi, "e": math.e, "inf": math.inf}
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+#: largest |exponent| a config expression may raise to
+_MAX_EXPONENT = 1024
 
 
-def _num(text: str) -> float:
-    """Parse a numeric config value; allows pi/e/inf arithmetic."""
+def _eval_expr(node) -> float:
+    """Value of a whitelisted arithmetic expression node."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _EXPR_NAMES:
+        return _EXPR_NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_expr(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        left, right = _eval_expr(node.left), _eval_expr(node.right)
+        if isinstance(node.op, ast.Pow) and not abs(right) <= _MAX_EXPONENT:
+            raise ValueError(f"exponent {right!r} exceeds {_MAX_EXPONENT}")
+        return _EXPR_OPS[type(node.op)](left, right)
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
+def _num(value) -> float:
+    """Parse a numeric config value: a number, or arithmetic (+ - * / **,
+    unary minus) on numbers and pi/e/inf.  The text is never executed."""
+    text = str(value)
     try:
         return float(text)
     except ValueError:
         pass
     try:
-        return float(eval(text, {"__builtins__": {}}, _EXPR_NAMES))
-    except Exception as exc:
+        return float(_eval_expr(ast.parse(text.strip(), mode="eval").body))
+    # the parser signals too-deep nesting with MemoryError or RecursionError
+    except (SyntaxError, ValueError, TypeError, ArithmeticError,
+            RecursionError, MemoryError) as exc:
         raise ConfigError(f"cannot parse numeric value {text!r}: {exc}")
 
 
@@ -70,6 +86,22 @@ class Scenario:
     ode: dict = dc_field(default_factory=dict)
     slide: dict = dc_field(default_factory=dict)
     verify: dict = dc_field(default_factory=dict)
+
+
+_SECTIONS = ("domain", "grid", "family", "solver", "ode", "slide", "verify")
+
+
+@dataclass(frozen=True)
+class TagSpec:
+    """What a scenario tag is: its pipeline, the CLI subcommand that runs
+    it, its default (a, b, theta0), whether it must run on the annulus
+    a = 1, b = 2, and the (section, key) pairs it needs non-empty."""
+
+    pipeline: Callable
+    subcommand: str
+    domain: tuple = (1.0, 2.0, 1.0)
+    unit_annulus: bool = False
+    requires: tuple = ()
 
 
 def parse_config(path: str | Path) -> Scenario:
@@ -97,38 +129,29 @@ def parse_config(path: str | Path) -> Scenario:
 def _scenario_from_sections(sections: dict) -> Scenario:
     meta = sections.get("scenario", {})
     tag = meta.get("tag")
-    if tag not in KNOWN_TAGS:
+    if tag not in TAGS:
         raise ConfigError(f"unknown or missing scenario tag {tag!r}")
     scn = Scenario(
         name=str(meta.get("name", tag)),
         tag=tag,
-        domain=sections.get("domain", {}),
-        grid=sections.get("grid", {}),
-        family=sections.get("family", {}),
-        solver=sections.get("solver", {}),
-        ode=sections.get("ode", {}),
-        slide=sections.get("slide", {}),
-        verify=sections.get("verify", {}),
+        **{k: sections[k] for k in _SECTIONS if k in sections},
     )
     _validate(scn)
     return scn
 
 
 def _validate(scn: Scenario):
-    if scn.tag in ("Thm1i", "Thm1ii", "Thm2_A1"):
-        a = _num(str(scn.domain.get("a", 1)))
-        b = _num(str(scn.domain.get("b", 2)))
-        if not (a == 1.0 and b == 2.0):
-            raise ConfigError(
-                f"tag {scn.tag} runs on the annulus a=1, b=2 (got a={a}, b={b})"
-            )
-    if scn.tag == "Cor1" and "c" not in scn.ode:
-        raise ConfigError("Cor1 needs [ode] c")
-    dom = scn.domain
-    if dom:
-        theta0 = _num(str(dom.get("theta0", math.pi / 2)))
-        if not (0.0 < theta0 <= 2.0 * math.pi):
-            raise ConfigError(f"theta0 must lie in (0, 2*pi], got {theta0}")
+    spec = TAGS[scn.tag]
+    a, b, theta0 = _domain_values(scn)
+    if spec.unit_annulus and not (a == 1.0 and b == 2.0):
+        raise ConfigError(
+            f"tag {scn.tag} runs on the annulus a=1, b=2 (got a={a}, b={b})"
+        )
+    for section, key in spec.requires:
+        if not str(getattr(scn, section).get(key, "")).strip():
+            raise ConfigError(f"{scn.tag} needs [{section}] {key}")
+    if not (0.0 < theta0 <= 2.0 * math.pi):
+        raise ConfigError(f"theta0 must lie in (0, 2*pi], got {theta0}")
 
 
 def _jsonable(obj):
@@ -152,19 +175,21 @@ def _check(name, value, threshold, ok=None):
             "passed": bool(ok)}
 
 
-def _domain_grid(scn: Scenario, default=(1.0, 2.0, 1.0), default_n=(64, 64)):
-    a = _num(str(scn.domain.get("a", default[0])))
-    b = _num(str(scn.domain.get("b", default[1])))
-    theta0 = _num(str(scn.domain.get("theta0", default[2])))
-    dom = make_sector(a, b, theta0)
-    n_s = int(scn.grid.get("n_s", default_n[0]))
-    n_t = int(scn.grid.get("n_theta", default_n[1]))
+def _domain_values(scn: Scenario) -> tuple[float, float, float]:
+    """(a, b, theta0) from [domain], defaulting to the tag's domain."""
+    return tuple(
+        _num(scn.domain.get(key, default))
+        for key, default in zip(("a", "b", "theta0"), TAGS[scn.tag].domain)
+    )
+
+
+def _domain_grid(scn: Scenario):
+    dom = make_sector(*_domain_values(scn))
+    n_s = int(scn.grid.get("n_s", 64))
+    n_t = int(scn.grid.get("n_theta", 64))
     clip = None
     if "s_min" in scn.grid or "s_max" in scn.grid:
-        clip = (
-            _num(str(scn.grid.get("s_min", 0))),
-            _num(str(scn.grid.get("s_max", 0))),
-        )
+        clip = (_num(scn.grid.get("s_min", 0)), _num(scn.grid.get("s_max", 0)))
     return dom, build_grid(dom, n_s, n_t, clip)
 
 
@@ -234,39 +259,32 @@ def _certify_exact(sol, grid, tol_mass_scale=100.0):
 
 def _recovery_grid(grid):
     """Sampling grid for g-recovery: at least 256 cells per direction."""
-    from .domain import LogPolarGrid
-
     n_s, n_t = max(grid.n_s, 256), max(grid.n_theta, 256)
     if (n_s, n_t) == (grid.n_s, grid.n_theta):
         return grid
     return LogPolarGrid(grid.s_min, grid.s_max, n_s, n_t, grid.theta0)
 
 
-def _solver_params(scn):
-    tol = _num(str(scn.solver.get("tol", 1e-10)))
+def _solve(scn, grid, op, gspec, frame, h):
+    """Newton solve, periodic in s, from the seeded perturbed start, under
+    the [solver] settings; returns (Psi, report, tol)."""
+    tol = _num(scn.solver.get("tol", 1e-10))
     seed = int(scn.solver.get("seed", 0))
-    amp = _num(str(scn.solver.get("perturbation", 0.1)))
-    max_iter = int(scn.solver.get("max_iter", 50))
-    return tol, seed, amp, max_iter
+    amp = _num(scn.solver.get("perturbation", 0.1))
+    init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
+    Psi, rep = elliptic.solve_semilinear(
+        grid, op, None, gspec, frame, h, elliptic.PeriodicInS(grid.s_max - grid.s_min),
+        init=init, tol=tol, max_iter=int(scn.solver.get("max_iter", 50)),
+    )
+    return Psi, rep, tol
 
 
 def _run_thm1i(scn, grid, out):
-    tol, seed, amp, max_iter = _solver_params(scn)
-    B = _num(str(scn.solver.get("b", 1.0)))
-    theta0 = grid.theta0
-    h = lambda th: B * th / theta0
-    init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
-    psi, rep = elliptic.solve_semilinear(
-        grid,
-        elliptic.laplace_operator(),
-        None,
-        elliptic.make_g_spec("Thm1i", {"c": 0.0}),
-        fields.RawFrame(),
-        h,
-        elliptic.PeriodicInS(grid.s_max - grid.s_min),
-        init=init,
-        tol=tol,
-        max_iter=max_iter,
+    B = _num(scn.solver.get("b", 1.0))
+    h = lambda th: B * th / grid.theta0
+    psi, rep, tol = _solve(
+        scn, grid, elliptic.laplace_operator(),
+        elliptic.make_g_spec("Thm1i", {"c": 0.0}), fields.RawFrame(), h,
     )
     exact_vals = np.tile(h(grid.theta_nodes), (grid.n_s + 1, 1))
     err = float(np.max(np.abs(psi.vals - exact_vals)))
@@ -280,88 +298,55 @@ def _run_thm1i(scn, grid, out):
     return checks, {"solve_report": json.loads(rep.to_json())}
 
 
-def _run_thm1ii(scn, grid, out):
-    tol, seed, amp, max_iter = _solver_params(scn)
-    family = dict(scn.family) or {"kind": "tan", "v": "1", "p": "0", "c": "0"}
-    sol = _build_family(family, grid.theta0)
+def _exp_case(sol, fit, boundary):
+    """Thm1ii: g(z) = K exp(-2z/c), solved in the alpha = 1 frame."""
     c = float(sol.v(np.zeros(1))[0])
-    checks, artifacts, (u, P, psi, lap, prof) = _certify_exact(sol, grid)
-    rgrid = _recovery_grid(grid)
-    psi_r = fields.sample_stream(sol, rgrid)
-    lap_r = fields.laplacian_polar(psi_r)
-    rec = rigidity.recover_g(psi_r, lap_r)
-    scale = float(np.nanmax(np.abs(lap_r.vals)))
-    func = rigidity.g_functional_check(rec, rigidity.Thm1Relation(c))
-    fit = rec.fit or {}
-    checks += [
-        _check("g_single_valued", rec.single_valued_defect, 1e-3 * scale),
+    checks = [
         _check("g_form_is_exp", 0 if fit.get("form") == "exp" else 1, 0),
         _check("g_exp_slope", abs(fit.get("slope", np.inf) - (-2.0 / c)), 0.02),
         _check("g_r_squared", fit.get("r_squared", 0.0), 0.999,
                ok=fit.get("r_squared", 0.0) >= 0.999),
-        _check("g_functional_equation", func, 1e-3),
     ]
-    A = artifacts["boundary_report"]["c3_hat"]
-    gspec = elliptic.make_g_spec("Thm1ii", {"c": c, "A": A})
-    h_prof = sol.stream_h
-    init = elliptic.default_initial_guess(grid, h_prof, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(
-        grid,
-        elliptic.laplace_operator(),
-        None,
-        gspec,
-        fields.Alpha1Frame(c),
-        h_prof,
-        elliptic.PeriodicInS(grid.s_max - grid.s_min),
-        init=init,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    checks.append(_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)))
-    artifacts["g_recovery"] = json.loads(rec.to_json())
-    artifacts["solve_report"] = json.loads(rep.to_json())
-    (out / "g_scatter.csv").write_text(rec.to_csv())
-    fields.write_field(Psi, out / "solution.csv")
-    return checks, artifacts
+    gspec = elliptic.make_g_spec("Thm1ii", {"c": c, "A": boundary["c3_hat"]})
+    return (rigidity.Thm1Relation(c), checks, gspec,
+            elliptic.laplace_operator(), fields.Alpha1Frame(c))
 
 
-def _run_thm2_a1(scn, grid, out):
-    tol, seed, amp, max_iter = _solver_params(scn)
-    family = dict(scn.family) or {"kind": "cos_power", "alpha": "2", "c1": "1", "c2": "0"}
-    sol = _build_family(family, grid.theta0)
+def _power_case(sol, fit, boundary):
+    """Thm2_A1: g(z) = C |z|^q with q = (alpha+1)/(alpha-1), solved in the
+    general frame."""
     alpha = sol.alpha
-    checks, artifacts, (u, P, psi, lap, prof) = _certify_exact(sol, grid)
-    rgrid = _recovery_grid(grid)
-    psi_r = fields.sample_stream(sol, rgrid)
+    q_expect = (alpha + 1.0) / (alpha - 1.0)
+    checks = [
+        _check("g_form_is_power", 0 if fit.get("form") == "power" else 1, 0),
+        _check("g_power_q", abs(fit.get("q", np.inf) - q_expect), 0.05),
+    ]
+    C1 = float(sol.stream_h(np.zeros(1))[0])
+    gspec = elliptic.make_g_spec(
+        "Thm2", {"alpha": alpha, "C1": C1, "c3": boundary["c3_hat"]}
+    )
+    return (rigidity.Thm2Relation(alpha), checks, gspec,
+            elliptic.general_frame_operator(alpha), fields.GeneralFrame(alpha))
+
+
+def _run_rigidity_solve(scn, grid, out, default_family, case):
+    """Certify the family, recover g from its stream, then re-solve the
+    semilinear problem from a perturbed start with the case's g-spec."""
+    sol = _build_family(dict(scn.family) or default_family, grid.theta0)
+    checks, artifacts, _ = _certify_exact(sol, grid)
+    psi_r = fields.sample_stream(sol, _recovery_grid(grid))
     lap_r = fields.laplacian_polar(psi_r)
     rec = rigidity.recover_g(psi_r, lap_r)
     scale = float(np.nanmax(np.abs(lap_r.vals)))
-    func = rigidity.g_functional_check(rec, rigidity.Thm2Relation(alpha))
-    fit = rec.fit or {}
-    q_expect = (alpha + 1.0) / (alpha - 1.0)
+    relation, form_checks, gspec, op, frame = case(
+        sol, rec.fit or {}, artifacts["boundary_report"]
+    )
     checks += [
         _check("g_single_valued", rec.single_valued_defect, 1e-3 * scale),
-        _check("g_form_is_power", 0 if fit.get("form") == "power" else 1, 0),
-        _check("g_power_q", abs(fit.get("q", np.inf) - q_expect), 0.05),
-        _check("g_functional_equation", func, 1e-3),
+        *form_checks,
+        _check("g_functional_equation", rigidity.g_functional_check(rec, relation), 1e-3),
     ]
-    C1 = float(sol.stream_h(np.zeros(1))[0])
-    c3 = artifacts["boundary_report"]["c3_hat"]
-    gspec = elliptic.make_g_spec("Thm2", {"alpha": alpha, "C1": C1, "c3": c3})
-    h_prof = sol.stream_h
-    init = elliptic.default_initial_guess(grid, h_prof, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(
-        grid,
-        elliptic.general_frame_operator(alpha),
-        None,
-        gspec,
-        fields.GeneralFrame(alpha),
-        h_prof,
-        elliptic.PeriodicInS(grid.s_max - grid.s_min),
-        init=init,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    Psi, rep, tol = _solve(scn, grid, op, gspec, frame, sol.stream_h)
     checks.append(_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)))
     artifacts["g_recovery"] = json.loads(rec.to_json())
     artifacts["solve_report"] = json.loads(rep.to_json())
@@ -394,12 +379,12 @@ def _run_family_certification(scn, grid, out):
 
 
 def _run_cor1(scn, grid, out):
-    c = _num(str(scn.ode.get("c", 1.0)))
-    p = _num(str(scn.ode.get("p", -1.0)))
-    lo = _num(str(scn.ode.get("f0_min", -2.0)))
-    hi = _num(str(scn.ode.get("f0_max", 2.0)))
+    c = _num(scn.ode.get("c", 1.0))
+    p = _num(scn.ode.get("p", -1.0))
+    lo = _num(scn.ode.get("f0_min", -2.0))
+    hi = _num(scn.ode.get("f0_max", 2.0))
     n = int(scn.ode.get("f0_count", 41))
-    step = _num(str(scn.ode.get("step", 1e-3)))
+    step = _num(scn.ode.get("step", 1e-3))
     cfg = angular_ode.OdeConfig(step=step)
     rep = angular_ode.periodic_shooting(c, p, np.linspace(lo, hi, n), cfg)
     expected = 2 if c * c + 2.0 * p < 0 else 0
@@ -422,7 +407,7 @@ def _run_cor1(scn, grid, out):
         w_res.append(angular_ode.w_equation_residual(prof, c))
     if w_res:
         checks.append(_check("w_equation_residual", max(w_res), 100.0 * step**2))
-    (out / "shooting.json").write_text(angular_ode.shooting_report_json(rep))
+    (out / "shooting.json").write_text(json.dumps(rep, sort_keys=True))
     return checks, {"shooting": rep}
 
 
@@ -458,10 +443,7 @@ def _run_atlas(scn, grid, out):
 def _run_slide(scn, grid, out):
     profile = scn.slide.get("profile", "sec")
     n = int(scn.slide.get("n", 500))
-    theta0 = grid.theta0
-    from .domain import LogPolarGrid
-
-    g = LogPolarGrid(grid.s_min, grid.s_max, n, n, theta0)
+    g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
     th = g.theta_nodes
     if profile == "sec":
         vals = np.tile(1.0 / np.cos(th), (g.n_s + 1, 1))
@@ -470,13 +452,8 @@ def _run_slide(scn, grid, out):
     else:
         raise ConfigError(f"unknown slide profile {profile!r}")
     Psi = fields.ScalarField(g, vals)
-    xi = (
-        _num(str(scn.slide.get("xi1", 1.0))),
-        _num(str(scn.slide.get("xi2", 1.0))),
-    )
-    taus = [
-        _num(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()
-    ]
+    xi = (_num(scn.slide.get("xi1", 1.0)), _num(scn.slide.get("xi2", 1.0)))
+    taus = [_num(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
     rep = rigidity.sliding_check(Psi, xi, taus)
     checks = [_check("min_w_nonnegative", 0 if rep["min_w"] >= 0 else 1, 0)]
     if profile == "sec" and any(abs(t - 0.1) < 1e-12 for t in taus):
@@ -487,14 +464,10 @@ def _run_slide(scn, grid, out):
 
 
 def _run_verify(scn, grid, out):
-    psi_path = scn.verify.get("psi_csv")
-    if not psi_path:
-        raise ConfigError("Verify needs [verify] psi_csv")
-    psi = fields.field_from_csv(Path(psi_path).read_text(), grid)
+    psi = fields.field_from_csv(Path(scn.verify["psi_csv"]).read_text(), grid)
     lap = fields.laplacian_polar(psi)
     rec = rigidity.recover_g(psi, lap)
     jac = rigidity.jacobian_check(lap, psi)
-    sv = rigidity.s_variance(psi)
     scale = float(np.nanmax(np.abs(lap.vals))) + 1e-300
     checks = [
         _check("g_single_valued", rec.single_valued_defect, 0.05 * scale),
@@ -504,29 +477,42 @@ def _run_verify(scn, grid, out):
     artifacts = {
         "g_recovery": json.loads(rec.to_json()),
         "jacobian": jac,
-        "s_variance": sv,
+        "s_variance": rigidity.s_variance(psi),
     }
     return checks, artifacts
 
 
-_PIPELINES = {
-    "Thm1i": _run_thm1i,
-    "Thm1ii": _run_thm1ii,
-    "Thm2_A1": _run_thm2_a1,
-    "Thm2_A2": _run_family_certification,
-    "Thm2_A3": _run_family_certification,
-    "Thm2_A4": _run_family_certification,
-    "Thm3": _run_family_certification,
-    "Thm4_B1": _run_family_certification,
-    "Thm4_B2": _run_family_certification,
-    "Thm4_B3": _run_family_certification,
-    "Thm4_B4": _run_family_certification,
-    "Thm5i": _run_family_certification,
-    "Thm5ii": _run_family_certification,
-    "Cor1": _run_cor1,
-    "AppendixAtlas": _run_atlas,
-    "Slide": _run_slide,
-    "Verify": _run_verify,
+_EXACT = TagSpec(_run_family_certification, "exact")
+_EXACT_HALF_LINE = TagSpec(_run_family_certification, "exact", domain=(1.0, math.inf, 1.0))
+
+#: every scenario tag, in the paper's order
+TAGS: dict[str, TagSpec] = {
+    "Thm1i": TagSpec(_run_thm1i, "solve", unit_annulus=True),
+    "Thm1ii": TagSpec(
+        partial(_run_rigidity_solve, case=_exp_case,
+                default_family={"kind": "tan", "v": "1", "p": "0", "c": "0"}),
+        "solve", unit_annulus=True,
+    ),
+    "Thm2_A1": TagSpec(
+        partial(_run_rigidity_solve, case=_power_case,
+                default_family={"kind": "cos_power", "alpha": "2", "c1": "1", "c2": "0"}),
+        "solve", unit_annulus=True,
+    ),
+    "Thm2_A2": _EXACT,
+    "Thm2_A3": _EXACT,
+    "Thm2_A4": _EXACT,
+    "Thm3": _EXACT,
+    "Thm4_B1": _EXACT,
+    "Thm4_B2": _EXACT,
+    "Thm4_B3": _EXACT,
+    "Thm4_B4": _EXACT,
+    "Thm5i": _EXACT_HALF_LINE,
+    "Thm5ii": _EXACT_HALF_LINE,
+    "Cor1": TagSpec(_run_cor1, "ode", domain=(1.0, 2.0, 2.0 * math.pi),
+                    requires=(("ode", "c"),)),
+    "AppendixAtlas": TagSpec(_run_atlas, "exact"),
+    "Slide": TagSpec(_run_slide, "slide"),
+    "Verify": TagSpec(_run_verify, "verify", requires=(("verify", "psi_csv"),)),
 }
 
 
@@ -541,42 +527,27 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": scn.name, "tag": scn.tag}
     try:
-        dom, grid = _domain_grid(scn, default=_default_domain(scn.tag))
+        dom, grid = _domain_grid(scn)
         report["grid"] = grid.metadata(dom)
-        checks, artifacts = _PIPELINES[scn.tag](scn, grid, out)
+        checks, artifacts = TAGS[scn.tag].pipeline(scn, grid, out)
     except ConfigError:
         raise
-    except SectorflowError as exc:
+    except (SectorflowError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        if not isinstance(exc, SectorflowError):
+            exc = PipelineFailure(f"pipeline step failed: {exc}")
         report["error"] = f"{type(exc).__name__}: {exc}"
         report["passed"] = False
-        _write_report(out, report)
-        return 3, report
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        failure = PipelineFailure(f"pipeline step failed: {exc}")
-        failure.__cause__ = exc
-        report["error"] = f"PipelineFailure: {failure}"
-        report["passed"] = False
-        _write_report(out, report)
+        _write_json(out / "report.json", report)
         return 3, report
     report["checks"] = checks
     report["passed"] = all(c["passed"] for c in checks)
     report.update(_jsonable(artifacts))
-    _write_report(out, report)
+    _write_json(out / "report.json", report)
     return (0 if report["passed"] else 1), report
 
 
-def _default_domain(tag: str):
-    if tag in ("Thm5i", "Thm5ii"):
-        return (1.0, math.inf, 1.0)
-    if tag == "Cor1":
-        return (1.0, 2.0, 2.0 * math.pi)
-    return (1.0, 2.0, 1.0)
-
-
-def _write_report(out: Path, report: dict):
-    (out / "report.json").write_text(
-        json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-    )
+def _write_json(path: Path, obj: dict):
+    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
@@ -602,8 +573,7 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     summary = {"scenarios": []}
     worst = 0
     for rel in paths:
-        spath = (config_path.parent / rel).resolve()
-        scn = parse_config(spath)
+        scn = parse_config((config_path.parent / rel).resolve())
         code, report = run_scenario(scn, out / scn.name)
         summary["scenarios"].append(
             {"name": scn.name, "tag": scn.tag, "exit_code": code,
@@ -611,7 +581,5 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
         )
         worst = max(worst, code)
     summary["exit_code"] = worst
-    (out / "summary.json").write_text(
-        json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "summary.json", summary)
     return worst, summary

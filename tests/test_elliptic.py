@@ -18,6 +18,7 @@ from sectorflow import (
     make_g_spec,
     solve_semilinear,
 )
+from sectorflow import NeumannLeft, NeumannRight
 from sectorflow.domain import LogPolarGrid
 from sectorflow.elliptic import EllipticOperator, Tabulated
 from sectorflow.errors import InconsistentScenario, ParameterDomain
@@ -177,3 +178,28 @@ class TestSemilinearSolves:
         payload = rep.to_json()
         for key in ("iterations", "final_residual", "s_variance", "converged"):
             assert key in payload
+
+
+class TestNeumannSides:
+    @pytest.mark.parametrize("side", [NeumannLeft(), NeumannRight()], ids=repr)
+    def test_second_order_against_harmonic_solution(self, side):
+        # sin(k theta) cosh(k (s - s0)) / cosh(k L) is harmonic, has zero
+        # s-derivative on the Neumann edge s0 and equals sin(k theta) on the
+        # Dirichlet edge a distance L away
+        theta0, L = 1.0, math.log(2)
+        k = math.pi / theta0
+        s0 = 0.0 if isinstance(side, NeumannLeft) else L
+        errors = []
+        for n in (16, 32, 64):
+            grid = LogPolarGrid(0.0, L, n, n, theta0)
+            psi, rep = solve_semilinear(
+                grid, laplace_operator(), None, ZeroG(), RawFrame(),
+                lambda th: np.sin(k * th), side,
+            )
+            S, TH = grid.mesh()
+            exact = np.sin(k * TH) * np.cosh(k * (S - s0)) / np.cosh(k * L)
+            assert rep.converged
+            errors.append(float(np.max(np.abs(psi.vals - exact))))
+        assert errors[0] / errors[1] >= 3.8
+        assert errors[1] / errors[2] >= 3.8
+        assert errors[2] < 1e-4

@@ -10,6 +10,7 @@ from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import ConfigError
 from sectorflow.scenarios import parse_config, run_scenario
+from sectorflow.scenarios import TAGS, _num
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -157,3 +158,66 @@ class TestDeterminism:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestConfigExpressions:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("pi/2", math.pi / 2), ("2*pi", 2 * math.pi), ("3*pi", 3 * math.pi),
+         ("inf", math.inf), ("-1e-3", -1e-3), ("-(2**-3) + e", math.e - 0.125)],
+    )
+    def test_arithmetic_values(self, text, value):
+        assert _num(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[c for c in ().__class__.__base__.__subclasses__()].__len__()",
+            "10**10**10",
+            "__import__('os')",
+            "abs(-1)",
+            "2 // 1",
+            "True",
+            "",
+            "(-8)**(1/3)",
+            "1/0",
+            "-" * 100000 + "1",
+            "1+" * 100000 + "1",
+        ],
+        ids=lambda text: text[:40],
+    )
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(ConfigError):
+            _num(text)
+
+
+SUBCOMMANDS = ("exact", "ode", "solve", "verify", "slide", "batch")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    sorted(p.name for p in CONFIGS.glob("*.ini") if p.name != "batch.ini"),
+)
+def test_registry_routes_each_shipped_tag_to_one_subcommand(cfg, tmp_path):
+    scn = parse_config(CONFIGS / cfg)
+    assert scn.tag in TAGS
+    own = TAGS[scn.tag].subcommand
+    assert own in SUBCOMMANDS
+    for cmd in SUBCOMMANDS:
+        if cmd != own:
+            out = tmp_path / cmd
+            assert main([cmd, "--config", str(CONFIGS / cfg), "--out", str(out)]) == 2
+            assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[scenario]\ntag = Cor1\n[ode]\np = -1.0\n",
+        "[scenario]\ntag = Verify\n[verify]\npsi_csv =\n",
+        "[scenario]\ntag = Verify\n",
+    ],
+)
+def test_required_keys_checked_at_parse(tmp_path, text):
+    with pytest.raises(ConfigError):
+        parse_config(_write(tmp_path, "bad.ini", text))
