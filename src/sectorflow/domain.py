@@ -59,10 +59,6 @@ class SectorDomain:
         return tuple(names)
 
     @property
-    def is_truncated_sector(self) -> bool:
-        return self.a > 0
-
-    @property
     def is_finite(self) -> bool:
         return self.a > 0 and math.isfinite(self.b)
 

@@ -8,13 +8,21 @@ the canonical forcing profile F.  Dirichlet data Psi = h(theta) is imposed
 on the theta-edges and, depending on the side condition, on the s-edges;
 the remaining s-edge options are periodic identification and a zero
 s-derivative (ghost reflection) at one truncated end.
+
+The discrete operator is written once, as the term table of
+:func:`_stencil_terms`; the Newton residual and the Jacobian both come from
+it.  The table's order is the residual's floating-point evaluation order,
+and it is fixed: converged residuals sit near the roundoff floor, so another
+order changes which solves meet their tolerance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -165,9 +173,8 @@ def make_g_spec(theorem_case: str, constants: dict) -> GSpec:
     """Scenario-tagged nonlinearity satisfying the matching functional
     equation exactly.
 
-    Cases: 'Thm1i' (swirl-free, g = 0); 'Thm1ii'/'Thm4_B3'/'Thm4_B4'
-    (exponential, anchored at theta = 0 or theta = theta0);
-    'Thm2'/'Thm2_A1'..'A4'/'Thm5ii' (power law with exponent
+    Cases: 'Thm1i' (swirl-free, g = 0); 'Thm1ii' (exponential,
+    g(z) = -A exp(-2z/c)); 'Thm2' (power law with exponent
     (alpha+1)/(alpha-1), coefficient from the edge relation
     (1-alpha)^2 C1 - c3 = C |C1|^q).
     """
@@ -175,18 +182,12 @@ def make_g_spec(theorem_case: str, constants: dict) -> GSpec:
         if constants.get("c", 0.0) != 0.0:
             raise InconsistentScenario("swirl-free case needs c = 0")
         return ZeroG()
-    if theorem_case in ("Thm1ii", "Thm4_B3", "Thm4_B4"):
+    if theorem_case == "Thm1ii":
         c = float(constants["c"])
         if c == 0.0:
             raise InconsistentScenario("exponential case needs c != 0")
-        A = float(constants["A"])
-        if constants.get("anchor", "start") == "end":
-            B = float(constants["B"])
-            K = -A * math.exp(2.0 * B / c)
-        else:
-            K = -A
-        return ExpForm(K=K, c=c)
-    if theorem_case in ("Thm2", "Thm2_A1", "Thm2_A2", "Thm2_A3", "Thm2_A4", "Thm5ii"):
+        return ExpForm(K=-float(constants["A"]), c=c)
+    if theorem_case == "Thm2":
         alpha = float(constants["alpha"])
         if alpha == 1.0:
             raise InconsistentScenario("power-law case needs alpha != 1")
@@ -238,16 +239,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "final_residual": self.final_residual,
-                "s_variance": self.s_variance,
-                "converged": self.converged,
-                "residual_history": self.residual_history,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _frame_pieces(frame: FrameTag, s_nodes: np.ndarray):
@@ -308,6 +300,27 @@ def _row_maps(side: SideCondition, n_s: int):
     ip = U + 1
     ip[-1] = n_s - 1
     return U, U - 1, ip
+
+
+def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float, U, im, ip):
+    """The discrete operator as (coefficient, denominator, taps) terms, in
+    evaluation order.  A tap (rows, dj, w) weights Psi at the s-rows ``rows``
+    and the theta-columns shifted by ``dj``; centre taps have rows U, dj 0.
+    A term is coefficient * (sum of w * Psi[tap]) / denominator, and terms
+    with a zero a12, b1 or b2 coefficient are left out."""
+    terms = [
+        (op.a11, h_s**2, [(ip, 0, 1.0), (U, 0, -2.0), (im, 0, 1.0)]),
+        (op.a22, h_theta**2, [(U, 1, 1.0), (U, 0, -2.0), (U, -1, 1.0)]),
+    ]
+    if op.a12 != 0.0:
+        terms.append((2.0 * op.a12, 4.0 * h_s * h_theta,
+                      [(ip, 1, 1.0), (ip, -1, -1.0), (im, 1, -1.0), (im, -1, 1.0)]))
+    if op.b1 != 0.0:
+        terms.append((op.b1, 2.0 * h_s, [(ip, 0, 1.0), (im, 0, -1.0)]))
+    if op.b2 != 0.0:
+        terms.append((op.b2, 2.0 * h_theta, [(U, 1, 1.0), (U, -1, -1.0)]))
+    terms.append((op.c0, 1.0, [(U, 0, 1.0)]))
+    return terms
 
 
 def solve_semilinear(
@@ -374,79 +387,48 @@ def solve_semilinear(
     s_col = s[U][:, None]
     F_col = F_vals[U][:, None]
     nU, nJ = len(U), len(J)
+    terms = _stencil_terms(op, hs, ht, U, im, ip)
 
     def residual(P):
-        if isinstance(side, PeriodicInS):
-            P = P.copy()
-            P[-1, :] = P[0, :]
-        ctr = P[np.ix_(U, J)]
-        lap = (
-            op.a11 * (P[np.ix_(ip, J)] - 2.0 * ctr + P[np.ix_(im, J)]) / hs**2
-            + op.a22 * (P[np.ix_(U, J + 1)] - 2.0 * ctr + P[np.ix_(U, J - 1)]) / ht**2
-        )
-        if op.a12 != 0.0:
-            lap += (
-                2.0
-                * op.a12
-                * (
-                    P[np.ix_(ip, J + 1)]
-                    - P[np.ix_(ip, J - 1)]
-                    - P[np.ix_(im, J + 1)]
-                    + P[np.ix_(im, J - 1)]
-                )
-                / (4.0 * hs * ht)
-            )
-        if op.b1 != 0.0:
-            lap += op.b1 * (P[np.ix_(ip, J)] - P[np.ix_(im, J)]) / (2.0 * hs)
-        if op.b2 != 0.0:
-            lap += op.b2 * (P[np.ix_(U, J + 1)] - P[np.ix_(U, J - 1)]) / (2.0 * ht)
-        lap += op.c0 * ctr
-        return lap - F_col * gspec.g(arg_fn(s_col, ctr))
+        lap = reduce(add, (
+            coef * reduce(add, (w * P[np.ix_(tap_rows, J + dj)] for tap_rows, dj, w in taps))
+            / denom
+            for coef, denom, taps in terms
+        ))
+        return lap - F_col * gspec.g(arg_fn(s_col, P[np.ix_(U, J)]))
 
+    # the Jacobian is assembled once, with every tap but the centre ones as
+    # a constant entry; each step writes the centre taps' sum minus the
+    # nonlinearity's derivative into the diagonal slots (a sparse add would
+    # drop the explicit zeros that cancelling cross taps leave under a
+    # reflection, which changes the LU's column ordering and its roundoff)
     unk_id = np.full(n_s + 1, -1, dtype=int)
     unk_id[U] = np.arange(nU)
-    if isinstance(side, PeriodicInS):
-        unk_id[n_s] = unk_id[0]
+    kk = np.arange(nU * nJ).reshape(nU, nJ)
+    rows, cols, data = [kk.ravel()], [kk.ravel()], [np.zeros(nU * nJ)]
+    is_centre = lambda tap_rows, dj: tap_rows is U and dj == 0
+    center = reduce(add, (coef * w / denom for coef, denom, taps in terms
+                          for tap_rows, dj, w in taps if is_centre(tap_rows, dj)))
+    for coef, denom, taps in terms:
+        for tap_rows, dj, w in taps:
+            if is_centre(tap_rows, dj):
+                continue
+            value = coef * w / denom
+            tgt = unk_id[tap_rows][:, None]
+            jj = (J + dj)[None, :]
+            ok = (tgt >= 0) & (jj >= 1) & (jj <= n_t - 1)
+            rows.append(kk[ok])
+            cols.append((tgt * nJ + jj - 1)[ok])
+            data.append(np.full(len(rows[-1]), value))
+    jac = coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nU * nJ, nU * nJ),
+    ).tocsc()
 
     def jacobian(P):
-        rows, cols, data = [], [], []
-        kk = (np.arange(nU)[:, None] * nJ + np.arange(nJ)[None, :]).ravel()
-
-        def add(target_rows, dj, coef):
-            tgt = unk_id[target_rows]
-            ok = np.broadcast_to((tgt >= 0)[:, None], (nU, nJ)).copy()
-            jj = J + dj
-            ok &= (jj >= 1) & (jj <= n_t - 1)
-            kk2 = tgt[:, None] * nJ + (jj - 1)[None, :]
-            sel = ok.ravel()
-            rows.append(kk[sel])
-            cols.append(kk2.ravel()[sel])
-            c = np.broadcast_to(coef, (nU, nJ)).ravel()[sel]
-            data.append(c)
-
-        ctr = P[np.ix_(U, J)]
-        diag = (
-            -2.0 * op.a11 / hs**2
-            - 2.0 * op.a22 / ht**2
-            + op.c0
-            - F_col * gspec.g_prime(arg_fn(s_col, ctr)) * darg_fn(s_col)
-        )
-        add(U, 0, diag)
-        add(ip, 0, op.a11 / hs**2 + op.b1 / (2.0 * hs))
-        add(im, 0, op.a11 / hs**2 - op.b1 / (2.0 * hs))
-        add(U, 1, op.a22 / ht**2 + op.b2 / (2.0 * ht))
-        add(U, -1, op.a22 / ht**2 - op.b2 / (2.0 * ht))
-        if op.a12 != 0.0:
-            cross = op.a12 / (2.0 * hs * ht)
-            add(ip, 1, cross)
-            add(im, -1, cross)
-            add(ip, -1, -cross)
-            add(im, 1, -cross)
-        n = nU * nJ
-        return coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsc()
+        gp = gspec.g_prime(arg_fn(s_col, P[np.ix_(U, J)]))
+        jac.setdiag((center - F_col * gp * darg_fn(s_col)).ravel())
+        return jac
 
     history = []
     R = residual(Psi)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import LogPolarGrid, cumulative_trapezoid
-from .errors import NotDivergenceFree
+from .errors import GridError, NotDivergenceFree
 from .exact import HomogeneousSolution
 
 #: default ceiling for the relative discrete-divergence precheck
@@ -244,13 +244,33 @@ def field_to_csv(field: ScalarField) -> str:
     return buf.getvalue()
 
 
+#: largest distance, in cells, of a CSV row's (s, theta) from its grid node
+_NODE_TOL = 1e-6
+
+
 def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
-    rows = list(csv.reader(io.StringIO(text)))
+    """Read the (s, theta, value) rows of :func:`field_to_csv` onto ``grid``.
+    Raises GridError unless every node of ``grid`` has exactly one row."""
+    rows = csv.reader(io.StringIO(text))
+    next(rows, None)
+    flat = np.fromiter((float(x) for s, th, v in rows for x in (s, th, v)), float)
+    s, th, v = flat.reshape(-1, 3).T
+    x = (s - grid.s_min) / grid.h_s
+    y = th / grid.h_theta
+    i, j = np.rint(x), np.rint(y)
+    off = ~((np.abs(x - i) <= _NODE_TOL) & (np.abs(y - j) <= _NODE_TOL)
+            & (i >= 0) & (i <= grid.n_s) & (j >= 0) & (j <= grid.n_theta))
+    if off.any():
+        k = int(np.argmax(off))
+        raise GridError(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
+                        "is not a node of the grid")
+    node = (i * grid.shape[1] + j).astype(int)
     vals = np.full(grid.shape, np.nan)
-    for s, th, v in rows[1:]:
-        i = round((float(s) - grid.s_min) / grid.h_s)
-        j = round(float(th) / grid.h_theta)
-        vals[i, j] = float(v)
+    if np.unique(node).size < node.size:
+        raise GridError("more than one CSV row for a grid node")
+    if node.size < vals.size:
+        raise GridError(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")
+    vals.flat[node] = v
     return ScalarField(grid, vals)
 
 

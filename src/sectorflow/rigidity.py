@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -98,17 +97,6 @@ class GRecovery:
         for z, gv in zip(self.z_samples, self.g_samples):
             w.writerow([repr(float(z)), repr(float(gv))])
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "single_valued_defect": self.single_valued_defect,
-                "fits": self.fits,
-                "fit": self.fit,
-                "n_bins": len(self.z_samples),
-            },
-            sort_keys=True,
-        )
 
 
 def _log_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -419,10 +407,6 @@ class BoundaryReport:
     rotation_margin: float | None
     flux_consistency_defect: float
     inconsistent_hypotheses: bool
-
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        return json.dumps(d, sort_keys=True)
 
 
 #: sixth-order one-sided first-derivative weights at the boundary node

@@ -203,3 +203,19 @@ class TestNeumannSides:
         assert errors[0] / errors[1] >= 3.8
         assert errors[1] / errors[2] >= 3.8
         assert errors[2] < 1e-4
+
+
+class TestFullStencil:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("side", [DirichletBoth(), PeriodicInS(math.log(2))], ids=repr)
+    def test_linear_solve_takes_one_newton_step(self, side, n):
+        # every term of the stencil is present, so one Newton step solves
+        # the linear problem only if the Jacobian is the residual's exact
+        # linearisation
+        op = EllipticOperator(1.0, 0.3, 0.8, b1=0.5, b2=-0.4, c0=0.2)
+        grid = _grid(n, 1.0)
+        h = lambda th: np.sin(2.0 * th) + th
+        init = default_initial_guess(grid, h, amplitude=0.5, seed=n)
+        _, rep = solve_semilinear(grid, op, None, ZeroG(), RawFrame(), h, side, init=init)
+        assert rep.converged
+        assert rep.iterations == 1

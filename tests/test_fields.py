@@ -23,7 +23,7 @@ from sectorflow import (
     velocity_from_stream,
 )
 from sectorflow.domain import LogPolarGrid
-from sectorflow.errors import NotDivergenceFree
+from sectorflow.errors import GridError, NotDivergenceFree
 from sectorflow.fields import field_from_csv, interior_max, stream_path_defect
 
 
@@ -177,6 +177,26 @@ class TestCsv:
         field = ScalarField(grid, np.sin(S) + TH)
         back = field_from_csv(field_to_csv(field), grid)
         np.testing.assert_array_equal(back.vals, field.vals)
+
+    def test_row_off_the_grid_rejected(self):
+        # a row at s = -h_s used to wrap round to the last s-row
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        text = field_to_csv(_theta_field(grid)) + f"{-grid.h_s!r},0.0,5.0\n"
+        with pytest.raises(GridError, match="not a node"):
+            field_from_csv(text, grid)
+
+    def test_duplicate_row_rejected(self):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        text = field_to_csv(_theta_field(grid)) + "0.0,0.1,5.0\n"
+        with pytest.raises(GridError, match="more than one"):
+            field_from_csv(text, grid)
+
+    def test_missing_nodes_rejected(self):
+        # an 8x8 export read on a 16x16 grid used to leave 208 nodes NaN
+        coarse = LogPolarGrid(0.0, 1.0, 8, 8, 1.0)
+        fine = LogPolarGrid(0.0, 1.0, 16, 16, 1.0)
+        with pytest.raises(GridError, match="208 of 289"):
+            field_from_csv(field_to_csv(_theta_field(coarse)), fine)
 
 
 @settings(max_examples=25, deadline=None)

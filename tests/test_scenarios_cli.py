@@ -136,6 +136,17 @@ class TestCli:
         )
         assert code == 0
 
+    def test_verify_missing_field_is_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "verify",
+                "--config", str(CONFIGS / "verify.ini"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+
     def test_slide_subcommand(self, tmp_path):
         code = main(
             ["slide", "--config", str(CONFIGS / "slide.ini"), "--out", str(tmp_path)]
