@@ -28,13 +28,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="scenario config (INI or JSON)")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="perturbation seed override")
-    sub.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectorflow",
@@ -44,7 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name in [*dict.fromkeys(spec.subcommand for spec in TAGS.values()), "batch"]:
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--config", required=True, help="scenario config (INI or JSON)")
+        sub.add_argument("--out", default="out", help="output directory")
+        if name == "solve":
+            sub.add_argument("--seed", type=int, help="perturbation seed override")
+            sub.add_argument("--tol", type=float, help="solver tolerance override")
     return parser
 
 
@@ -64,9 +61,9 @@ def main(argv=None) -> int:
                 f"tag {scn.tag!r} is not runnable by '{args.command}' "
                 f"(expected one of {allowed})"
             )
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             scn.solver["seed"] = str(args.seed)
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:
             scn.solver["tol"] = repr(args.tol)
         code, report = run_scenario(scn, Path(args.out))
         if "error" in report:

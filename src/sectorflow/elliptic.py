@@ -35,7 +35,7 @@ from .errors import (
     ParameterDomain,
     SingularJacobian,
 )
-from .fields import Alpha1Frame, FrameTag, GeneralFrame, RawFrame, ScalarField
+from .fields import Alpha1Frame, FrameTag, GeneralFrame, ScalarField, from_working
 from .rigidity import s_variance
 
 #: Newton damping floor: step fraction never drops below 2**-10
@@ -243,19 +243,12 @@ class SolveReport:
 
 
 def _frame_pieces(frame: FrameTag, s_nodes: np.ndarray):
-    """(canonical F, arg(s, Psi), d arg / d Psi) for the working frame."""
-    if isinstance(frame, Alpha1Frame):
-        c = frame.c
-        return (
-            np.exp(2.0 * s_nodes),
-            lambda s, P: P + c * s,
-            lambda s: np.ones_like(s),
-        )
+    """(canonical F, d arg / d Psi) for the frame; arg is :func:`from_working`."""
     if isinstance(frame, GeneralFrame):
         a = frame.alpha
-        scale = lambda s: np.exp((1.0 - a) * s)
-        return np.exp((1.0 + a) * s_nodes), lambda s, P: scale(s) * P, scale
-    return np.ones_like(s_nodes), lambda s, P: P, lambda s: np.ones_like(s)
+        return np.exp((1.0 + a) * s_nodes), lambda s: np.exp((1.0 - a) * s)
+    F = np.exp(2.0 * s_nodes) if isinstance(frame, Alpha1Frame) else np.ones_like(s_nodes)
+    return F, lambda s: np.ones_like(s)
 
 
 def default_initial_guess(
@@ -359,7 +352,7 @@ def solve_semilinear(
     th = grid.theta_nodes
     h_vals = np.asarray(boundary_h(th), dtype=float)
 
-    F_canon, arg_fn, darg_fn = _frame_pieces(frame, s)
+    F_canon, darg_fn = _frame_pieces(frame, s)
     if F is None:
         F_vals = F_canon
     elif callable(F):
@@ -395,7 +388,7 @@ def solve_semilinear(
             / denom
             for coef, denom, taps in terms
         ))
-        return lap - F_col * gspec.g(arg_fn(s_col, P[np.ix_(U, J)]))
+        return lap - F_col * gspec.g(from_working(s_col, P[np.ix_(U, J)], frame))
 
     # the Jacobian is assembled once, with every tap but the centre ones as
     # a constant entry; each step writes the centre taps' sum minus the
@@ -426,7 +419,7 @@ def solve_semilinear(
     ).tocsc()
 
     def jacobian(P):
-        gp = gspec.g_prime(arg_fn(s_col, P[np.ix_(U, J)]))
+        gp = gspec.g_prime(from_working(s_col, P[np.ix_(U, J)], frame))
         jac.setdiag((center - F_col * gp * darg_fn(s_col)).ravel())
         return jac
 

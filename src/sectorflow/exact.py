@@ -13,16 +13,14 @@ constructor reports poles instead of auto-selecting shifts.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .domain import LogPolarGrid
+from .domain import LogPolarGrid, repr_csv
 from .errors import OutOfValidity, ParameterDomain, SingularityInRange
 
 #: a pole this close (radians) to the requested interval counts as inside
@@ -62,14 +60,10 @@ class AngularProfile:
         return float(self.theta_nodes[1] - self.theta_nodes[0])
 
     def to_csv(self, kind: str = "", params: dict | None = None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["# alpha", repr(self.alpha), "p", repr(self.p), "kind", kind,
-                    "params", repr(params or {})])
-        w.writerow(["theta", "v", "f"])
-        for t, v, f in zip(self.theta_nodes, self.v_vals, self.f_vals):
-            w.writerow([repr(float(t)), repr(float(v)), repr(float(f))])
-        return buf.getvalue()
+        meta = ["# alpha", repr(self.alpha), "p", repr(self.p), "kind", kind,
+                "params", repr(params or {})]
+        return repr_csv([meta, ["theta", "v", "f"]],
+                        self.theta_nodes, self.v_vals, self.f_vals)
 
 
 def profile_residual(prof: AngularProfile) -> tuple[float, float]:

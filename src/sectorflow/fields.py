@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import LogPolarGrid, cumulative_trapezoid
+from .domain import LogPolarGrid, cumulative_trapezoid, repr_csv
 from .errors import GridError, NotDivergenceFree
 from .exact import HomogeneousSolution
 
@@ -124,9 +123,8 @@ def stream_from_velocity(u: VectorField, tol: float = DIVERGENCE_TOL) -> ScalarF
 
     Integrates u_theta dr along theta = 0 first, then -r u_r dtheta along
     rays.  The relative divergence defect must be below ``tol``; the
-    alternate integration order (theta-edge first) gives the reported
-    path-independence defect, available as ``.path_defect`` metadata via
-    :func:`stream_path_defect`.
+    alternate integration order (theta-edge first) gives the
+    path-independence defect reported by :func:`stream_path_defect`.
     """
     g = u.grid
     div = divergence_defect(u)
@@ -207,14 +205,17 @@ def to_working_frame(psi: ScalarField, tag: FrameTag) -> ScalarField:
     return ScalarField(g, psi.vals.copy())
 
 
-def from_working_frame(Psi: ScalarField, tag: FrameTag) -> ScalarField:
-    g = Psi.grid
-    s = g.s_nodes[:, None]
+def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
+    """Array form of :func:`from_working_frame`; ``s`` broadcasts against ``Psi``."""
     if isinstance(tag, Alpha1Frame):
-        return ScalarField(g, Psi.vals + tag.c * s)
+        return Psi + tag.c * s
     if isinstance(tag, GeneralFrame):
-        return ScalarField(g, Psi.vals * np.exp(-s * (tag.alpha - 1.0)))
-    return ScalarField(g, Psi.vals.copy())
+        return Psi * np.exp(-s * (tag.alpha - 1.0))
+    return Psi.copy()
+
+
+def from_working_frame(Psi: ScalarField, tag: FrameTag) -> ScalarField:
+    return ScalarField(Psi.grid, from_working(Psi.grid.s_nodes[:, None], Psi.vals, tag))
 
 
 def sample_stream(sol: HomogeneousSolution, grid: LogPolarGrid) -> ScalarField:
@@ -234,14 +235,9 @@ def sample_velocity(
 
 def field_to_csv(field: ScalarField) -> str:
     """(s, theta, value) rows with repr floats for byte-stable output."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["s", "theta", "value"])
-    s_nodes, th_nodes = field.grid.s_nodes, field.grid.theta_nodes
-    for i, s in enumerate(s_nodes):
-        for j, th in enumerate(th_nodes):
-            w.writerow([repr(float(s)), repr(float(th)), repr(float(field.vals[i, j]))])
-    return buf.getvalue()
+    g = field.grid
+    return repr_csv([["s", "theta", "value"]], np.repeat(g.s_nodes, g.shape[1]),
+                    np.tile(g.theta_nodes, g.shape[0]), field.vals.ravel())
 
 
 #: largest distance, in cells, of a CSV row's (s, theta) from its grid node
@@ -291,6 +287,5 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
         return path
     bin_path = path.with_suffix(".npy")
     np.save(bin_path, np.ascontiguousarray(field.vals))
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(json.dumps(field.grid.metadata(), sort_keys=True))
+    path.with_suffix(".json").write_text(field.grid.to_json())
     return bin_path

@@ -9,8 +9,6 @@ constants that the rigidity hypotheses prescribe.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,6 +18,7 @@ import numpy as np
 _RANK_WARNING = getattr(getattr(np, "exceptions", np), "RankWarning", UserWarning)
 from scipy.interpolate import RegularGridInterpolator
 
+from .domain import repr_csv
 from .errors import (
     DegenerateField,
     EdgeNotOnGrid,
@@ -76,9 +75,9 @@ def homogeneity_fit(u: VectorField, ray_floor: float = 1e-13) -> dict:
 class GRecovery:
     """Binned scatter of (stream value, Laplacian value) with optional fit.
 
-    single_valued_defect is the worst residual of a local linear fit
-    inside any quantile bin: near zero when the Laplacian is a function
-    of the stream value, order the data spread when it is not.
+    single_valued_defect is the worst residual of a local quadratic fit
+    inside any equal-width z-bin: near zero when the Laplacian is a
+    function of the stream value, order the data spread when it is not.
     """
 
     z_samples: np.ndarray
@@ -91,12 +90,7 @@ class GRecovery:
         return np.interp(np.asarray(z, dtype=float), self.z_samples, self.g_samples)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["z", "g"])
-        for z, gv in zip(self.z_samples, self.g_samples):
-            w.writerow([repr(float(z)), repr(float(gv))])
-        return buf.getvalue()
+        return repr_csv([["z", "g"]], self.z_samples, self.g_samples)
 
 
 def _log_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -432,7 +426,7 @@ def boundary_report(
     """Fit the edge constants of the homogeneity hypotheses.
 
     c1, c2 come from r^alpha u_theta on the theta-edges; c3, c4 from the
-    fourth-order one-sided theta-derivative of r^alpha u_r there.  The
+    sixth-order one-sided theta-derivative of r^alpha u_r there.  The
     flux integral runs along the grid row nearest r0 (default: the row
     closest to r = 1); the mass identity c2 - c1 = (alpha - 1) * int f is
     evaluated with the trapezoid rule on that row, which is also the

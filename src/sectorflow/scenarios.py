@@ -73,6 +73,14 @@ def _num(value) -> float:
         raise ConfigError(f"cannot parse numeric value {text!r}: {exc}")
 
 
+def _int(value) -> int:
+    """Parse an integer config value; a fraction is a ConfigError."""
+    try:
+        return int(str(value))
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Validated scenario configuration."""
@@ -190,8 +198,8 @@ def _domain_values(scn: Scenario) -> tuple[float, float, float]:
 
 def _domain_grid(scn: Scenario):
     dom = make_sector(*_domain_values(scn))
-    n_s = int(scn.grid.get("n_s", 64))
-    n_t = int(scn.grid.get("n_theta", 64))
+    n_s = _int(scn.grid.get("n_s", 64))
+    n_t = _int(scn.grid.get("n_theta", 64))
     clip = None
     if "s_min" in scn.grid or "s_max" in scn.grid:
         clip = (_num(scn.grid.get("s_min", 0)), _num(scn.grid.get("s_max", 0)))
@@ -274,12 +282,12 @@ def _solve(scn, grid, op, gspec, frame, h):
     """Newton solve, periodic in s, from the seeded perturbed start, under
     the [solver] settings; returns (Psi, report, tol)."""
     tol = _num(scn.solver.get("tol", 1e-10))
-    seed = int(scn.solver.get("seed", 0))
+    seed = _int(scn.solver.get("seed", 0))
     amp = _num(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
     Psi, rep = elliptic.solve_semilinear(
         grid, op, None, gspec, frame, h, elliptic.PeriodicInS(grid.s_max - grid.s_min),
-        init=init, tol=tol, max_iter=int(scn.solver.get("max_iter", 50)),
+        init=init, tol=tol, max_iter=_int(scn.solver.get("max_iter", 50)),
     )
     return Psi, rep, tol
 
@@ -382,9 +390,7 @@ def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
     sol = _build_family(dict(scn.family), grid.theta0)
     checks, artifacts, (u, P, psi, lap, prof) = _certify_exact(sol, grid)
     checks += extra(psi, artifacts)
-    (out / "profile.csv").write_text(
-        prof.to_csv(kind=sol.kind.value, params=sol.params)
-    )
+    (out / "profile.csv").write_text(prof.to_csv(sol.kind.value, sol.params))
     fields.write_field(psi, out / "stream.csv")
     return checks, artifacts
 
@@ -394,7 +400,7 @@ def _run_cor1(scn, grid, out):
     p = _num(scn.ode.get("p", -1.0))
     lo = _num(scn.ode.get("f0_min", -2.0))
     hi = _num(scn.ode.get("f0_max", 2.0))
-    n = int(scn.ode.get("f0_count", 41))
+    n = _int(scn.ode.get("f0_count", 41))
     step = _num(scn.ode.get("step", 1e-3))
     cfg = angular_ode.OdeConfig(step=step)
     rep = angular_ode.periodic_shooting(c, p, np.linspace(lo, hi, n), cfg)
@@ -445,15 +451,13 @@ def _run_atlas(scn, grid, out):
         checks.append(_check(f"{kind_name}_profile", max(r1, r2), 1e-10))
         artifacts[kind_name] = {"euler_residual": list(e), "profile_residual": [r1, r2]}
         prof = sol.profile(theta0, 1000)
-        (out / f"profile_{kind_name}.csv").write_text(
-            prof.to_csv(kind=kind_name, params=sol.params)
-        )
+        (out / f"profile_{kind_name}.csv").write_text(prof.to_csv(kind_name, sol.params))
     return checks, {"families": artifacts}
 
 
 def _run_slide(scn, grid, out):
     profile = scn.slide.get("profile", "sec")
-    n = int(scn.slide.get("n", 500))
+    n = _int(scn.slide.get("n", 500))
     g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
     th = g.theta_nodes
     if profile == "sec":

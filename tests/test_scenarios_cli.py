@@ -232,3 +232,52 @@ def test_registry_routes_each_shipped_tag_to_one_subcommand(cfg, tmp_path):
 def test_required_keys_checked_at_parse(tmp_path, text):
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "bad.ini", text))
+
+
+_B2_SECTIONS = (
+    "[scenario]\nname = b2\ntag = Thm4_B2\n[domain]\na = 1\nb = 2\ntheta0 = 1.0\n"
+    "[family]\nkind = rational\nv = 1.0\nc = 1.0\n"
+)
+
+
+class TestIntegerValues:
+    def test_fractional_ini_grid_size_is_config_error(self, tmp_path):
+        cfg = _write(tmp_path, "b2.ini", _B2_SECTIONS + "[grid]\nn_s = 64.5\nn_theta = 64\n")
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_fractional_json_grid_size_is_not_truncated(self, tmp_path):
+        cfg = {
+            "scenario": {"name": "b2", "tag": "Thm4_B2"},
+            "domain": {"a": 1, "b": 2, "theta0": 1.0},
+            "grid": {"n_s": 16.9, "n_theta": 16},
+            "family": {"kind": "rational", "v": 1.0, "c": 1.0},
+        }
+        path = _write(tmp_path, "b2.json", json.dumps(cfg))
+        assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        cfg["grid"]["n_s"] = 16
+        path.write_text(json.dumps(cfg))
+        assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestSolveOnlyFlags:
+    @pytest.mark.parametrize("cmd, cfg", [("batch", "batch.ini"), ("exact", "thm4_b2.ini")])
+    @pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--seed", "3"]])
+    def test_other_subcommands_reject_solver_flags(self, cmd, cfg, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--config", str(CONFIGS / cfg), "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_solve_applies_seed_and_tol(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run(scn, out):
+            seen.append(dict(scn.solver))
+            return 0, {"checks": []}
+
+        monkeypatch.setattr("sectorflow.cli.run_scenario", fake_run)
+        argv = ["solve", "--config", str(CONFIGS / "thm1i.ini"), "--out", str(tmp_path)]
+        assert main([*argv, "--seed", "7", "--tol", "1e-6"]) == 0
+        assert seen[0]["seed"] == "7" and seen[0]["tol"] == "1e-06"
