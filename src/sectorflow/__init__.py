@@ -28,6 +28,7 @@ from .angular_ode import (
     integrate_general,
     mass_identity_defect,
     periodic_shooting,
+    shoot_alpha1,
     w_equation_residual,
 )
 from .fields import (

@@ -4,8 +4,10 @@ For homogeneity degree alpha = 1 the angular velocity is a constant c and
 the radial profile f solves the Riccati equation c f' = f^2 + c^2 + 2p.
 For alpha != 1 the pair (v, f) solves v' = (alpha - 1) f,
 f' = (alpha f^2 + v^2 + 2 alpha p) / v, which is singular at v = 0.
-Tan-type branches blow up in finite angle; integration halts with a flag
-and a pole estimate instead of raising.
+Every integration is one vectorised RK4 march over an array of members
+(a shoot over many f(0), or a batch of one).  Each member stops on its
+own: tan-type branches blow up in finite angle and halt with a flag and a
+pole estimate, swirl that reaches the v = 0 floor halts with a flag.
 """
 
 from __future__ import annotations
@@ -49,74 +51,89 @@ class OdeResult:
         return not (self.blew_up or self.hit_swirl_floor)
 
 
-def _pole_estimate(t_prev, f_prev, t_last, f_last):
-    """Linear extrapolation of 1/f to zero (1/f vanishes linearly at a pole)."""
-    g_prev, g_last = 1.0 / f_prev, 1.0 / f_last
+def _pole_estimate(ts, f):
+    """Zero of 1/f extrapolated linearly from the last two nodes (1/f
+    vanishes linearly at a pole); None where f is 0 at either node."""
+    if f[-1] == 0.0 or f[-2] == 0.0:
+        return None
+    g_prev, g_last = 1.0 / f[-2], 1.0 / f[-1]
     if g_prev == g_last:
-        return t_last
-    return t_last - g_last * (t_last - t_prev) / (g_last - g_prev)
+        return ts[-1]
+    return ts[-1] - g_last * (ts[-1] - ts[-2]) / (g_last - g_prev)
 
 
-def _rk4_path(rhs, y0, t0, t1, step, stop):
-    """March RK4 with a landing step; ``stop(y)`` truncates the path.
-
-    Returns (t_nodes, y_rows, stopped) where y_rows stacks the accepted
-    states; the step count is rounded so the final node hits t1 exactly.
-    """
-    n = max(1, round((t1 - t0) / step))
-    h = (t1 - t0) / n
-    ts = [t0]
-    ys = [np.asarray(y0, dtype=float)]
-    y = ys[0]
-    for i in range(n):
-        t = t0 + i * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y_next = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y_next)) or stop(y_next):
-            return np.array(ts), np.vstack(ys), True
-        ts.append(t0 + (i + 1) * h)
-        ys.append(y_next)
-        y = y_next
-    return np.array(ts), np.vstack(ys), False
-
-
-def integrate_alpha1(
-    c: float,
-    p: float,
-    f0: float,
-    theta_span: tuple[float, float],
-    cfg: OdeConfig = OdeConfig(),
-) -> OdeResult:
-    """Integrate the Riccati profile c f' = f^2 + c^2 + 2p from f(0) = f0.
-
-    Raises ZeroSwirl for c = 0 (the equation degenerates to algebra).  On
-    finite-angle blow-up the result carries the partial profile and a
-    pole estimate from inverse-linear extrapolation of 1/f.
-    """
-    if c == 0.0:
-        raise ZeroSwirl("alpha=1 profile equation needs c != 0")
+def _march(alpha, p, rhs, y0, theta_span, cfg, v_floor=0.0) -> list[OdeResult]:
+    """March RK4 over every member (row (v, f) of ``y0``) at once; the step
+    count is rounded so the last node lands on theta_span[1].  A member stops
+    at its first state that is non-finite, has |f| > max_f or |v| < v_floor,
+    and is held at its last accepted state from then on."""
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     if not t1 > t0:
         raise ValueError("theta_span must be increasing")
+    n = max(1, round((t1 - t0) / cfg.step))
+    h = (t1 - t0) / n
+    path = np.empty((n + 1, len(y0), 2))
+    path[0] = y0
+    # an accepted (|v|, |f|) lies in [lo, hi]: inf exceeds hi, NaN fails both
+    lo, hi = np.array([v_floor, 0.0]), np.array([np.finfo(float).max, cfg.max_f])
+    last, floor, held = np.full(len(y0), n), np.zeros(len(y0), dtype=bool), None
+    for i in range(n):
+        y, y_next = path[i], path[i + 1]
+        k1 = rhs(y)
+        k2 = rhs(y + h / 2 * k1)
+        k3 = rhs(y + h / 2 * k2)
+        k4 = rhs(y + h * k3)
+        y_next[:] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if held is not None:
+            np.copyto(y_next, y, where=held)
+        a = np.abs(y_next)
+        inside = (lo <= a) & (a <= hi)
+        if not inside.all():
+            stop = ~inside.all(axis=1) & (last == n)  # first stops only; y0 is unchecked
+            last[stop] = i
+            floor |= stop & (a[:, 0] < v_floor)
+            y_next[stop] = y[stop]
+            held = (last < n)[:, None]
+    nodes = t0 + np.arange(n + 1) * h
+    results = []
+    for m, k in enumerate(last):
+        prof = AngularProfile(alpha, p, nodes[: k + 1], *path[: k + 1, m].T)
+        if k == n:
+            results.append(OdeResult(prof))
+        elif floor[m]:
+            results.append(OdeResult(prof, hit_swirl_floor=True, floor_theta=float(nodes[k])))
+        else:
+            pole = _pole_estimate(prof.theta_nodes, prof.f_vals)
+            results.append(OdeResult(prof, blew_up=True, blowup_theta=pole))
+    return results
+
+
+def shoot_alpha1(
+    c: float, p: float, f0_grid, theta_span: tuple[float, float], cfg: OdeConfig = OdeConfig()
+) -> list[OdeResult]:
+    """Integrate the Riccati profile c f' = f^2 + c^2 + 2p from every f(0)
+    in ``f0_grid`` in one march, each member once; one result per f(0).
+
+    Raises ZeroSwirl for c = 0 (the equation degenerates to algebra).  A
+    member that blows up carries its partial profile and a pole estimate.
+    """
+    if c == 0.0:
+        raise ZeroSwirl("alpha=1 profile equation needs c != 0")
     const = c * c + 2.0 * p
+    only_f = np.array([0.0, 1.0])
 
-    def rhs(t, y):
-        return np.array([(y[0] * y[0] + const) / c])
+    def rhs(y):  # the Riccati map on both columns, zeroed on v
+        return (y * y + const) / c * only_f
 
-    ts, ys, stopped = _rk4_path(
-        rhs, [f0], t0, t1, cfg.step, lambda y: abs(y[0]) > cfg.max_f
-    )
-    f_vals = ys[:, 0]
-    prof = AngularProfile(1.0, p, ts, np.full_like(ts, c), f_vals)
-    if stopped:
-        pole = None
-        if len(ts) >= 2 and f_vals[-1] != 0.0 and f_vals[-2] != 0.0:
-            pole = _pole_estimate(ts[-2], f_vals[-2], ts[-1], f_vals[-1])
-        return OdeResult(prof, blew_up=True, blowup_theta=pole)
-    return OdeResult(prof)
+    f0 = np.asarray(f0_grid, dtype=float)
+    return _march(1.0, p, rhs, np.column_stack([np.full_like(f0, c), f0]), theta_span, cfg)
+
+
+def integrate_alpha1(
+    c: float, p: float, f0: float, theta_span: tuple[float, float], cfg: OdeConfig = OdeConfig()
+) -> OdeResult:
+    """Integrate c f' = f^2 + c^2 + 2p from f(0) = f0: a shoot of one."""
+    return shoot_alpha1(c, p, [f0], theta_span, cfg)[0]
 
 
 def integrate_general(
@@ -130,76 +147,47 @@ def integrate_general(
     """Integrate v' = (alpha - 1) f, f' = (alpha f^2 + v^2 + 2 alpha p) / v.
 
     The system is singular where v = 0; the march halts with a flag when
-    |v| drops below the structural floor 1e-8 * max(|v0|, 1).
+    |v| drops below the structural floor 1e-8 * max(|v0|, 1), and with a
+    pole estimate when f blows up.
     """
     v_floor = 1e-8 * max(abs(v0), 1.0)
     if abs(v0) < v_floor or v0 == 0.0:
         raise SingularSwirl("initial swirl v0 is below the v=0 floor", theta=0.0)
-    t0, t1 = float(theta_span[0]), float(theta_span[1])
-    if not t1 > t0:
-        raise ValueError("theta_span must be increasing")
 
-    def rhs(t, y):
-        v, f = y
-        return np.array(
-            [(alpha - 1.0) * f, (alpha * f * f + v * v + 2.0 * alpha * p) / v]
-        )
+    def rhs(y):
+        v, f = y.T
+        return np.column_stack([(alpha - 1.0) * f,
+                                (alpha * f * f + v * v + 2.0 * alpha * p) / v])
 
-    def stop(y):
-        return abs(y[0]) < v_floor or abs(y[1]) > cfg.max_f
-
-    ts, ys, stopped = _rk4_path(rhs, [v0, f0], t0, t1, cfg.step, stop)
-    prof = AngularProfile(alpha, p, ts, ys[:, 0], ys[:, 1])
-    if stopped:
-        if abs(ys[-1, 1]) <= cfg.max_f:
-            return OdeResult(prof, hit_swirl_floor=True, floor_theta=float(ts[-1]))
-        pole = None
-        if len(ts) >= 2 and ys[-1, 1] != 0.0 and ys[-2, 1] != 0.0:
-            pole = _pole_estimate(ts[-2], ys[-2, 1], ts[-1], ys[-1, 1])
-        return OdeResult(prof, blew_up=True, blowup_theta=pole)
-    return OdeResult(prof)
+    return _march(alpha, p, rhs, [[v0, f0]], theta_span, cfg, v_floor)[0]
 
 
 PERIODIC_TOL = 1e-9
 
 
-def periodic_shooting(
-    c: float,
-    p: float,
-    f0_grid,
-    cfg: OdeConfig = OdeConfig(),
-) -> dict:
-    """Classify 2*pi-periodic alpha=1 profiles by shooting from f0_grid.
+def classify_periodic(c: float, p: float, results) -> dict:
+    """Classify alpha=1 profiles shot over [0, 2*pi] (:func:`shoot_alpha1`)
+    from the results alone, with no further integration.
 
-    Each initial value is integrated over [0, 2*pi]; members with
-    periodicity defect |f(2*pi) - f(0)| below 1e-9 are marked periodic.
-    Every periodic member is additionally checked to be constant with
-    f^2 = -(c^2 + 2p), the only shape a sign-definite periodic profile
+    Members with periodicity defect |f(2*pi) - f(0)| below 1e-9 are marked
+    periodic.  Every periodic member is additionally checked to be constant
+    with f^2 = -(c^2 + 2p), the only shape a sign-definite periodic profile
     can take.
     """
-    if c == 0.0:
-        raise ZeroSwirl("shooting requires c != 0")
     const = c * c + 2.0 * p
     members = []
-    for f0 in f0_grid:
-        f0 = float(f0)
-        res = integrate_alpha1(c, p, f0, (0.0, 2.0 * math.pi), cfg)
+    for res in results:
         f_vals = res.profile.f_vals
-        entry = {
-            "f0": f0,
-            "f_range": [float(np.min(f_vals)), float(np.max(f_vals))],
-        }
+        f0 = float(f_vals[0])
+        entry = {"f0": f0, "f_range": [float(np.min(f_vals)), float(np.max(f_vals))]}
         if res.blew_up:
             entry["blowup_theta"] = res.blowup_theta
             entry["is_periodic"] = False
         else:
-            defect = abs(float(f_vals[-1]) - f0)
-            entry["defect"] = defect
+            entry["defect"] = defect = abs(float(f_vals[-1]) - f0)
             entry["is_periodic"] = defect < PERIODIC_TOL
             if entry["is_periodic"]:
-                entry["is_constant"] = (
-                    float(np.max(f_vals) - np.min(f_vals)) < PERIODIC_TOL
-                )
+                entry["is_constant"] = float(np.max(f_vals) - np.min(f_vals)) < PERIODIC_TOL
                 entry["f_squared_defect"] = abs(f0 * f0 + const)
         members.append(entry)
     periodic = [m for m in members if m["is_periodic"]]
@@ -211,6 +199,17 @@ def periodic_shooting(
         "all_periodic_constant": all(m.get("is_constant", False) for m in periodic),
         "members": members,
     }
+
+
+def periodic_shooting(
+    c: float,
+    p: float,
+    f0_grid,
+    cfg: OdeConfig = OdeConfig(),
+) -> dict:
+    """Shoot every f0 in ``f0_grid`` over [0, 2*pi] in one march, each member
+    once, and classify the periodic members (:func:`classify_periodic`)."""
+    return classify_periodic(c, p, shoot_alpha1(c, p, f0_grid, (0.0, 2.0 * math.pi), cfg))
 
 
 def w_equation_residual(prof: AngularProfile, c: float) -> float:

@@ -403,7 +403,8 @@ def _run_cor1(scn, grid, out):
     n = _int(scn.ode.get("f0_count", 41))
     step = _num(scn.ode.get("step", 1e-3))
     cfg = angular_ode.OdeConfig(step=step)
-    rep = angular_ode.periodic_shooting(c, p, np.linspace(lo, hi, n), cfg)
+    shots = angular_ode.shoot_alpha1(c, p, np.linspace(lo, hi, n), (0.0, 2 * math.pi), cfg)
+    rep = angular_ode.classify_periodic(c, p, shots)
     expected = 2 if c * c + 2.0 * p < 0 else 0
     non_periodic_ok = all(
         m.get("defect", np.inf) > 1e-3 or "blowup_theta" in m
@@ -416,12 +417,7 @@ def _run_cor1(scn, grid, out):
                0 if rep["all_periodic_constant"] else 1, 0),
         _check("nonperiodic_separated", 0 if non_periodic_ok else 1, 0),
     ]
-    w_res = []
-    for m in rep["members"]:
-        if "blowup_theta" in m:
-            continue
-        prof = angular_ode.integrate_alpha1(c, p, m["f0"], (0.0, 2 * math.pi), cfg).profile
-        w_res.append(angular_ode.w_equation_residual(prof, c))
+    w_res = [angular_ode.w_equation_residual(r.profile, c) for r in shots if not r.blew_up]
     if w_res:
         checks.append(_check("w_equation_residual", max(w_res), 100.0 * step**2))
     (out / "shooting.json").write_text(json.dumps(rep, sort_keys=True))

@@ -12,6 +12,7 @@ from sectorflow import (
     integrate_general,
     mass_identity_defect,
     periodic_shooting,
+    shoot_alpha1,
     w_equation_residual,
 )
 from sectorflow.errors import SingularSwirl, ZeroSwirl
@@ -141,3 +142,173 @@ def test_general_matches_cos_power(alpha, c1):
     )
     t = res.profile.theta_nodes
     np.testing.assert_allclose(res.profile.v_vals, sol.v(t), atol=1e-7 * c1)
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-member scalar RK4 loop and result tails that the
+# batched march replaced.  The march must reproduce them bit for bit.
+
+
+def _scalar_rk4_path(rhs, y0, t0, t1, step, stop):
+    """(t_nodes, accepted rows, rejected state or None)."""
+    n = max(1, round((t1 - t0) / step))
+    h = (t1 - t0) / n
+    ts = [t0]
+    ys = [np.asarray(y0, dtype=float)]
+    y = ys[0]
+    for i in range(n):
+        t = t0 + i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y_next = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y_next)) or stop(y_next):
+            return np.array(ts), np.vstack(ys), y_next
+        ts.append(t0 + (i + 1) * h)
+        ys.append(y_next)
+        y = y_next
+    return np.array(ts), np.vstack(ys), None
+
+
+def _scalar_pole(ts, f):
+    if len(ts) >= 2 and f[-1] != 0.0 and f[-2] != 0.0:
+        g_prev, g_last = 1.0 / f[-2], 1.0 / f[-1]
+        if g_prev == g_last:
+            return ts[-1]
+        return ts[-1] - g_last * (ts[-1] - ts[-2]) / (g_last - g_prev)
+    return None
+
+
+def _scalar_alpha1(c, p, f0, span, cfg):
+    const = c * c + 2.0 * p
+    ts, ys, rejected = _scalar_rk4_path(
+        lambda t, y: np.array([(y[0] * y[0] + const) / c]), [f0], float(span[0]),
+        float(span[1]), cfg.step, lambda y: abs(y[0]) > cfg.max_f,
+    )
+    f = ys[:, 0]
+    stopped = rejected is not None
+    return ts, np.full_like(ts, c), f, (stopped, _scalar_pole(ts, f) if stopped else None,
+                                        False, None)
+
+
+def _scalar_general(alpha, p, v0, f0, span, cfg):
+    v_floor = 1e-8 * max(abs(v0), 1.0)
+
+    def rhs(t, y):
+        v, f = y
+        return np.array([(alpha - 1.0) * f, (alpha * f * f + v * v + 2.0 * alpha * p) / v])
+
+    ts, ys, rejected = _scalar_rk4_path(
+        rhs, [v0, f0], float(span[0]), float(span[1]), cfg.step,
+        lambda y: abs(y[0]) < v_floor or abs(y[1]) > cfg.max_f,
+    )
+    # the stop reason is read off the rejected state: a swirl-floor hit if
+    # its |v| is below the floor, a blow-up otherwise
+    floor = rejected is not None and abs(rejected[0]) < v_floor
+    blew = rejected is not None and not floor
+    flags = (blew, _scalar_pole(ts, ys[:, 1]) if blew else None,
+             floor, float(ts[-1]) if floor else None)
+    return ts, ys[:, 0], ys[:, 1], flags
+
+
+def _assert_bitwise(res, ref):
+    ts, v, f, (blew, pole, floor, floor_theta) = ref
+    assert np.array_equal(res.profile.theta_nodes, ts)
+    assert np.array_equal(res.profile.v_vals, v)
+    assert np.array_equal(res.profile.f_vals, f)
+    assert (res.blew_up, res.hit_swirl_floor) == (blew, floor)
+    assert res.blowup_theta == pole and res.floor_theta == floor_theta
+
+
+#: c = 1, p = -1: early (20) and late (1.01) blow-ups, transients that
+#: settle onto -1 (-3, -0.5, 0, 0.5) and the periodic constants +-1
+MIXED_GRID = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.01, 1.5, 3.0, 20.0]
+
+
+class TestMarchMatchesScalarOracle:
+    @pytest.mark.parametrize(
+        "c, p, grid",
+        [
+            (1.0, -1.0, MIXED_GRID),
+            (1.0, 0.5, np.linspace(-2.0, 2.0, 9)),  # c^2 + 2p > 0: every member blows up
+            (-1.5, 0.1, [-1.0, 0.0, 2.0]),  # c < 0: f falls to -inf
+        ],
+    )
+    def test_shoot(self, c, p, grid):
+        cfg = OdeConfig(step=5e-3)
+        results = shoot_alpha1(c, p, grid, (0.0, 2 * math.pi), cfg)
+        assert len(results) == len(grid)
+        assert any(r.blew_up for r in results)
+        for f0, res in zip(grid, results):
+            _assert_bitwise(res, _scalar_alpha1(c, p, float(f0), (0.0, 2 * math.pi), cfg))
+
+    def test_mixed_shoot_reaches_every_outcome(self):
+        results = shoot_alpha1(1.0, -1.0, MIXED_GRID, (0.0, 2 * math.pi), OdeConfig(step=5e-3))
+        poles = [r.blowup_theta for r in results if r.blew_up]
+        assert min(poles) < 0.1 and max(poles) > 2.0
+        periodic = periodic_shooting(1.0, -1.0, MIXED_GRID, OdeConfig(step=5e-3))
+        assert sorted(m["f0"] for m in periodic["members"] if m["is_periodic"]) == [-1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 0.0, 0.0, (0.0, 2.0)),
+            (1.0, -1.0, 0.5, (0.0, 2 * math.pi)),
+            (2.0, 1.0, -0.3, (0.25, 1.7)),
+        ],
+    )
+    def test_single_alpha1(self, args):
+        cfg = OdeConfig(step=2e-3)
+        _assert_bitwise(integrate_alpha1(*args, cfg), _scalar_alpha1(*args, cfg))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, 0.0, 1.0, 0.0, (0.0, 1.0)),  # sec branch, completes
+            (2.0, -0.5, math.sin(0.4), -math.cos(0.4), (0.0, 1.0)),  # swirl floor
+            (2.0, 0.0, 1.0, 0.0, (0.0, 2.0)),  # sec blows up at pi/2
+            (1.5, 0.2, -0.7, 0.3, (0.0, 3.0)),  # blows up with v < 0
+        ],
+    )
+    def test_general(self, args):
+        cfg = OdeConfig(step=1e-3)
+        _assert_bitwise(integrate_general(*args, cfg), _scalar_general(*args, cfg))
+
+
+@pytest.mark.parametrize("grid", [[2.5e8], [-2.0, 1e9]])
+def test_member_starting_above_max_f_keeps_no_profile(grid):
+    """A member whose f(0) already exceeds max_f stops at its first step;
+    one node is no profile, so the shoot raises instead of holding it."""
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        shoot_alpha1(1.0, -1.0, grid, (0.0, 2 * math.pi))
+
+
+def test_sec_blowup_flagged_as_blowup():
+    """A general-alpha pole is a blow-up with a pole estimate, not a
+    swirl-floor hit: v = sec(theta) grows, it never nears 0."""
+    res = integrate_general(2.0, 0.0, 1.0, 0.0, (0.0, 2.0))
+    assert res.blew_up and not res.hit_swirl_floor
+    assert res.blowup_theta == pytest.approx(math.pi / 2, abs=1e-3)
+
+
+def test_cor1_integrates_each_member_once(tmp_path, monkeypatch):
+    from sectorflow import angular_ode
+    from sectorflow.scenarios import parse_config, run_scenario
+
+    marched = []
+    march = angular_ode._march
+
+    def counting(*args):
+        results = march(*args)
+        marched.append(len(results))
+        return results
+
+    monkeypatch.setattr(angular_ode, "_march", counting)
+    cfg = tmp_path / "cor1.ini"
+    cfg.write_text("[scenario]\nname = cor1\ntag = Cor1\n[ode]\nc = 1\np = -1\n"
+                   "f0_min = -2\nf0_max = 2\nf0_count = 9\nstep = 1e-2\n")
+    code, report = run_scenario(parse_config(cfg), tmp_path / "out")
+    assert code == 0
+    assert "w_equation_residual" in [c["name"] for c in report["checks"]]
+    assert marched == [9]
