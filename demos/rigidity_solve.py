@@ -32,7 +32,7 @@ def run(name, grid, op, gspec, frame, h):
     init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
     start_var = s_variance(init)
     Psi, rep = solve_semilinear(
-        grid, op, None, gspec, frame, h,
+        grid, op, gspec, frame, h,
         PeriodicInS(grid.s_max - grid.s_min), init=init,
     )
     print(f"{name:<22} iters={rep.iterations}  residual={rep.final_residual:.1e}"
@@ -55,5 +55,5 @@ run("exponential g", grid, laplace_operator(), ExpForm(-1.0, 1.0),
 
 # cubic nonlinearity: negative-secant profile of the power family
 run("cubic g", grid, general_frame_operator(2.0),
-    PowerForm(-2.0, -2.0, 3.0, None), GeneralFrame(2.0),
+    PowerForm(-2.0, 3.0), GeneralFrame(2.0),
     lambda th: -1.0 / np.cos(th))

@@ -10,7 +10,6 @@ from .domain import (
     LogPolarGrid,
     SectorDomain,
     build_grid,
-    grid_from_metadata,
     make_sector,
 )
 from .exact import (
@@ -39,12 +38,10 @@ from .fields import (
     VectorField,
     euler_residual,
     field_to_csv,
-    from_working_frame,
     laplacian_polar,
     sample_stream,
     sample_velocity,
     stream_from_velocity,
-    to_working_frame,
     velocity_from_stream,
 )
 from .elliptic import (
@@ -61,7 +58,6 @@ from .elliptic import (
     default_initial_guess,
     general_frame_operator,
     laplace_operator,
-    make_g_spec,
     solve_semilinear,
 )
 from .rigidity import (
@@ -73,7 +69,6 @@ from .rigidity import (
     g_functional_check,
     homogeneity_fit,
     jacobian_check,
-    level_set_check,
     recover_g,
     s_variance,
     sliding_check,

@@ -191,22 +191,6 @@ def build_grid(
     return LogPolarGrid(s_min, s_max, int(n_s), int(n_theta), dom.theta0)
 
 
-def grid_from_metadata(meta: dict) -> tuple[LogPolarGrid, SectorDomain | None]:
-    """Inverse of ``LogPolarGrid.metadata``; round-trips node coordinates."""
-    grid = LogPolarGrid(
-        float(meta["s_min"]),
-        float(meta["s_max"]),
-        int(meta["n_s"]),
-        int(meta["n_theta"]),
-        float(meta["theta0"]),
-    )
-    dom = None
-    if "a" in meta and "b" in meta:
-        b = math.inf if meta["b"] == "inf" else float(meta["b"])
-        dom = make_sector(float(meta["a"]), b, float(meta["theta0"]))
-    return grid, dom
-
-
 def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Trapezoid-rule integral of samples ``y`` (node spacing ``h``) from
     the first node along ``axis``; same shape as ``y``, starting at 0."""

@@ -18,9 +18,8 @@ order changes which solves meet their tolerance.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -29,12 +28,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .domain import LogPolarGrid
-from .errors import (
-    InconsistentScenario,
-    NoConvergence,
-    ParameterDomain,
-    SingularJacobian,
-)
+from .errors import NoConvergence, ParameterDomain, SingularJacobian
 from .fields import Alpha1Frame, FrameTag, GeneralFrame, ScalarField, from_working
 from .rigidity import s_variance
 
@@ -108,38 +102,24 @@ class ExpForm:
 
 @dataclass(frozen=True)
 class PowerForm:
-    """g(z) = Cplus |z|^q on z >= 0, Cminus |z|^q on z < 0.
+    """g(z) = C |z|^q with q >= 1, the Thm2 power law; for q > 1 the
+    derivative at z = 0 is the analytic limit 0."""
 
-    For q > 1 the derivative at z = 0 is the analytic limit 0.  For
-    q < 1 a z-range bounded away from 0 must be declared so z = 0 is
-    never evaluated.
-    """
-
-    Cplus: float
-    Cminus: float
+    C: float
     q: float
-    z_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.q < 1.0:
-            zr = self.z_range
-            if zr is None or (zr[0] <= 0.0 <= zr[1]):
-                raise ParameterDomain(
-                    "PowerForm with q < 1 needs a declared z-range "
-                    "bounded away from 0"
-                )
-
-    def _coef(self, z):
-        return np.where(z >= 0.0, self.Cplus, self.Cminus)
+            raise ParameterDomain(f"PowerForm needs q >= 1, got q = {self.q}")
 
     def g(self, z):
         z = np.asarray(z, dtype=float)
-        return self._coef(z) * np.abs(z) ** self.q
+        return self.C * np.abs(z) ** self.q
 
     def g_prime(self, z):
         z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = self._coef(z) * self.q * np.abs(z) ** (self.q - 1.0) * np.sign(z)
+            d = self.C * self.q * np.abs(z) ** (self.q - 1.0) * np.sign(z)
         if self.q > 1.0:
             d = np.where(z == 0.0, 0.0, d)
         return d
@@ -167,38 +147,6 @@ class Tabulated:
 
 
 GSpec = ZeroG | ExpForm | PowerForm | Tabulated
-
-
-def make_g_spec(theorem_case: str, constants: dict) -> GSpec:
-    """Scenario-tagged nonlinearity satisfying the matching functional
-    equation exactly.
-
-    Cases: 'Thm1i' (swirl-free, g = 0); 'Thm1ii' (exponential,
-    g(z) = -A exp(-2z/c)); 'Thm2' (power law with exponent
-    (alpha+1)/(alpha-1), coefficient from the edge relation
-    (1-alpha)^2 C1 - c3 = C |C1|^q).
-    """
-    if theorem_case == "Thm1i":
-        if constants.get("c", 0.0) != 0.0:
-            raise InconsistentScenario("swirl-free case needs c = 0")
-        return ZeroG()
-    if theorem_case == "Thm1ii":
-        c = float(constants["c"])
-        if c == 0.0:
-            raise InconsistentScenario("exponential case needs c != 0")
-        return ExpForm(K=-float(constants["A"]), c=c)
-    if theorem_case == "Thm2":
-        alpha = float(constants["alpha"])
-        if alpha == 1.0:
-            raise InconsistentScenario("power-law case needs alpha != 1")
-        C1 = float(constants["C1"])
-        c3 = float(constants["c3"])
-        if C1 == 0.0:
-            raise InconsistentScenario("edge value C1 must be nonzero")
-        q = (alpha + 1.0) / (alpha - 1.0)
-        coef = ((1.0 - alpha) ** 2 * C1 - c3) / abs(C1) ** q
-        return PowerForm(Cplus=coef, Cminus=coef, q=q)
-    raise InconsistentScenario(f"no nonlinearity rule for case {theorem_case!r}")
 
 
 # --------------------------------------------------------------------------
@@ -237,9 +185,6 @@ class SolveReport:
     s_variance: float
     converged: bool
     residual_history: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _frame_pieces(frame: FrameTag, s_nodes: np.ndarray):
@@ -319,7 +264,6 @@ def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float, U, im, ip):
 def solve_semilinear(
     grid: LogPolarGrid,
     op: EllipticOperator,
-    F,
     gspec: GSpec,
     frame: FrameTag,
     boundary_h,
@@ -331,11 +275,13 @@ def solve_semilinear(
     """Damped Newton on the 5-point (+ centered cross/first-order)
     discretization of L Psi = F(s) g(arg(s, Psi)).
 
-    ``F`` may be None (canonical frame profile), a callable of s, or an
-    array over the s-nodes.  ``boundary_h`` is a callable of theta giving
-    the Dirichlet trace Psi = h(theta).  Newton steps are halved until the
-    residual decreases, down to the 2^-10 floor; exhaustion raises
-    NoConvergence with the best iterate attached.
+    The frame fixes F and arg: F = e^{2s} and arg = Psi + c s in the
+    alpha = 1 frame, F = e^{(1+alpha)s} and arg = Psi e^{(1-alpha)s} in the
+    general frame, F = 1 and arg = Psi in the raw frame.  ``boundary_h``
+    is a callable of theta giving the Dirichlet trace Psi = h(theta).
+    Newton steps are halved until the residual decreases, down to the
+    2^-10 floor; exhaustion raises NoConvergence with the best iterate
+    attached.
     """
     if isinstance(side, (NeumannLeft, NeumannRight)) and (
         op.b1 != 0.0 or op.b2 != 0.0
@@ -352,13 +298,7 @@ def solve_semilinear(
     th = grid.theta_nodes
     h_vals = np.asarray(boundary_h(th), dtype=float)
 
-    F_canon, darg_fn = _frame_pieces(frame, s)
-    if F is None:
-        F_vals = F_canon
-    elif callable(F):
-        F_vals = np.asarray(F(s), dtype=float)
-    else:
-        F_vals = np.asarray(F, dtype=float)
+    F_vals, darg_fn = _frame_pieces(frame, s)
 
     Psi = (
         init.vals.copy()

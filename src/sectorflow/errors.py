@@ -54,10 +54,6 @@ class NotDivergenceFree(SectorflowError):
         self.node = node
 
 
-class InconsistentScenario(SectorflowError):
-    """Scenario constants do not match the requested nonlinearity form."""
-
-
 class NoConvergence(SectorflowError):
     """Newton iteration stalled; best iterate attached."""
 
@@ -77,14 +73,6 @@ class DegenerateField(SectorflowError):
 
 class InsufficientOverlap(SectorflowError):
     """Recovered nonlinearity does not cover both sides of the relation."""
-
-
-class MonotonicityViolated(SectorflowError):
-    """Level-set extraction precondition fails at an interior node."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class EmptyOverlap(SectorflowError):

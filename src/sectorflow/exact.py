@@ -352,17 +352,13 @@ def _build_tanh(params, theta0):
     )
 
 
-def _cos_poles(shift: float, theta0: float) -> list[float]:
-    return _tan_poles(1.0, shift, theta0)
-
-
 def _build_cos_power(params, theta0):
     alpha = float(params["alpha"])
     if alpha == 1.0:
         raise ParameterDomain("cos-power branch needs alpha != 1")
     C1 = float(params["C1"])
     C2 = float(params.get("C2", 0.0))
-    validity = _validity_from_poles(_cos_poles(C2, theta0), theta0)
+    validity = _validity_from_poles(_tan_poles(1.0, C2, theta0), theta0)
     # non-integer exponents need cos > 0 on the whole working interval
     mid = math.cos(C2 + theta0 / 2.0)
     if mid <= 0.0:

@@ -122,9 +122,8 @@ def stream_from_velocity(u: VectorField, tol: float = DIVERGENCE_TOL) -> ScalarF
     """Reconstruct psi by trapezoid line integration, psi(s_min, 0) = 0.
 
     Integrates u_theta dr along theta = 0 first, then -r u_r dtheta along
-    rays.  The relative divergence defect must be below ``tol``; the
-    alternate integration order (theta-edge first) gives the
-    path-independence defect reported by :func:`stream_path_defect`.
+    rays.  The relative divergence defect must be below ``tol``, else
+    NotDivergenceFree is raised with the worst node attached.
     """
     g = u.grid
     div = divergence_defect(u)
@@ -144,16 +143,6 @@ def stream_from_velocity(u: VectorField, tol: float = DIVERGENCE_TOL) -> ScalarF
     ray = cumulative_trapezoid(u.ur_vals, g.h_theta, axis=1)
     vals = base[:, None] - r[:, None] * ray
     return ScalarField(g, vals)
-
-
-def stream_path_defect(u: VectorField, psi: ScalarField) -> float:
-    """Max gap against the theta-first integration order (path independence)."""
-    g = u.grid
-    r = g.r_nodes
-    edge = -r[0] * cumulative_trapezoid(u.ur_vals[0], g.h_theta)
-    col = cumulative_trapezoid(u.utheta_vals * r[:, None], g.h_s)
-    alt = edge[None, :] + col
-    return float(np.max(np.abs(alt - psi.vals)))
 
 
 def laplacian_polar(psi: ScalarField) -> ScalarField:
@@ -194,28 +183,15 @@ def euler_residual(
     )
 
 
-def to_working_frame(psi: ScalarField, tag: FrameTag) -> ScalarField:
-    """Apply the frame transform; exactly inverted by from_working_frame."""
-    g = psi.grid
-    s = g.s_nodes[:, None]
-    if isinstance(tag, Alpha1Frame):
-        return ScalarField(g, psi.vals - tag.c * s)
-    if isinstance(tag, GeneralFrame):
-        return ScalarField(g, psi.vals * np.exp(s * (tag.alpha - 1.0)))
-    return ScalarField(g, psi.vals.copy())
-
-
 def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
-    """Array form of :func:`from_working_frame`; ``s`` broadcasts against ``Psi``."""
+    """Stream values psi from working-frame values Psi at log-radii ``s``
+    (``s`` broadcasts against ``Psi``): Psi + c s, Psi e^{s(1-alpha)} or a
+    copy of Psi.  This is the nonlinearity's argument in the solver."""
     if isinstance(tag, Alpha1Frame):
         return Psi + tag.c * s
     if isinstance(tag, GeneralFrame):
         return Psi * np.exp(-s * (tag.alpha - 1.0))
     return Psi.copy()
-
-
-def from_working_frame(Psi: ScalarField, tag: FrameTag) -> ScalarField:
-    return ScalarField(Psi.grid, from_working(Psi.grid.s_nodes[:, None], Psi.vals, tag))
 
 
 def sample_stream(sol: HomogeneousSolution, grid: LogPolarGrid) -> ScalarField:

@@ -24,7 +24,6 @@ from .errors import (
     EdgeNotOnGrid,
     EmptyOverlap,
     InsufficientOverlap,
-    MonotonicityViolated,
 )
 from .fields import ScalarField, VectorField
 
@@ -276,52 +275,6 @@ def jacobian_check(lap: ScalarField, psi: ScalarField, floor_rel: float = 1e-12)
     floor = floor_rel * (scaleP * scaleL + 1e-300)
     vals = np.abs(det[mask]) / (norm[mask] + floor)
     return float(np.max(vals)) if vals.size else 0.0
-
-
-def level_set_check(psi: ScalarField, c: float, orientation: str = "over-r") -> dict:
-    """Extract the level set {psi = c} and test the graph property.
-
-    'over-r' requires sign-definite d psi / d theta on interior nodes and
-    returns the curve theta(s); 'over-theta' is the transpose.  Each grid
-    column (resp. row) in the curve's span must cross exactly once.
-    """
-    g = psi.grid
-    if orientation not in ("over-r", "over-theta"):
-        raise ValueError("orientation must be 'over-r' or 'over-theta'")
-    vals = psi.vals if orientation == "over-r" else psi.vals.T
-    axis_nodes = g.s_nodes if orientation == "over-r" else g.theta_nodes
-    cross_nodes = g.theta_nodes if orientation == "over-r" else g.s_nodes
-    # monotonicity precondition along the crossing direction
-    d = np.diff(vals, axis=1)[1:-1, :]
-    if np.any(d == 0.0) or (np.any(d > 0) and np.any(d < 0)):
-        bad = np.argwhere((d == 0.0) | (d * np.sign(np.mean(d)) < 0))
-        node = tuple(int(k) for k in bad[0]) if bad.size else None
-        raise MonotonicityViolated(
-            "stream derivative changes sign along the crossing direction",
-            node=node,
-        )
-    curve = []
-    counts = []
-    for i in range(vals.shape[0]):
-        row = vals[i, :] - c
-        sgn = np.sign(row)
-        # a level hitting a node exactly is one crossing, not two intervals
-        zeros = np.where(row == 0.0)[0]
-        strict = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-        n_hits = len(zeros) + len(strict)
-        counts.append(n_hits)
-        if n_hits == 1:
-            if len(zeros) == 1:
-                crossing = float(cross_nodes[zeros[0]])
-            else:
-                j = strict[0]
-                t = row[j] / (row[j] - row[j + 1])
-                crossing = float(
-                    cross_nodes[j] + t * (cross_nodes[j + 1] - cross_nodes[j])
-                )
-            curve.append((float(axis_nodes[i]), crossing))
-    span = [n for n in counts if n > 0]
-    return {"is_graph": bool(span) and all(n == 1 for n in span), "curve": curve}
 
 
 def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:

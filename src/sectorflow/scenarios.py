@@ -286,7 +286,7 @@ def _solve(scn, grid, op, gspec, frame, h):
     amp = _num(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
     Psi, rep = elliptic.solve_semilinear(
-        grid, op, None, gspec, frame, h, elliptic.PeriodicInS(grid.s_max - grid.s_min),
+        grid, op, gspec, frame, h, elliptic.PeriodicInS(grid.s_max - grid.s_min),
         init=init, tol=tol, max_iter=_int(scn.solver.get("max_iter", 50)),
     )
     return Psi, rep, tol
@@ -296,8 +296,7 @@ def _run_thm1i(scn, grid, out):
     B = _num(scn.solver.get("b", 1.0))
     h = lambda th: B * th / grid.theta0
     psi, rep, tol = _solve(
-        scn, grid, elliptic.laplace_operator(),
-        elliptic.make_g_spec("Thm1i", {"c": 0.0}), fields.RawFrame(), h,
+        scn, grid, elliptic.laplace_operator(), elliptic.ZeroG(), fields.RawFrame(), h
     )
     exact_vals = np.tile(h(grid.theta_nodes), (grid.n_s + 1, 1))
     err = float(np.max(np.abs(psi.vals - exact_vals)))
@@ -312,7 +311,8 @@ def _run_thm1i(scn, grid, out):
 
 
 def _exp_case(sol, fit, boundary):
-    """Thm1ii: g(z) = K exp(-2z/c), solved in the alpha = 1 frame."""
+    """Thm1ii: g(z) = K exp(-2z/c) with K = -c3, solved in the alpha = 1
+    frame."""
     c = float(sol.v(np.zeros(1))[0])
     checks = [
         _check("g_form_is_exp", 0 if fit.get("form") == "exp" else 1, 0),
@@ -320,25 +320,23 @@ def _exp_case(sol, fit, boundary):
         _check("g_r_squared", fit.get("r_squared", 0.0), 0.999,
                ok=fit.get("r_squared", 0.0) >= 0.999),
     ]
-    gspec = elliptic.make_g_spec("Thm1ii", {"c": c, "A": boundary["c3_hat"]})
-    return (rigidity.Thm1Relation(c), checks, gspec,
+    return (rigidity.Thm1Relation(c), checks, elliptic.ExpForm(K=-boundary["c3_hat"], c=c),
             elliptic.laplace_operator(), fields.Alpha1Frame(c))
 
 
 def _power_case(sol, fit, boundary):
     """Thm2_A1: g(z) = C |z|^q with q = (alpha+1)/(alpha-1), solved in the
-    general frame."""
+    general frame; C comes from the edge relation (1-alpha)^2 C1 - c3 =
+    C |C1|^q with C1 = h(0)."""
     alpha = sol.alpha
-    q_expect = (alpha + 1.0) / (alpha - 1.0)
+    q = (alpha + 1.0) / (alpha - 1.0)
     checks = [
         _check("g_form_is_power", 0 if fit.get("form") == "power" else 1, 0),
-        _check("g_power_q", abs(fit.get("q", np.inf) - q_expect), 0.05),
+        _check("g_power_q", abs(fit.get("q", np.inf) - q), 0.05),
     ]
     C1 = float(sol.stream_h(np.zeros(1))[0])
-    gspec = elliptic.make_g_spec(
-        "Thm2", {"alpha": alpha, "C1": C1, "c3": boundary["c3_hat"]}
-    )
-    return (rigidity.Thm2Relation(alpha), checks, gspec,
+    C = ((1.0 - alpha) ** 2 * C1 - boundary["c3_hat"]) / abs(C1) ** q
+    return (rigidity.Thm2Relation(alpha), checks, elliptic.PowerForm(C, q),
             elliptic.general_frame_operator(alpha), fields.GeneralFrame(alpha))
 
 
@@ -401,6 +399,8 @@ def _run_cor1(scn, grid, out):
     lo = _num(scn.ode.get("f0_min", -2.0))
     hi = _num(scn.ode.get("f0_max", 2.0))
     n = _int(scn.ode.get("f0_count", 41))
+    if n < 1:
+        raise ConfigError(f"[ode] f0_count must be at least 1, got {n}")
     step = _num(scn.ode.get("step", 1e-3))
     cfg = angular_ode.OdeConfig(step=step)
     shots = angular_ode.shoot_alpha1(c, p, np.linspace(lo, hi, n), (0.0, 2 * math.pi), cfg)
@@ -465,6 +465,8 @@ def _run_slide(scn, grid, out):
     Psi = fields.ScalarField(g, vals)
     xi = (_num(scn.slide.get("xi1", 1.0)), _num(scn.slide.get("xi2", 1.0)))
     taus = [_num(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
+    if not taus:
+        raise ConfigError("[slide] taus lists no translation")
     rep = rigidity.sliding_check(Psi, xi, taus)
     checks = [_check("min_w_nonnegative", 0 if rep["min_w"] >= 0 else 1, 0)]
     if profile == "sec" and any(abs(t - 0.1) < 1e-12 for t in taus):

@@ -132,7 +132,7 @@ def test_criterion_03_swirl_free_rigidity_demo():
         grid = LogPolarGrid(0.0, math.log(2), n, n, theta0)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
         psi, rep = solve_semilinear(
-            grid, laplace_operator(), None, ZeroG(), RawFrame(), h,
+            grid, laplace_operator(), ZeroG(), RawFrame(), h,
             PeriodicInS(grid.s_max - grid.s_min), init=init,
         )
         assert rep.converged
@@ -173,7 +173,7 @@ def test_criterion_04_exponential_pipeline():
     h = lambda th: np.log(np.cos(th))
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
-        sgrid, laplace_operator(), None, ExpForm(-1.0, c), Alpha1Frame(c), h,
+        sgrid, laplace_operator(), ExpForm(-1.0, c), Alpha1Frame(c), h,
         PeriodicInS(sgrid.s_max - sgrid.s_min), init=init,
     )
     sv = s_variance(Psi)
@@ -203,7 +203,7 @@ def test_criterion_05_power_pipeline():
     h = lambda th: -1.0 / np.cos(th)
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
-        sgrid, general_frame_operator(alpha), None, PowerForm(-2.0, -2.0, 3.0, None),
+        sgrid, general_frame_operator(alpha), PowerForm(-2.0, 3.0),
         GeneralFrame(alpha), h, PeriodicInS(sgrid.s_max - sgrid.s_min), init=init,
     )
     sv = s_variance(Psi)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorflow import build_grid, grid_from_metadata, make_sector
+from sectorflow import build_grid, make_sector
 from sectorflow.domain import DEFAULT_CLIP_HALFWIDTH, LogPolarGrid
 from sectorflow.errors import GridError, InvalidAngle, InvalidRadii
 
@@ -93,7 +93,8 @@ class TestLogPolarGrid:
         dom = make_sector(1, 2, 1.5)
         grid = build_grid(dom, 32, 48)
         meta = json.loads(grid.to_json(dom))
-        grid2, dom2 = grid_from_metadata(meta)
+        grid2 = LogPolarGrid(*(meta[k] for k in ("s_min", "s_max", "n_s", "n_theta", "theta0")))
+        dom2 = make_sector(meta["a"], meta["b"], meta["theta0"])
         np.testing.assert_array_equal(grid.s_nodes, grid2.s_nodes)
         np.testing.assert_array_equal(grid.theta_nodes, grid2.theta_nodes)
         assert dom2.a == dom.a and dom2.b == dom.b
@@ -103,8 +104,7 @@ class TestLogPolarGrid:
         grid = build_grid(dom, 16, 16)
         meta = json.loads(grid.to_json(dom))
         assert meta["b"] == "inf"
-        _, dom2 = grid_from_metadata(meta)
-        assert dom2.b == math.inf
+        assert make_sector(meta["a"], float(meta["b"]), meta["theta0"]).b == math.inf
 
     @given(
         n_s=st.integers(8, 200),
@@ -114,5 +114,5 @@ class TestLogPolarGrid:
     )
     def test_node_maps_reproducible(self, n_s, n_t, s_min, width):
         grid = LogPolarGrid(s_min, s_min + width, n_s, n_t, 1.0)
-        grid2, _ = grid_from_metadata(grid.metadata())
+        grid2 = LogPolarGrid(**grid.metadata())
         np.testing.assert_array_equal(grid.s_nodes, grid2.s_nodes)

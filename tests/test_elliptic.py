@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,22 +9,26 @@ from sectorflow import (
     Alpha1Frame,
     DirichletBoth,
     ExpForm,
+    FamilyKind,
     GeneralFrame,
     PeriodicInS,
     PowerForm,
     RawFrame,
     ZeroG,
+    construct_exact,
     default_initial_guess,
     general_frame_operator,
     laplace_operator,
-    make_g_spec,
     solve_semilinear,
 )
 from sectorflow import NeumannLeft, NeumannRight
 from sectorflow.domain import LogPolarGrid
 from sectorflow.elliptic import EllipticOperator, Tabulated
-from sectorflow.errors import InconsistentScenario, ParameterDomain
+from sectorflow.errors import ParameterDomain
 from sectorflow.rigidity import s_variance
+from sectorflow.scenarios import _exp_case, _power_case, parse_config, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _grid(n=64, theta0=math.pi / 2):
@@ -46,34 +52,31 @@ class TestOperators:
 
 class TestGSpecs:
     def test_thm1i_zero(self):
-        assert isinstance(make_g_spec("Thm1i", {"c": 0.0}), ZeroG)
-
-    def test_thm1i_rejects_swirl(self):
-        with pytest.raises(InconsistentScenario):
-            make_g_spec("Thm1i", {"c": 1.0})
+        z = np.linspace(-1, 1, 11)
+        assert not ZeroG().g(z).any() and not ZeroG().g_prime(z).any()
+        assert ZeroG().g(z).shape == z.shape
 
     def test_thm1ii_exp_form(self):
-        g = make_g_spec("Thm1ii", {"c": 1.0, "A": 1.0})
-        assert isinstance(g, ExpForm)
+        # tangent stream with v = c = 1 and edge constant c3 = A = 1
+        sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
+        _, _, g, _, frame = _exp_case(sol, {}, {"c3_hat": 1.0})
+        assert isinstance(g, ExpForm) and frame == Alpha1Frame(1.0)
         z = np.linspace(-1, 1, 11)
         np.testing.assert_allclose(g.g(z), -np.exp(-2.0 * z), rtol=1e-12)
 
     def test_thm2_power_form(self):
         # alpha=2 secant stream: C1 = h(0) = -1, c3 = f'(0) = 1 gives
         # g(z) = -2|z|^3, i.e. 2 z^3 on the z < 0 branch the stream occupies
-        g = make_g_spec("Thm2", {"alpha": 2.0, "C1": -1.0, "c3": 1.0})
-        assert isinstance(g, PowerForm)
+        sol = construct_exact(FamilyKind.COS_POWER, {"alpha": 2.0, "C1": 1.0, "C2": 0.0}, 1.0)
+        _, _, g, _, frame = _power_case(sol, {}, {"c3_hat": 1.0})
+        assert isinstance(g, PowerForm) and frame == GeneralFrame(2.0)
         assert g.q == pytest.approx(3.0)
         z = np.linspace(-2.0, -0.1, 21)
         np.testing.assert_allclose(g.g(z), 2.0 * z**3, rtol=1e-12)
 
-    def test_unknown_case_rejected(self):
-        with pytest.raises(InconsistentScenario):
-            make_g_spec("Thm9", {})
-
-    def test_power_form_subcritical_needs_range(self):
+    def test_power_form_subcritical_rejected(self):
         with pytest.raises(ParameterDomain):
-            PowerForm(1.0, 1.0, 0.5, None)
+            PowerForm(1.0, 0.5)
 
     def test_tabulated_interpolates(self):
         z = np.linspace(-1, 1, 101)
@@ -88,7 +91,6 @@ class TestLinearSolves:
         psi, rep = solve_semilinear(
             grid,
             laplace_operator(),
-            None,
             ZeroG(),
             RawFrame(),
             h,
@@ -106,7 +108,6 @@ class TestLinearSolves:
         psi, rep = solve_semilinear(
             grid,
             laplace_operator(),
-            None,
             ZeroG(),
             RawFrame(),
             h,
@@ -128,7 +129,6 @@ class TestSemilinearSolves:
         Psi, rep = solve_semilinear(
             grid,
             laplace_operator(),
-            None,
             ExpForm(-1.0, c),
             Alpha1Frame(c),
             h,
@@ -148,8 +148,7 @@ class TestSemilinearSolves:
         Psi, rep = solve_semilinear(
             grid,
             general_frame_operator(alpha),
-            None,
-            PowerForm(-2.0, -2.0, 3.0, None),
+            PowerForm(-2.0, 3.0),
             GeneralFrame(alpha),
             h,
             PeriodicInS(grid.s_max - grid.s_min),
@@ -169,15 +168,14 @@ class TestSemilinearSolves:
         np.testing.assert_array_equal(a.vals, b.vals)
         assert np.max(np.abs(a.vals - c.vals)) > 0
 
-    def test_report_json_fields(self):
-        grid = _grid(16)
-        h = lambda th: th
-        _, rep = solve_semilinear(
-            grid, laplace_operator(), None, ZeroG(), RawFrame(), h, DirichletBoth()
-        )
-        payload = rep.to_json()
-        for key in ("iterations", "final_residual", "s_variance", "converged"):
-            assert key in payload
+    def test_report_json_fields(self, tmp_path):
+        scn = parse_config(CONFIGS / "thm1i.ini")
+        scn.grid.update(n_s="16", n_theta="16")
+        assert run_scenario(scn, tmp_path)[0] == 0
+        rep = json.loads((tmp_path / "report.json").read_text())["solve_report"]
+        assert {"iterations", "final_residual", "s_variance", "converged",
+                "residual_history"} <= set(rep)
+        assert rep["converged"] is True and len(rep["residual_history"]) == rep["iterations"] + 1
 
 
 class TestNeumannSides:
@@ -193,7 +191,7 @@ class TestNeumannSides:
         for n in (16, 32, 64):
             grid = LogPolarGrid(0.0, L, n, n, theta0)
             psi, rep = solve_semilinear(
-                grid, laplace_operator(), None, ZeroG(), RawFrame(),
+                grid, laplace_operator(), ZeroG(), RawFrame(),
                 lambda th: np.sin(k * th), side,
             )
             S, TH = grid.mesh()
@@ -216,6 +214,6 @@ class TestFullStencil:
         grid = _grid(n, 1.0)
         h = lambda th: np.sin(2.0 * th) + th
         init = default_initial_guess(grid, h, amplitude=0.5, seed=n)
-        _, rep = solve_semilinear(grid, op, None, ZeroG(), RawFrame(), h, side, init=init)
+        _, rep = solve_semilinear(grid, op, ZeroG(), RawFrame(), h, side, init=init)
         assert rep.converged
         assert rep.iterations == 1

@@ -39,7 +39,7 @@ def _grid(n=16):
 def test_no_convergence_carries_best_iterate_and_report():
     grid = _grid()
     with pytest.raises(NoConvergence) as info:
-        solve_semilinear(grid, laplace_operator(), None, ExpForm(1.0, 1.0), RawFrame(),
+        solve_semilinear(grid, laplace_operator(), ExpForm(1.0, 1.0), RawFrame(),
                          lambda th: th, DirichletBoth(), tol=0.0, max_iter=1)
     rep = info.value.report
     assert rep.iterations == 1 and not rep.converged
@@ -57,7 +57,7 @@ def test_singular_jacobian_when_g_prime_cancels_the_diagonal():
     centre = -2.0 / grid.h_s**2 - 2.0 / grid.h_theta**2
     g = Tabulated(np.array([0.0, 1.0]), np.array([0.0, centre]))
     with pytest.raises(SingularJacobian):
-        solve_semilinear(grid, laplace_operator(), None, g, RawFrame(),
+        solve_semilinear(grid, laplace_operator(), g, RawFrame(),
                          lambda th: np.ones_like(th), DirichletBoth())
 
 

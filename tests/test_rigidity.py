@@ -16,7 +16,6 @@ from sectorflow import (
     homogeneity_fit,
     jacobian_check,
     laplacian_polar,
-    level_set_check,
     recover_g,
     s_variance,
     sample_stream,
@@ -24,11 +23,7 @@ from sectorflow import (
     sliding_check,
 )
 from sectorflow.domain import LogPolarGrid
-from sectorflow.errors import (
-    EdgeNotOnGrid,
-    EmptyOverlap,
-    MonotonicityViolated,
-)
+from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap
 
 
 def _grid(n=64, theta0=1.0, s_max=math.log(2)):
@@ -133,32 +128,6 @@ class TestJacobian:
         assert jacobian_check(linear, psi) < 1e-12
         squared = ScalarField(grid, psi.vals**2)
         assert jacobian_check(squared, psi) < 1e-2
-
-
-class TestLevelSet:
-    def test_linear_theta_level(self):
-        grid = _grid()
-        _, TH = grid.mesh()
-        out = level_set_check(ScalarField(grid, TH.copy()), 0.5)
-        assert out["is_graph"]
-        thetas = np.array([pt[1] for pt in out["curve"]])
-        np.testing.assert_allclose(thetas, 0.5, atol=1e-12)
-
-    def test_tan_stream_level(self):
-        grid = LogPolarGrid(0.0, math.log(2), 128, 128, 1.0)
-        S, TH = grid.mesh()
-        psi = ScalarField(grid, S + np.log(np.cos(TH)))
-        out = level_set_check(psi, 0.05)
-        assert out["is_graph"]
-        for s, th in out["curve"]:
-            assert math.cos(th) * math.exp(s - 0.05) == pytest.approx(1.0, abs=0.05)
-
-    def test_non_monotone_rejected(self):
-        grid = LogPolarGrid(0.0, 1.0, 32, 32, 1.0)
-        S, TH = grid.mesh()
-        psi = ScalarField(grid, np.sin(S) * np.cos(4 * TH))
-        with pytest.raises(MonotonicityViolated):
-            level_set_check(psi, 0.0)
 
 
 class TestSliding:

@@ -261,6 +261,24 @@ class TestIntegerValues:
         assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestNothingToRun:
+    @pytest.mark.parametrize("taus", [",", ""])
+    def test_slide_without_translations_is_config_error(self, taus, tmp_path):
+        text = f"[scenario]\nname = slide\ntag = Slide\n[slide]\nn = 16\ntaus = {taus}\n"
+        cfg = _write(tmp_path, "slide.ini", text)
+        out = tmp_path / "out"
+        assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_cor1_without_members_is_config_error(self, count, tmp_path):
+        text = f"[scenario]\nname = cor1\ntag = Cor1\n[ode]\nc = 1\np = 0.5\nf0_count = {count}\n"
+        cfg = _write(tmp_path, "cor1.ini", text)
+        out = tmp_path / "out"
+        assert main(["ode", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+
 class TestSolveOnlyFlags:
     @pytest.mark.parametrize("cmd, cfg", [("batch", "batch.ini"), ("exact", "thm4_b2.ini")])
     @pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--seed", "3"]])
