@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import cumulative_trapezoid
-from .errors import SingularSwirl, ZeroSwirl
+from .errors import ParameterDomain, SingularSwirl, ZeroSwirl
 from .exact import AngularProfile
 
 
@@ -172,7 +172,7 @@ def classify_periodic(c: float, p: float, results) -> dict:
     Members with periodicity defect |f(2*pi) - f(0)| below 1e-9 are marked
     periodic.  Every periodic member is additionally checked to be constant
     with f^2 = -(c^2 + 2p), the only shape a sign-definite periodic profile
-    can take.
+    can take.  No results at all raise ParameterDomain.
     """
     const = c * c + 2.0 * p
     members = []
@@ -190,6 +190,8 @@ def classify_periodic(c: float, p: float, results) -> dict:
                 entry["is_constant"] = float(np.max(f_vals) - np.min(f_vals)) < PERIODIC_TOL
                 entry["f_squared_defect"] = abs(f0 * f0 + const)
         members.append(entry)
+    if not members:
+        raise ParameterDomain("periodic classification needs at least one shot profile")
     periodic = [m for m in members if m["is_periodic"]]
     return {
         "c": c,

@@ -14,6 +14,19 @@ The discrete operator is written once, as the term table of
 it.  The table's order is the residual's floating-point evaluation order,
 and it is fixed: converged residuals sit near the roundoff floor, so another
 order changes which solves meet their tolerance.
+
+Each Newton step solves J delta = -R on one of two linear paths, chosen only
+by the side condition and the operator's coefficients:
+
+* periodic in s with a12 = b2 = 0 (every pipeline solve): GMRES on the
+  assembled Jacobian, right-preconditioned by the exact inverse of its
+  constant part shifted by the mean nonlinear diagonal.  An rfft in s times
+  a DST-I in theta diagonalises that part, and its eigenvalues come from
+  the same term table (:func:`_periodic_symbol`).  The step stops at
+  ||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses it within the
+  iteration cap falls back to the sparse LU;
+* every other case (Neumann or Dirichlet s-edges, a12 != 0 or b2 != 0):
+  a sparse LU factorisation (``splu``) of the Jacobian.
 """
 
 from __future__ import annotations
@@ -24,8 +37,9 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+from scipy.fft import dst, irfft, rfft
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .domain import LogPolarGrid
 from .errors import NoConvergence, ParameterDomain, SingularJacobian
@@ -34,6 +48,14 @@ from .rigidity import s_variance
 
 #: Newton damping floor: step fraction never drops below 2**-10
 DAMPING_FLOOR = 2.0**-10
+
+#: inexact-Newton forcing of a Krylov step, ||J delta + R||_2 <= KRYLOV_RTOL ||R||_2;
+#: 1e-13 sits below the roundoff floor of the 1/h^2-scaled Jacobian, and
+#: GMRES misses it on the late Newton steps
+KRYLOV_RTOL = 1e-10
+#: GMRES restart length and restart cycles; a step not solved within them
+#: falls back to the sparse LU
+KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
 
 
 @dataclass(frozen=True)
@@ -180,11 +202,17 @@ SideCondition = PeriodicInS | NeumannLeft | NeumannRight | DirichletBoth
 
 @dataclass
 class SolveReport:
+    """Newton outcome.  ``linear_method`` ("fft-dst-gmres" or "splu") and
+    ``krylov_iterations`` hold one entry per Newton step; a step with GMRES
+    iterations but "splu" missed the Krylov cap and fell back to the LU."""
+
     iterations: int
     final_residual: float
     s_variance: float
     converged: bool
     residual_history: list = field(default_factory=list)
+    linear_method: list = field(default_factory=list)
+    krylov_iterations: list = field(default_factory=list)
 
 
 def _frame_pieces(frame: FrameTag, s_nodes: np.ndarray):
@@ -259,6 +287,43 @@ def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float, U, im, ip):
         terms.append((op.b2, 2.0 * h_theta, [(U, 1, 1.0), (U, -1, -1.0)]))
     terms.append((op.c0, 1.0, [(U, 0, 1.0)]))
     return terms
+
+
+def _periodic_symbol(terms, U, n_s: int, n_t: int) -> np.ndarray:
+    """Eigenvalues of the stencil's constant part, periodic in s and
+    Dirichlet in theta, on the modes of rfft (k, over s) times DST-I (m,
+    over theta): a tap of row shift d and column shift dj contributes
+    w e^{2 pi i k d / n_s} cos(pi m dj / n_t).  The cosine form holds for
+    taps in symmetric +-dj pairs, i.e. when a12 = b2 = 0."""
+    k = np.arange(n_s // 2 + 1)[:, None]
+    m = np.arange(1, n_t)[None, :]
+
+    def tap(rows, dj, w):
+        kd = k * (rows[0] - U[0]) % n_s
+        return w * np.exp(2j * np.pi * kd / n_s) * np.cos(np.pi * m * dj / n_t)
+
+    return reduce(add, (coef * reduce(add, (tap(*t) for t in taps)) / denom
+                        for coef, denom, taps in terms))
+
+
+def _krylov_step(jac, rhs: np.ndarray, symbol: np.ndarray):
+    """GMRES on ``jac`` right-preconditioned by the exact inverse of the
+    separable operator with eigenvalues ``symbol`` (:func:`_periodic_symbol`
+    shifted by the mean nonlinear diagonal).  Returns (step, iterations);
+    the step is None when GMRES misses KRYLOV_RTOL within its cap."""
+    shape = (jac.shape[0] // symbol.shape[1], symbol.shape[1])
+
+    def precond(v):
+        V = rfft(dst(v.reshape(shape), type=1, norm="ortho", axis=1), axis=0)
+        return dst(irfft(V / symbol, n=shape[0], axis=0), type=1, norm="ortho", axis=1).ravel()
+
+    its = []
+    y, info = gmres(
+        LinearOperator(jac.shape, matvec=lambda v: jac @ precond(v), dtype=float),
+        rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
+        callback=its.append, callback_type="pr_norm",
+    )
+    return (precond(y) if info == 0 else None), len(its)
 
 
 def solve_semilinear(
@@ -358,22 +423,32 @@ def solve_semilinear(
         shape=(nU * nJ, nU * nJ),
     ).tocsc()
 
-    def jacobian(P):
-        gp = gspec.g_prime(from_working(s_col, P[np.ix_(U, J)], frame))
-        jac.setdiag((center - F_col * gp * darg_fn(s_col)).ravel())
-        return jac
+    # the transforms diagonalise the constant part only for a periodic side
+    # without the cross and theta-advection terms
+    symbol = (_periodic_symbol(terms, U, n_s, n_t)
+              if isinstance(side, PeriodicInS) and op.a12 == 0.0 and op.b2 == 0.0
+              else None)
 
-    history = []
+    history, methods, krylov_its = [], [], []
     R = residual(Psi)
     res_norm = float(np.max(np.abs(R)))
     history.append(res_norm)
     iters = 0
     while res_norm > tol and iters < max_iter:
-        try:
-            lu = splu(jacobian(Psi))
-        except RuntimeError as exc:
-            raise SingularJacobian(f"Newton linearization is singular: {exc}")
-        delta = lu.solve(-R.ravel()).reshape(nU, nJ)
+        gp = gspec.g_prime(from_working(s_col, Psi[np.ix_(U, J)], frame))
+        nonlinear = F_col * gp * darg_fn(s_col)
+        jac.setdiag((center - nonlinear).ravel())
+        rhs = -R.ravel()
+        delta, its = (None, 0) if symbol is None else _krylov_step(
+            jac, rhs, symbol - np.mean(nonlinear))
+        methods.append("splu" if delta is None else "fft-dst-gmres")
+        krylov_its.append(its)
+        if delta is None:
+            try:
+                delta = splu(jac).solve(rhs)
+            except RuntimeError as exc:
+                raise SingularJacobian(f"Newton linearization is singular: {exc}")
+        delta = delta.reshape(nU, nJ)
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton step is not finite")
         lam = 1.0
@@ -393,14 +468,16 @@ def solve_semilinear(
                 raise NoConvergence(
                     "damping floor reached without residual decrease",
                     field=best,
-                    report=SolveReport(iters, res_norm, s_variance(best), False, history),
+                    report=SolveReport(iters, res_norm, s_variance(best), False,
+                                       history, methods, krylov_its),
                 )
         iters += 1
         history.append(res_norm)
 
     converged = res_norm <= tol
     out = ScalarField(grid, Psi)
-    report = SolveReport(iters, res_norm, s_variance(out), converged, history)
+    report = SolveReport(iters, res_norm, s_variance(out), converged, history,
+                         methods, krylov_its)
     if not converged:
         raise NoConvergence(
             f"residual {res_norm:.3e} above tolerance after {iters} iterations",

@@ -24,6 +24,7 @@ from .errors import (
     EdgeNotOnGrid,
     EmptyOverlap,
     InsufficientOverlap,
+    ParameterDomain,
 )
 from .fields import ScalarField, VectorField
 
@@ -283,6 +284,7 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
     The shifted field is evaluated by bilinear interpolation; the overlap
     in (s, theta) shrinks with tau and EmptyOverlap is raised when the
     theta-shift reaches the opening angle (or the s-shift the s-extent).
+    An empty ``tau_list`` raises ParameterDomain.
     """
     g = Psi.grid
     xi1, xi2 = float(xi[0]), float(xi[1])
@@ -316,6 +318,8 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
         per_tau.append(entry)
         if best is None or entry["min_w"] < best["min_w"]:
             best = dict(entry)
+    if best is None:
+        raise ParameterDomain("sliding check needs at least one translation tau")
     return {"min_w": best["min_w"], "location": best["location"],
             "tau": best["tau"], "per_tau": per_tau}
 

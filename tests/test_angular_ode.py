@@ -15,7 +15,8 @@ from sectorflow import (
     shoot_alpha1,
     w_equation_residual,
 )
-from sectorflow.errors import SingularSwirl, ZeroSwirl
+from sectorflow.angular_ode import classify_periodic
+from sectorflow.errors import ParameterDomain, SingularSwirl, ZeroSwirl
 
 
 class TestAlpha1Integration:
@@ -102,6 +103,11 @@ class TestShooting:
     def test_zero_swirl_rejected(self):
         with pytest.raises(ZeroSwirl):
             periodic_shooting(0.0, -1.0, [0.0])
+
+    def test_empty_sweep_rejected(self):
+        shots = shoot_alpha1(1.0, 0.5, np.array([]), (0.0, 2.0 * math.pi), OdeConfig())
+        with pytest.raises(ParameterDomain):
+            classify_periodic(1.0, 0.5, shots)
 
 
 class TestDerivedChecks:

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from sectorflow import (
     Alpha1Frame,
@@ -22,6 +24,7 @@ from sectorflow import (
     solve_semilinear,
 )
 from sectorflow import NeumannLeft, NeumannRight
+from sectorflow import elliptic
 from sectorflow.domain import LogPolarGrid
 from sectorflow.elliptic import EllipticOperator, Tabulated
 from sectorflow.errors import ParameterDomain
@@ -217,3 +220,111 @@ class TestFullStencil:
         _, rep = solve_semilinear(grid, op, ZeroG(), RawFrame(), h, side, init=init)
         assert rep.converged
         assert rep.iterations == 1
+
+
+# the three (operator, g, frame, trace) combinations the pipelines solve,
+# on theta0 = 1 with the traces of their exact families
+PIPELINE_SOLVES = {
+    "thm1i": (laplace_operator(), ZeroG(), RawFrame(), lambda th: th),
+    "thm1ii": (laplace_operator(), ExpForm(-1.0, 1.0), Alpha1Frame(1.0),
+               lambda th: np.log(np.cos(th))),
+    "thm2": (general_frame_operator(2.0), PowerForm(-2.0, 3.0), GeneralFrame(2.0),
+             lambda th: -1.0 / np.cos(th)),
+}
+
+
+def _periodic_solve(case, n_s, n_theta=None, op=None):
+    default_op, g, frame, h = PIPELINE_SOLVES[case]
+    grid = LogPolarGrid(0.0, math.log(2), n_s, n_theta or n_s, 1.0)
+    init = default_initial_guess(grid, h, amplitude=0.1, seed=n_s)
+    return solve_semilinear(grid, op or default_op, g, frame, h,
+                            PeriodicInS(grid.s_max - grid.s_min), init=init)
+
+
+def _gmres_never_converges(monkeypatch):
+    monkeypatch.setattr(elliptic, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
+
+
+class TestKrylovStep:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    @pytest.mark.parametrize("case", list(PIPELINE_SOLVES))
+    def test_agrees_with_splu(self, case, n, monkeypatch):
+        # every Krylov step meets the forcing against splu's exact step, and
+        # the Newton solution matches an all-splu solve; the step itself can
+        # differ from splu's by more, since the forcing bounds the residual
+        steps = []
+        krylov_step = elliptic._krylov_step
+
+        def recording(jac, rhs, symbol):
+            step, its = krylov_step(jac, rhs, symbol)
+            steps.append((jac.copy(), rhs.copy(), step))
+            return step, its
+
+        monkeypatch.setattr(elliptic, "_krylov_step", recording)
+        psi, rep = _periodic_solve(case, n)
+        assert rep.linear_method == ["fft-dst-gmres"] * rep.iterations
+        # the mean-diagonal shift keeps Thm2 steps at <= 7 iterations; a
+        # mis-signed shift takes 10
+        assert max(rep.krylov_iterations) <= 8
+        assert len(steps) == rep.iterations
+        for jac, rhs, step in steps:
+            exact = splu(jac).solve(rhs)
+            assert (np.linalg.norm(jac @ (step - exact))
+                    <= elliptic.KRYLOV_RTOL * np.linalg.norm(rhs))
+            if case == "thm1i":
+                assert np.max(np.abs(step - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+        monkeypatch.undo()
+        _gmres_never_converges(monkeypatch)
+        ref, _ = _periodic_solve(case, n)
+        assert np.max(np.abs(psi.vals - ref.vals)) <= 1e-12 * np.max(np.abs(ref.vals))
+
+    @pytest.mark.parametrize("n_s, n_theta", [(16, 16), (33, 20), (64, 64)])
+    @pytest.mark.parametrize("op", [
+        laplace_operator(),
+        general_frame_operator(2.0),
+        EllipticOperator(1.3, 0.0, 0.8, b1=0.5, c0=-0.2),
+    ], ids=["laplace", "general-frame", "skewed"])
+    def test_linear_solve_takes_one_krylov_iteration(self, op, n_s, n_theta):
+        # with g = 0 the preconditioner is the Jacobian's exact inverse, so a
+        # mis-signed or mis-scaled symbol term costs extra iterations
+        _, rep = _periodic_solve("thm1i", n_s, n_theta, op)
+        assert rep.converged
+        assert rep.linear_method == ["fft-dst-gmres"] * rep.iterations
+        assert rep.krylov_iterations == [1] * rep.iterations
+
+    def test_unconverged_gmres_falls_back_to_splu(self, monkeypatch):
+        _gmres_never_converges(monkeypatch)
+        _, rep = _periodic_solve("thm1ii", 32)
+        assert rep.converged
+        assert rep.linear_method == ["splu"] * rep.iterations
+        assert rep.krylov_iterations == [0] * rep.iterations
+
+    @pytest.mark.parametrize("op, side", [
+        (laplace_operator(), DirichletBoth()),
+        (laplace_operator(), NeumannLeft()),
+        (EllipticOperator(1.0, 0.3, 1.0), PeriodicInS(math.log(2))),
+        (EllipticOperator(1.0, 0.0, 1.0, b2=0.4), PeriodicInS(math.log(2))),
+    ], ids=["dirichlet", "neumann", "cross-term", "theta-advection"])
+    def test_splu_where_transforms_do_not_diagonalise(self, op, side):
+        grid = _grid(16, 1.0)
+        _, rep = solve_semilinear(grid, op, ZeroG(), RawFrame(), np.sin, side)
+        assert rep.converged
+        assert rep.linear_method == ["splu"] * rep.iterations
+        assert rep.krylov_iterations == [0] * rep.iterations
+
+    def test_repeat_solves_bitwise_equal(self):
+        a, rep_a = _periodic_solve("thm2", 64)
+        b, rep_b = _periodic_solve("thm2", 64)
+        np.testing.assert_array_equal(a.vals, b.vals)
+        assert asdict(rep_a) == asdict(rep_b)
+
+
+class TestGridLadder:
+    @pytest.mark.parametrize("n", [192, 256])
+    @pytest.mark.parametrize("config", ["thm1i.ini", "thm1ii.ini"])
+    def test_shipped_config_passes(self, config, n, tmp_path):
+        scn = parse_config(CONFIGS / config)
+        scn.grid.update(n_s=str(n), n_theta=str(n))
+        code, report = run_scenario(scn, tmp_path)
+        assert code == 0, report

@@ -23,7 +23,7 @@ from sectorflow import (
     sliding_check,
 )
 from sectorflow.domain import LogPolarGrid
-from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap
+from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap, ParameterDomain
 
 
 def _grid(n=64, theta0=1.0, s_max=math.log(2)):
@@ -159,6 +159,12 @@ class TestSliding:
         _, TH = grid.mesh()
         with pytest.raises(EmptyOverlap):
             sliding_check(ScalarField(grid, TH.copy()), (0.0, 1.0), [0.6])
+
+    def test_no_translations_rejected(self):
+        grid = _grid()
+        _, TH = grid.mesh()
+        with pytest.raises(ParameterDomain):
+            sliding_check(ScalarField(grid, TH.copy()), (1.0, 1.0), [])
 
 
 class TestSVariance:
