@@ -31,10 +31,7 @@ from sectorflow.domain import LogPolarGrid
 def run(name, grid, op, gspec, frame, h):
     init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
     start_var = s_variance(init)
-    Psi, rep = solve_semilinear(
-        grid, op, gspec, frame, h,
-        PeriodicInS(grid.s_max - grid.s_min), init=init,
-    )
+    Psi, rep = solve_semilinear(grid, op, gspec, frame, h, PeriodicInS(), init=init)
     print(f"{name:<22} iters={rep.iterations}  residual={rep.final_residual:.1e}"
           f"  s-variance {start_var:.2e} -> {s_variance(Psi):.2e}")
     return Psi

@@ -22,18 +22,19 @@ from .errors import ParameterDomain, SingularSwirl, ZeroSwirl
 from .exact import AngularProfile
 
 
+#: a member whose |f| exceeds this has blown up
+MAX_F = 1e8
+
+
 @dataclass(frozen=True)
 class OdeConfig:
-    """Fixed-step classical RK4 settings."""
+    """Fixed-step classical RK4 settings: the step, in (0, 0.1]."""
 
     step: float = 1e-3
-    max_f: float = 1e8
 
     def __post_init__(self):
         if not (0.0 < self.step <= 1e-1):
             raise ValueError(f"step must lie in (0, 0.1], got {self.step}")
-        if self.max_f <= 0:
-            raise ValueError("max_f must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ def _pole_estimate(ts, f):
 def _march(alpha, p, rhs, y0, theta_span, cfg, v_floor=0.0) -> list[OdeResult]:
     """March RK4 over every member (row (v, f) of ``y0``) at once; the step
     count is rounded so the last node lands on theta_span[1].  A member stops
-    at its first state that is non-finite, has |f| > max_f or |v| < v_floor,
-    and is held at its last accepted state from then on."""
+    at its first state that is non-finite, has |f| > MAX_F or |v| < v_floor,
+    and is held at its last accepted state from then on; one stopped at the
+    first step keeps that held state as its second node."""
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     if not t1 > t0:
         raise ValueError("theta_span must be increasing")
@@ -75,7 +77,7 @@ def _march(alpha, p, rhs, y0, theta_span, cfg, v_floor=0.0) -> list[OdeResult]:
     path = np.empty((n + 1, len(y0), 2))
     path[0] = y0
     # an accepted (|v|, |f|) lies in [lo, hi]: inf exceeds hi, NaN fails both
-    lo, hi = np.array([v_floor, 0.0]), np.array([np.finfo(float).max, cfg.max_f])
+    lo, hi = np.array([v_floor, 0.0]), np.array([np.finfo(float).max, MAX_F])
     last, floor, held = np.full(len(y0), n), np.zeros(len(y0), dtype=bool), None
     for i in range(n):
         y, y_next = path[i], path[i + 1]
@@ -97,7 +99,8 @@ def _march(alpha, p, rhs, y0, theta_span, cfg, v_floor=0.0) -> list[OdeResult]:
     nodes = t0 + np.arange(n + 1) * h
     results = []
     for m, k in enumerate(last):
-        prof = AngularProfile(alpha, p, nodes[: k + 1], *path[: k + 1, m].T)
+        end = max(k, 1) + 1
+        prof = AngularProfile(alpha, p, nodes[:end], *path[:end, m].T)
         if k == n:
             results.append(OdeResult(prof))
         elif floor[m]:

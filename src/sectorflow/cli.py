@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name in [*dict.fromkeys(spec.subcommand for spec in TAGS.values()), "batch"]:
         sub = subs.add_parser(name)
-        sub.add_argument("--config", required=True, help="scenario config (INI or JSON)")
+        sub.add_argument("--config", required=True, help="scenario or batch config (INI)")
         sub.add_argument("--out", default="out", help="output directory")
         if name == "solve":
             sub.add_argument("--seed", type=int, help="perturbation seed override")

@@ -60,10 +60,6 @@ class SectorDomain:
             names += ["TR", "BR"]
         return tuple(names)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.a > 0 and math.isfinite(self.b)
-
 
 def make_sector(a: float, b: float, theta0: float) -> SectorDomain:
     """Validate (a, b, theta0) and build the domain.
@@ -148,47 +144,34 @@ class LogPolarGrid:
         return json.dumps(self.metadata(dom), sort_keys=True)
 
 
-def build_grid(
-    dom: SectorDomain,
-    n_s: int,
-    n_theta: int,
-    clip: tuple[float, float] | None = None,
-) -> LogPolarGrid:
+def build_grid(dom: SectorDomain, n_s: int, n_theta: int,
+               s_min: float | None = None, s_max: float | None = None) -> LogPolarGrid:
     """Grid covering [s_min, s_max] x [0, theta0] for the given domain.
 
-    For a finite domain the clip, if given, must equal (ln a, ln b).  For
-    a = 0 or b = inf the clip supplies the truncation; omitted ends default
-    to the finite edge offset by DEFAULT_CLIP_HALFWIDTH.
+    A finite end fixes its own limit, s_min = ln a for a > 0 and
+    s_max = ln b for b < inf; a limit given for it must match to 1e-12.
+    An infinite end (a = 0 or b = inf) is truncated at the given limit,
+    by default DEFAULT_CLIP_HALFWIDTH beyond the finite end's log (or
+    beyond 0 when both ends are infinite).
     """
-    ln_a = math.log(dom.a) if dom.a > 0 else -math.inf
-    ln_b = math.log(dom.b) if math.isfinite(dom.b) else math.inf
+    ln_a = math.log(dom.a) if dom.a > 0 else None
+    ln_b = math.log(dom.b) if math.isfinite(dom.b) else None
+    centre = next((v for v in (ln_a, ln_b) if v is not None), 0.0)
+    return LogPolarGrid(
+        _s_limit("s_min", s_min, ln_a, centre - DEFAULT_CLIP_HALFWIDTH),
+        _s_limit("s_max", s_max, ln_b, centre + DEFAULT_CLIP_HALFWIDTH),
+        int(n_s), int(n_theta), dom.theta0,
+    )
 
-    if dom.is_finite:
-        if clip is not None and not (
-            math.isclose(clip[0], ln_a, abs_tol=1e-12)
-            and math.isclose(clip[1], ln_b, abs_tol=1e-12)
-        ):
-            raise GridError(
-                f"clip {clip} inconsistent with finite bounds (ln a, ln b)="
-                f"({ln_a}, {ln_b})"
-            )
-        s_min, s_max = ln_a, ln_b
-    else:
-        if clip is None:
-            lo = ln_a if dom.a > 0 else ln_b - DEFAULT_CLIP_HALFWIDTH
-            hi = ln_b if math.isfinite(dom.b) else ln_a + DEFAULT_CLIP_HALFWIDTH
-            if dom.a == 0 and not math.isfinite(dom.b):
-                lo, hi = -DEFAULT_CLIP_HALFWIDTH, DEFAULT_CLIP_HALFWIDTH
-            s_min, s_max = lo, hi
-        else:
-            s_min, s_max = float(clip[0]), float(clip[1])
-            if s_min < ln_a - 1e-12 or s_max > ln_b + 1e-12:
-                raise GridError(f"clip {clip} exceeds domain bounds ({ln_a}, {ln_b})")
-            if dom.a > 0 and not math.isclose(s_min, ln_a, abs_tol=1e-12):
-                raise GridError("clip must start at ln(a) when a > 0")
-            if math.isfinite(dom.b) and not math.isclose(s_max, ln_b, abs_tol=1e-12):
-                raise GridError("clip must end at ln(b) when b < inf")
-    return LogPolarGrid(s_min, s_max, int(n_s), int(n_theta), dom.theta0)
+
+def _s_limit(name: str, given, fixed, default) -> float:
+    """The grid's s-limit at one end: ``fixed`` (the log of a finite end)
+    if there is one, else ``given``, else ``default``."""
+    if fixed is None:
+        return default if given is None else float(given)
+    if given is not None and not math.isclose(given, fixed, abs_tol=1e-12):
+        raise GridError(f"{name} = {given!r} contradicts the finite end at s = {fixed!r}")
+    return fixed
 
 
 def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

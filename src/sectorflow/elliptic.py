@@ -31,7 +31,6 @@ by the side condition and the operator's coefficients:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -177,9 +176,7 @@ GSpec = ZeroG | ExpForm | PowerForm | Tabulated
 
 @dataclass(frozen=True)
 class PeriodicInS:
-    """Identify s = s_min with s = s_max (one period of the grid)."""
-
-    period: float
+    """Identify s = s_min with s = s_max: the grid spans one period."""
 
 
 @dataclass(frozen=True)
@@ -352,10 +349,6 @@ def solve_semilinear(
         op.b1 != 0.0 or op.b2 != 0.0
     ):
         raise ParameterDomain("reflection side conditions need b1 = b2 = 0")
-    if isinstance(side, PeriodicInS) and not math.isclose(
-        side.period, grid.s_max - grid.s_min, rel_tol=1e-12
-    ):
-        raise ParameterDomain("grid must span exactly one period in s")
 
     n_s, n_t = grid.n_s, grid.n_theta
     hs, ht = grid.h_s, grid.h_theta

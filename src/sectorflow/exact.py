@@ -59,9 +59,9 @@ class AngularProfile:
     def h_theta(self) -> float:
         return float(self.theta_nodes[1] - self.theta_nodes[0])
 
-    def to_csv(self, kind: str = "", params: dict | None = None) -> str:
+    def to_csv(self, kind: str, params: dict) -> str:
         meta = ["# alpha", repr(self.alpha), "p", repr(self.p), "kind", kind,
-                "params", repr(params or {})]
+                "params", repr(params)]
         return repr_csv([meta, ["theta", "v", "f"]],
                         self.theta_nodes, self.v_vals, self.f_vals)
 

@@ -222,7 +222,8 @@ _NODE_TOL = 1e-6
 
 def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     """Read the (s, theta, value) rows of :func:`field_to_csv` onto ``grid``.
-    Raises GridError unless every node of ``grid`` has exactly one row."""
+    Raises GridError for a row off the grid, a node without exactly one
+    row, or a NaN value."""
     rows = csv.reader(io.StringIO(text))
     next(rows, None)
     flat = np.fromiter((float(x) for s, th, v in rows for x in (s, th, v)), float)
@@ -236,6 +237,8 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
         k = int(np.argmax(off))
         raise GridError(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
                         "is not a node of the grid")
+    if np.isnan(v).any():
+        raise GridError(f"CSV line {int(np.argmax(np.isnan(v))) + 2} holds a NaN value")
     node = (i * grid.shape[1] + j).astype(int)
     vals = np.full(grid.shape, np.nan)
     if np.unique(node).size < node.size:

@@ -35,10 +35,10 @@ TWO_PI = 2.0 * math.pi
 # homogeneity detection
 
 
-def homogeneity_fit(u: VectorField, ray_floor: float = 1e-13) -> dict:
+def homogeneity_fit(u: VectorField) -> dict:
     """Least-squares homogeneity degree from ln|u| along constant-theta rays.
 
-    Rays where |u| dips to ``ray_floor`` times the global maximum are
+    Rays where |u| dips to 1e-13 times the global maximum are
     skipped (the log fit needs |u| bounded away from 0; a power law only
     vanishes where its angular amplitude does).  The deviation combines
     the worst per-ray log-linear fit residual with the cross-ray spread
@@ -50,7 +50,7 @@ def homogeneity_fit(u: VectorField, ray_floor: float = 1e-13) -> dict:
     peak = float(np.max(M))
     if peak == 0.0 or not np.isfinite(peak):
         raise DegenerateField("velocity magnitude vanishes everywhere")
-    rays = np.where(np.min(M, axis=0) > ray_floor * peak)[0]
+    rays = np.where(np.min(M, axis=0) > 1e-13 * peak)[0]
     if rays.size == 0:
         raise DegenerateField("no ray stays bounded away from zero")
     s = g.s_nodes
@@ -102,22 +102,16 @@ def _log_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
 
 
-def recover_g(
-    psi: ScalarField,
-    lap: ScalarField,
-    n_bins: int = 200,
-    fit_threshold_rel: float = 0.05,
-) -> GRecovery:
+def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
     """Recover the scalar relation Laplacian = g(stream) from field data.
 
-    Interior samples are sorted by psi and split into equal-width psi
+    Interior samples are sorted by psi and split into 200 equal-width psi
     bins; bin means give the tabulated curve.  The single-valuedness
     defect is the worst residual of a local quadratic fit inside any bin
     (quadratic so that curvature of a genuine g does not register as
-    spread).  If the defect is below ``fit_threshold_rel`` times the
-    Laplacian scale, both an exponential form (ln|g| linear in z) and a
-    power form (ln|g| linear in ln|z|) are regressed and the better
-    r-squared is reported.
+    spread).  If the defect is at most 0.05 times the Laplacian scale,
+    both an exponential form (ln|g| linear in z) and a power form (ln|g|
+    linear in ln|z|) are regressed and the better r-squared is reported.
     """
     mask = np.isfinite(lap.vals) & np.isfinite(psi.vals)
     z = psi.vals[mask].ravel()
@@ -126,7 +120,7 @@ def recover_g(
         raise ValueError("need at least 100 interior samples")
     order = np.argsort(z, kind="stable")
     z, gv = z[order], gv[order]
-    edges = np.linspace(z[0], z[-1], n_bins + 1)
+    edges = np.linspace(z[0], z[-1], 200 + 1)
     splits = np.searchsorted(z, edges[1:-1])
     defect = 0.0
     z_means, g_means = [], []
@@ -175,7 +169,7 @@ def recover_g(
                 "r_squared": r2,
             }
     best = None
-    if defect <= fit_threshold_rel * scale and fits:
+    if defect <= 0.05 * scale and fits:
         name = max(fits, key=lambda k: fits[k]["r_squared"])
         best = dict(fits[name], form=name)
     return GRecovery(z_means, g_means, defect, fits, best)
@@ -199,8 +193,8 @@ class Thm2Relation:
     alpha: float
 
 
-def g_functional_check(rec, relation, n_probe: int = 1000) -> float:
-    """Max defect of the scaling functional equation over the overlap.
+def g_functional_check(rec, relation) -> float:
+    """Max defect of the scaling functional equation at 1000 overlap points.
 
     ``rec`` may be a GRecovery (tabulated g, linear interpolation) or any
     object with a vectorized ``g`` method.  Raises InsufficientOverlap
@@ -219,11 +213,11 @@ def g_functional_check(rec, relation, n_probe: int = 1000) -> float:
             raise InsufficientOverlap(
                 "recovered z-range does not cover both g(z) and g(z + c ln 2)"
             )
-        z = np.linspace(a, b, n_probe)
+        z = np.linspace(a, b, 1000)
         return float(np.max(np.abs(rec.g(z) - 4.0 * rec.g(z + shift))))
     if isinstance(relation, Thm2Relation):
         lam = 2.0 ** (1.0 - relation.alpha)
-        cands = np.linspace(lo, hi, n_probe)
+        cands = np.linspace(lo, hi, 1000)
         ok = (cands * lam >= lo) & (cands * lam <= hi)
         if np.count_nonzero(ok) < 2:
             raise InsufficientOverlap(
@@ -240,15 +234,16 @@ def g_functional_check(rec, relation, n_probe: int = 1000) -> float:
 # structural checks
 
 
-def jacobian_check(lap: ScalarField, psi: ScalarField, floor_rel: float = 1e-12) -> float:
+def jacobian_check(lap: ScalarField, psi: ScalarField) -> float:
     """Normalized determinant of the (Laplacian, stream) Jacobian.
 
     Central differences on the interior of the interior (the Laplacian is
     defined away from edges); the determinant at each node is divided by
-    the product of the two gradient magnitudes plus a floor, so perfect
-    functional dependence gives ~0 and independent fields give ~1.  A
-    Laplacian that is numerically constant relative to the stream scale
-    (harmonic stream plus rounding) depends on it trivially and returns 0.
+    the product of the two gradient magnitudes plus 1e-12 times the
+    product of their maxima, so perfect functional dependence gives ~0
+    and independent fields give ~1.  A Laplacian that is numerically
+    constant relative to the stream scale (harmonic stream plus rounding)
+    depends on it trivially and returns 0.
     """
     g = psi.grid
     hs, ht = g.h_s, g.h_theta
@@ -273,7 +268,7 @@ def jacobian_check(lap: ScalarField, psi: ScalarField, floor_rel: float = 1e-12)
     norm = np.hypot(Ls, Lt) * np.hypot(Ps, Pt)
     scaleP = np.max(np.hypot(Ps, Pt)[np.isfinite(Ps)]) if np.any(np.isfinite(Ps)) else 0.0
     scaleL = np.max(np.hypot(Ls, Lt)[mask]) if np.any(mask) else 0.0
-    floor = floor_rel * (scaleP * scaleL + 1e-300)
+    floor = 1e-12 * (scaleP * scaleL + 1e-300)
     vals = np.abs(det[mask]) / (norm[mask] + floor)
     return float(np.max(vals)) if vals.size else 0.0
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
 from .domain import LogPolarGrid, build_grid, make_sector
-from .errors import ConfigError, PipelineFailure, SectorflowError
+from .errors import (ConfigError, GridError, InvalidRadii, NoConvergence, PipelineFailure,
+                     SectorflowError)
 from .exact import FamilyKind
 
 _EXPR_NAMES = {"pi": math.pi, "e": math.e, "inf": math.inf}
@@ -113,37 +114,26 @@ class TagSpec:
 
 
 def parse_config(path: str | Path) -> Scenario:
-    """Read an INI (default) or JSON scenario file into a Scenario."""
+    """Read an INI scenario file into a Scenario: a [scenario] section with
+    the tag (and an optional name), plus any of the sections in _SECTIONS.
+    Any other section, or text that is not INI, is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}")
-        sections = {k: dict(v) for k, v in raw.items() if isinstance(v, dict)}
-    else:
-        cp = configparser.ConfigParser()
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"invalid config: {exc}")
-        sections = {name: dict(cp[name]) for name in cp.sections()}
-    return _scenario_from_sections(sections)
-
-
-def _scenario_from_sections(sections: dict) -> Scenario:
-    meta = sections.get("scenario", {})
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(path.read_text())
+    except configparser.Error as exc:
+        raise ConfigError(f"invalid config: {exc}")
+    unknown = [name for name in cp.sections() if name not in ("scenario", *_SECTIONS)]
+    if unknown:
+        raise ConfigError(f"unknown config section [{unknown[0]}]")
+    meta = dict(cp["scenario"]) if cp.has_section("scenario") else {}
     tag = meta.get("tag")
     if tag not in TAGS:
         raise ConfigError(f"unknown or missing scenario tag {tag!r}")
-    scn = Scenario(
-        name=str(meta.get("name", tag)),
-        tag=tag,
-        **{k: sections[k] for k in _SECTIONS if k in sections},
-    )
+    scn = Scenario(name=meta.get("name", tag), tag=tag,
+                   **{k: dict(cp[k]) for k in _SECTIONS if cp.has_section(k)})
     _validate(scn)
     return scn
 
@@ -197,13 +187,16 @@ def _domain_values(scn: Scenario) -> tuple[float, float, float]:
 
 
 def _domain_grid(scn: Scenario):
-    dom = make_sector(*_domain_values(scn))
+    """The domain and its grid; [grid] passes only the s-limits it sets.
+    Radii or a grid the domain rules out are a ConfigError."""
     n_s = _int(scn.grid.get("n_s", 64))
     n_t = _int(scn.grid.get("n_theta", 64))
-    clip = None
-    if "s_min" in scn.grid or "s_max" in scn.grid:
-        clip = (_num(scn.grid.get("s_min", 0)), _num(scn.grid.get("s_max", 0)))
-    return dom, build_grid(dom, n_s, n_t, clip)
+    limits = {key: _num(scn.grid[key]) for key in ("s_min", "s_max") if key in scn.grid}
+    try:
+        dom = make_sector(*_domain_values(scn))
+        return dom, build_grid(dom, n_s, n_t, **limits)
+    except (InvalidRadii, GridError) as exc:
+        raise ConfigError(str(exc))
 
 
 _FAMILY_BY_NAME = {k.value: k for k in FamilyKind}
@@ -225,14 +218,17 @@ def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
             params[{"c": "C", "c1": "C1", "c2": "C2"}[key]] = _num(sval)
         else:
             params[key] = _num(sval)
-    return exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
+    try:
+        return exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
+    except KeyError as exc:
+        raise ConfigError(f"family {kind_name!r} needs [family] {exc.args[0].lower()}")
 
 
 # --------------------------------------------------------------------------
 # shared certification block
 
 
-def _certify_exact(sol, grid, tol_mass_scale=100.0):
+def _certify_exact(sol, grid):
     """Checks common to every exact-family scenario."""
     u, P = fields.sample_velocity(sol, grid)
     e_r, e_t, e_d = exact.euler_residual_closed_form(sol, grid)
@@ -246,7 +242,7 @@ def _certify_exact(sol, grid, tol_mass_scale=100.0):
     lap = fields.laplacian_polar(psi)
     jac = rigidity.jacobian_check(lap, psi)
     h2 = grid.h_theta**2
-    mass_tol = tol_mass_scale * h2 * max(1.0, abs(br.c1_hat) + abs(br.c2_hat))
+    mass_tol = 100.0 * h2 * max(1.0, abs(br.c1_hat) + abs(br.c2_hat))
     checks = [
         _check("euler_residual_closed_form", max(e_r, e_t, e_d), 1e-9),
         _check("profile_residual_analytic", max(r1, r2), 1e-10),
@@ -285,10 +281,8 @@ def _solve(scn, grid, op, gspec, frame, h):
     seed = _int(scn.solver.get("seed", 0))
     amp = _num(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(
-        grid, op, gspec, frame, h, elliptic.PeriodicInS(grid.s_max - grid.s_min),
-        init=init, tol=tol, max_iter=_int(scn.solver.get("max_iter", 50)),
-    )
+    Psi, rep = elliptic.solve_semilinear(grid, op, gspec, frame, h, elliptic.PeriodicInS(),
+                                         init=init, tol=tol)
     return Psi, rep, tol
 
 
@@ -538,8 +532,9 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
     """Execute the scenario pipeline; returns (exit_code, report).
 
     Exit codes: 0 all checks passed, 1 at least one check failed,
-    3 numerical failure inside a pipeline step.  The report is written
-    as sorted-key JSON to out_dir/report.json either way.
+    3 numerical failure inside a pipeline step (a failed solve keeps its
+    ``solve_report``).  The report is written as sorted-key JSON to
+    out_dir/report.json either way; a ConfigError propagates unwritten.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -554,6 +549,8 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
         if not isinstance(exc, SectorflowError):
             exc = PipelineFailure(f"pipeline step failed: {exc}")
         report["error"] = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, NoConvergence) and exc.report is not None:
+            report["solve_report"] = asdict(exc.report)
         report["passed"] = False
         _write_json(out / "report.json", report)
         return 3, report

@@ -133,7 +133,7 @@ def test_criterion_03_swirl_free_rigidity_demo():
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
         psi, rep = solve_semilinear(
             grid, laplace_operator(), ZeroG(), RawFrame(), h,
-            PeriodicInS(grid.s_max - grid.s_min), init=init,
+            PeriodicInS(), init=init,
         )
         assert rep.converged
         _, TH = grid.mesh()
@@ -174,7 +174,7 @@ def test_criterion_04_exponential_pipeline():
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
         sgrid, laplace_operator(), ExpForm(-1.0, c), Alpha1Frame(c), h,
-        PeriodicInS(sgrid.s_max - sgrid.s_min), init=init,
+        PeriodicInS(), init=init,
     )
     sv = s_variance(Psi)
     ok = slope_ok and r2_ok and func <= 1e-3 and rep.converged and sv <= 1e-6
@@ -204,7 +204,7 @@ def test_criterion_05_power_pipeline():
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
         sgrid, general_frame_operator(alpha), PowerForm(-2.0, 3.0),
-        GeneralFrame(alpha), h, PeriodicInS(sgrid.s_max - sgrid.s_min), init=init,
+        GeneralFrame(alpha), h, PeriodicInS(), init=init,
     )
     sv = s_variance(Psi)
     ok = q_ok and coef_ok and func <= 1e-3 and rep.converged and sv <= 1e-6

@@ -15,8 +15,9 @@ from sectorflow import (
     shoot_alpha1,
     w_equation_residual,
 )
-from sectorflow.angular_ode import classify_periodic
+from sectorflow.angular_ode import MAX_F, classify_periodic
 from sectorflow.errors import ParameterDomain, SingularSwirl, ZeroSwirl
+from sectorflow.scenarios import parse_config, run_scenario
 
 
 class TestAlpha1Integration:
@@ -190,7 +191,7 @@ def _scalar_alpha1(c, p, f0, span, cfg):
     const = c * c + 2.0 * p
     ts, ys, rejected = _scalar_rk4_path(
         lambda t, y: np.array([(y[0] * y[0] + const) / c]), [f0], float(span[0]),
-        float(span[1]), cfg.step, lambda y: abs(y[0]) > cfg.max_f,
+        float(span[1]), cfg.step, lambda y: abs(y[0]) > MAX_F,
     )
     f = ys[:, 0]
     stopped = rejected is not None
@@ -207,7 +208,7 @@ def _scalar_general(alpha, p, v0, f0, span, cfg):
 
     ts, ys, rejected = _scalar_rk4_path(
         rhs, [v0, f0], float(span[0]), float(span[1]), cfg.step,
-        lambda y: abs(y[0]) < v_floor or abs(y[1]) > cfg.max_f,
+        lambda y: abs(y[0]) < v_floor or abs(y[1]) > MAX_F,
     )
     # the stop reason is read off the rejected state: a swirl-floor hit if
     # its |v| is below the floor, a blow-up otherwise
@@ -283,11 +284,28 @@ class TestMarchMatchesScalarOracle:
 
 
 @pytest.mark.parametrize("grid", [[2.5e8], [-2.0, 1e9]])
-def test_member_starting_above_max_f_keeps_no_profile(grid):
-    """A member whose f(0) already exceeds max_f stops at its first step;
-    one node is no profile, so the shoot raises instead of holding it."""
-    with pytest.raises(ValueError, match="at least 2 nodes"):
-        shoot_alpha1(1.0, -1.0, grid, (0.0, 2 * math.pi))
+def test_member_starting_above_max_f_blows_up_at_first_step(grid):
+    """A member whose f(0) already exceeds MAX_F stops at its first step:
+    it is a blow-up whose profile holds f(0) over that step, and the other
+    members integrate as they would alone."""
+    span = (0.0, 2 * math.pi)
+    *rest, big = shoot_alpha1(1.0, -1.0, grid, span)
+    assert big.blew_up
+    assert big.blowup_theta == big.profile.theta_nodes[1] == pytest.approx(1e-3, rel=1e-3)
+    assert list(big.profile.f_vals) == [grid[-1]] * 2
+    for f0, res in zip(grid, rest):
+        _assert_bitwise(res, _scalar_alpha1(1.0, -1.0, f0, span, OdeConfig()))
+
+
+def test_cor1_with_a_member_above_max_f_runs(tmp_path):
+    cfg = tmp_path / "cor1.ini"
+    cfg.write_text("[scenario]\nname = cor1\ntag = Cor1\n[ode]\nc = 1\np = -1\n"
+                   "f0_min = -2\nf0_max = 1e9\nf0_count = 5\n")
+    code, report = run_scenario(parse_config(cfg), tmp_path / "out")
+    assert code in (0, 1) and "error" not in report
+    members = report["shooting"]["members"]
+    blown = [m["f0"] for m in members if "blowup_theta" in m]
+    assert blown == list(np.linspace(-2.0, 1e9, 5)[1:])
 
 
 def test_sec_blowup_flagged_as_blowup():

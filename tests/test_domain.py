@@ -50,14 +50,14 @@ class TestBuildGrid:
 
     def test_inconsistent_clip_rejected(self):
         with pytest.raises(GridError):
-            build_grid(make_sector(1, 2, 1.0), 64, 64, clip=(0.0, 1.0))
+            build_grid(make_sector(1, 2, 1.0), 64, 64, s_min=0.0, s_max=1.0)
 
     def test_half_infinite_clip(self):
-        grid = build_grid(make_sector(1, math.inf, math.pi), 64, 64, clip=(0, 4))
+        grid = build_grid(make_sector(1, math.inf, math.pi), 64, 64, s_min=0, s_max=4)
         assert (grid.s_min, grid.s_max) == (0.0, 4.0)
 
     def test_origin_clip(self):
-        grid = build_grid(make_sector(0, 1, math.pi), 64, 64, clip=(-4, 0))
+        grid = build_grid(make_sector(0, 1, math.pi), 64, 64, s_min=-4, s_max=0)
         assert (grid.s_min, grid.s_max) == (-4.0, 0.0)
 
     def test_default_clip_halfwidth(self):
@@ -70,7 +70,35 @@ class TestBuildGrid:
 
     def test_clip_beyond_domain_rejected(self):
         with pytest.raises(GridError):
-            build_grid(make_sector(1, math.inf, 1.0), 64, 64, clip=(-1, 4))
+            build_grid(make_sector(1, math.inf, 1.0), 64, 64, s_min=-1, s_max=4)
+
+    def test_finite_end_fixes_its_limit(self):
+        """a = 2, b = inf with only s_max: s_min is ln 2, not 0."""
+        grid = build_grid(make_sector(2, math.inf, 1.0), 64, 64, s_max=3)
+        assert (grid.s_min, grid.s_max) == (math.log(2), 3.0)
+        grid = build_grid(make_sector(0, 2, 1.0), 64, 64, s_min=-1, s_max=math.log(2))
+        assert (grid.s_min, grid.s_max) == (-1.0, math.log(2))
+
+    @pytest.mark.parametrize(
+        "a, b, limits",
+        [(1, 2, {"s_min": 0.1}), (1, 2, {"s_max": 1.0}), (0, 2, {"s_max": 0.5}),
+         (2, math.inf, {"s_min": 0.0})],
+    )
+    def test_limit_contradicting_a_finite_end_rejected(self, a, b, limits):
+        with pytest.raises(GridError, match="contradicts the finite end"):
+            build_grid(make_sector(a, b, 1.0), 64, 64, **limits)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [(0, math.inf, (-4.0, 4.0)), (0, math.e, (-3.0, 1.0)), (math.e, math.inf, (1.0, 5.0))],
+    )
+    def test_default_truncation(self, a, b, expected):
+        grid = build_grid(make_sector(a, b, 1.0), 64, 64)
+        assert (grid.s_min, grid.s_max) == expected
+
+    def test_infinite_end_defaults_when_other_limit_given(self):
+        grid = build_grid(make_sector(0, math.inf, 1.0), 64, 64, s_min=-1.5)
+        assert (grid.s_min, grid.s_max) == (-1.5, DEFAULT_CLIP_HALFWIDTH)
 
 
 class TestLogPolarGrid:

@@ -114,7 +114,7 @@ class TestLinearSolves:
             ZeroG(),
             RawFrame(),
             h,
-            PeriodicInS(grid.s_max - grid.s_min),
+            PeriodicInS(),
             init=init,
         )
         _, TH = grid.mesh()
@@ -135,7 +135,7 @@ class TestSemilinearSolves:
             ExpForm(-1.0, c),
             Alpha1Frame(c),
             h,
-            PeriodicInS(grid.s_max - grid.s_min),
+            PeriodicInS(),
             init=init,
         )
         _, TH = grid.mesh()
@@ -154,7 +154,7 @@ class TestSemilinearSolves:
             PowerForm(-2.0, 3.0),
             GeneralFrame(alpha),
             h,
-            PeriodicInS(grid.s_max - grid.s_min),
+            PeriodicInS(),
             init=init,
         )
         _, TH = grid.mesh()
@@ -208,7 +208,7 @@ class TestNeumannSides:
 
 class TestFullStencil:
     @pytest.mark.parametrize("n", [16, 32, 64])
-    @pytest.mark.parametrize("side", [DirichletBoth(), PeriodicInS(math.log(2))], ids=repr)
+    @pytest.mark.parametrize("side", [DirichletBoth(), PeriodicInS()], ids=repr)
     def test_linear_solve_takes_one_newton_step(self, side, n):
         # every term of the stencil is present, so one Newton step solves
         # the linear problem only if the Jacobian is the residual's exact
@@ -238,7 +238,7 @@ def _periodic_solve(case, n_s, n_theta=None, op=None):
     grid = LogPolarGrid(0.0, math.log(2), n_s, n_theta or n_s, 1.0)
     init = default_initial_guess(grid, h, amplitude=0.1, seed=n_s)
     return solve_semilinear(grid, op or default_op, g, frame, h,
-                            PeriodicInS(grid.s_max - grid.s_min), init=init)
+                            PeriodicInS(), init=init)
 
 
 def _gmres_never_converges(monkeypatch):
@@ -303,8 +303,8 @@ class TestKrylovStep:
     @pytest.mark.parametrize("op, side", [
         (laplace_operator(), DirichletBoth()),
         (laplace_operator(), NeumannLeft()),
-        (EllipticOperator(1.0, 0.3, 1.0), PeriodicInS(math.log(2))),
-        (EllipticOperator(1.0, 0.0, 1.0, b2=0.4), PeriodicInS(math.log(2))),
+        (EllipticOperator(1.0, 0.3, 1.0), PeriodicInS()),
+        (EllipticOperator(1.0, 0.0, 1.0, b2=0.4), PeriodicInS()),
     ], ids=["dirichlet", "neumann", "cross-term", "theta-advection"])
     def test_splu_where_transforms_do_not_diagonalise(self, op, side):
         grid = _grid(16, 1.0)

@@ -201,6 +201,15 @@ class TestCsv:
         with pytest.raises(GridError, match="208 of 289"):
             field_from_csv(field_to_csv(_theta_field(coarse)), fine)
 
+    @pytest.mark.parametrize("node", [0, 40, 98])
+    def test_nan_value_rejected(self, node):
+        # a NaN value row used to reach Verify, whose isfinite masks dropped it
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        field = _theta_field(grid)
+        field.vals.flat[node] = np.nan
+        with pytest.raises(GridError, match=f"CSV line {node + 2} holds a NaN"):
+            field_from_csv(field_to_csv(field), grid)
+
 
 @settings(max_examples=25, deadline=None)
 @given(

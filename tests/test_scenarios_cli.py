@@ -27,14 +27,23 @@ class TestParseConfig:
         assert scn.tag == "Thm1i"
         assert scn.solver["seed"] == "0"
 
-    def test_json_accepted(self, tmp_path):
+    @pytest.mark.parametrize("top", ["object", "array"])
+    def test_json_config_exits_2(self, top, tmp_path):
         cfg = {
             "scenario": {"name": "demo", "tag": "Cor1"},
             "ode": {"c": "1.0", "p": "-1.0", "f0_min": "-1.5", "f0_max": "1.5",
                     "f0_count": "7", "step": "5e-3"},
         }
-        scn = parse_config(_write(tmp_path, "demo.json", json.dumps(cfg)))
-        assert scn.tag == "Cor1"
+        path = _write(tmp_path, "demo.json", json.dumps(cfg if top == "object" else [cfg]))
+        out = tmp_path / "out"
+        assert main(["ode", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_section_rejected(self, tmp_path):
+        text = (CONFIGS / "thm1i.ini").read_text().replace("[solver]", "[solvr]")
+        assert "[solvr]" in text
+        with pytest.raises(ConfigError, match=r"\[solvr\]"):
+            parse_config(_write(tmp_path, "thm1i.ini", text))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -247,19 +256,6 @@ class TestIntegerValues:
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
-    def test_fractional_json_grid_size_is_not_truncated(self, tmp_path):
-        cfg = {
-            "scenario": {"name": "b2", "tag": "Thm4_B2"},
-            "domain": {"a": 1, "b": 2, "theta0": 1.0},
-            "grid": {"n_s": 16.9, "n_theta": 16},
-            "family": {"kind": "rational", "v": 1.0, "c": 1.0},
-        }
-        path = _write(tmp_path, "b2.json", json.dumps(cfg))
-        assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        cfg["grid"]["n_s"] = 16
-        path.write_text(json.dumps(cfg))
-        assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-
 
 class TestNothingToRun:
     @pytest.mark.parametrize("taus", [",", ""])
@@ -299,3 +295,49 @@ class TestSolveOnlyFlags:
         argv = ["solve", "--config", str(CONFIGS / "thm1i.ini"), "--out", str(tmp_path)]
         assert main([*argv, "--seed", "7", "--tol", "1e-6"]) == 0
         assert seen[0]["seed"] == "7" and seen[0]["tol"] == "1e-06"
+
+
+_SIN = "[family]\nkind = sin\nalpha = 2\np = -0.5\nc = pi/2\n"
+
+
+class TestConfigMistakes:
+    """Mistakes in a config exit 2 and write no report."""
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n[family]\nkind = sin\nalpha = 2\nc = 1\n",
+            "[domain]\na = 3\nb = 2\ntheta0 = 1.0\n" + _SIN,
+            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n[grid]\ns_min = 0.5\n" + _SIN,
+            "[domain]\na = 2\nb = inf\ntheta0 = 1.0\n[grid]\ns_min = 0\n" + _SIN,
+        ],
+        ids=["family-key-missing", "a-above-b", "s_min-off-ln-a", "s_min-off-ln-a-half-line"],
+    )
+    def test_exits_2_without_report(self, sections, tmp_path, capsys):
+        cfg = _write(tmp_path, "bad.ini", "[scenario]\nname = bad\ntag = Thm2_A2\n" + sections)
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_half_line_takes_ln_a_for_s_min(self, tmp_path):
+        """a = 2, b = inf with only s_max set runs on [ln 2, s_max]."""
+        cfg = _write(tmp_path, "half.ini", "[scenario]\nname = half\ntag = Thm5ii\n"
+                     "[domain]\na = 2\nb = inf\ntheta0 = 1.0\n[grid]\ns_max = 3\n" + _SIN)
+        code, report = run_scenario(parse_config(cfg), tmp_path / "out")
+        assert code == 0
+        assert (report["grid"]["s_min"], report["grid"]["s_max"]) == (math.log(2), 3.0)
+
+
+def test_failed_solve_keeps_its_solve_report(tmp_path):
+    cfg = _write(tmp_path, "thm2_a1.ini", (CONFIGS / "thm2_a1.ini").read_text())
+    scn = parse_config(cfg)
+    scn.grid.update(n_s="16", n_theta="16")
+    scn.solver["tol"] = "1e-30"
+    code, report = run_scenario(scn, tmp_path / "out")
+    assert code == 3 and report["error"].startswith("NoConvergence")
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    rep = saved["solve_report"]
+    assert rep["converged"] is False and rep["linear_method"]
+    assert len(rep["residual_history"]) == rep["iterations"] + 1
+    assert rep["residual_history"][-1] == rep["final_residual"] > 1e-30
