@@ -96,7 +96,8 @@ class HomogeneousSolution:
 
     ``validity`` is the maximal open theta-interval (between adjacent
     poles) on which the profile is finite; it always contains the
-    requested [0, theta0].
+    requested [0, theta0].  ``params`` holds every parameter the builder
+    read, defaults included.
     """
 
     kind: FamilyKind

@@ -10,14 +10,14 @@ max-norms.
 
 from __future__ import annotations
 
-import csv
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import LogPolarGrid, cumulative_trapezoid, repr_csv
+from .domain import LogPolarGrid, cumulative_trapezoid
 from .errors import GridError, NotDivergenceFree
 from .exact import HomogeneousSolution
 
@@ -210,10 +210,11 @@ def sample_velocity(
 
 
 def field_to_csv(field: ScalarField) -> str:
-    """(s, theta, value) rows with repr floats for byte-stable output."""
+    """(s, theta, value) rows of repr floats; one row template holds each theta's repr."""
     g = field.grid
-    return repr_csv([["s", "theta", "value"]], np.repeat(g.s_nodes, g.shape[1]),
-                    np.tile(g.theta_nodes, g.shape[0]), field.vals.ravel())
+    row = "".join(f"{{0}},{th!r},{{{j}!r}}\n" for j, th in enumerate(g.theta_nodes.tolist(), 1))
+    return "s,theta,value\n" + "".join(
+        row.format(repr(s), *vals) for s, vals in zip(g.s_nodes.tolist(), field.vals.tolist()))
 
 
 #: largest distance, in cells, of a CSV row's (s, theta) from its grid node
@@ -222,12 +223,20 @@ _NODE_TOL = 1e-6
 
 def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     """Read the (s, theta, value) rows of :func:`field_to_csv` onto ``grid``.
-    Raises GridError for a row off the grid, a node without exactly one
-    row, or a NaN value."""
-    rows = csv.reader(io.StringIO(text))
-    next(rows, None)
-    flat = np.fromiter((float(x) for s, th, v in rows for x in (s, th, v)), float)
-    s, th, v = flat.reshape(-1, 3).T
+    Raises GridError naming the line for a row that is not three numbers
+    (a ``#`` comment included), a row off the grid or a non-finite value,
+    and GridError for a node without exactly one row."""
+    n_rows = text.count("\n", 0, len(text) - text.endswith("\n"))  # lines after the header
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a text without rows: checked below
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
+        # loadtxt skips a blank line, which would shift every later line number
+        if len(rows) != n_rows or rows.size and rows.shape[1] != 3:
+            raise ValueError("a blank line or a row not of three numbers")
+    except ValueError as exc:
+        raise _malformed(text, exc) from exc
+    s, th, v = rows.reshape(-1, 3).T
     x = (s - grid.s_min) / grid.h_s
     y = th / grid.h_theta
     i, j = np.rint(x), np.rint(y)
@@ -237,8 +246,10 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
         k = int(np.argmax(off))
         raise GridError(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
                         "is not a node of the grid")
-    if np.isnan(v).any():
-        raise GridError(f"CSV line {int(np.argmax(np.isnan(v))) + 2} holds a NaN value")
+    if not np.isfinite(v).all():
+        k = int(np.argmax(~np.isfinite(v)))
+        raise GridError(f"CSV line {k + 2} holds "
+                        + ("a NaN value" if np.isnan(v[k]) else "an infinite value"))
     node = (i * grid.shape[1] + j).astype(int)
     vals = np.full(grid.shape, np.nan)
     if np.unique(node).size < node.size:
@@ -247,6 +258,18 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
         raise GridError(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")
     vals.flat[node] = v
     return ScalarField(grid, vals)
+
+
+def _malformed(text: str, exc: ValueError) -> GridError:
+    """GridError naming the first data line of ``text`` that is not three numbers."""
+    lines = text.split("\n")
+    for k, line in enumerate(lines[1:len(lines) - text.endswith("\n")], 2):
+        try:
+            if not line or np.loadtxt([line], delimiter=",", comments=None).size != 3:
+                raise ValueError
+        except ValueError:
+            return GridError(f"CSV line {k} is not three numbers: {line!r}")
+    return GridError(f"malformed field CSV: {exc}")
 
 
 #: node count beyond which exports switch to binary + JSON sidecar
@@ -268,3 +291,20 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
     np.save(bin_path, np.ascontiguousarray(field.vals))
     path.with_suffix(".json").write_text(field.grid.to_json())
     return bin_path
+
+
+def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
+    """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
+    whose JSON sidecar must describe ``grid``, or else CSV text.  Raises
+    GridError for another grid's dump or a non-finite value."""
+    path = Path(path)
+    if path.suffix != ".npy":
+        return field_from_csv(path.read_text(), grid)
+    sidecar = path.with_suffix(".json")
+    if sidecar.read_text() != grid.to_json():
+        raise GridError(f"{sidecar} describes another grid than {grid.to_json()}")
+    vals = np.load(path)
+    if not np.isfinite(vals).all():
+        node = np.unravel_index(np.argmax(~np.isfinite(vals)), vals.shape)
+        raise GridError(f"{path} holds a non-finite value at node {tuple(map(int, node))}")
+    return ScalarField(grid, vals)

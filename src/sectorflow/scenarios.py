@@ -219,9 +219,14 @@ def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
         else:
             params[key] = _num(sval)
     try:
-        return exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
+        sol = exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
     except KeyError as exc:
         raise ConfigError(f"family {kind_name!r} needs [family] {exc.args[0].lower()}")
+    # a builder records every parameter it reads
+    unread = sorted(key.lower() for key in params.keys() - sol.params.keys())
+    if unread:
+        raise ConfigError(f"family {kind_name!r} reads no [family] {', '.join(unread)}")
+    return sol
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +453,10 @@ def _run_atlas(scn, grid, out):
 def _run_slide(scn, grid, out):
     profile = scn.slide.get("profile", "sec")
     n = _int(scn.slide.get("n", 500))
-    g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
+    try:
+        g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
+    except GridError as exc:
+        raise ConfigError(f"[slide] n: {exc}")
     th = g.theta_nodes
     if profile == "sec":
         vals = np.tile(1.0 / np.cos(th), (g.n_s + 1, 1))
@@ -472,10 +480,9 @@ def _run_slide(scn, grid, out):
 
 def _run_verify(scn, grid, out):
     try:
-        text = Path(scn.verify["psi_csv"]).read_text()
+        psi = fields.read_field(scn.verify["psi_csv"], grid)
     except OSError as exc:
         raise ConfigError(f"cannot read psi_csv: {exc}")
-    psi = fields.field_from_csv(text, grid)
     lap = fields.laplacian_polar(psi)
     rec = rigidity.recover_g(psi, lap)
     jac = rigidity.jacobian_check(lap, psi)

@@ -55,7 +55,7 @@ def _scatter_oracle(rec):
     return _loop_writer([["z", "g"]], zip(rec.z_samples, rec.g_samples))
 
 
-@pytest.mark.parametrize("n_s, n_theta", [(8, 8), (80, 70)])  # 70 x 71 > one block
+@pytest.mark.parametrize("n_s, n_theta", [(8, 8), (80, 70), (9, 600)])  # 600: a wide row
 def test_field_bytes_match_row_loop(n_s, n_theta):
     grid = LogPolarGrid(-0.3, 1.7, n_s, n_theta, 2.0)
     field = ScalarField(grid, _edge_column(grid.shape[0] * grid.shape[1], 1)
@@ -86,7 +86,8 @@ def _fields(draw):
     s_min = draw(st.floats(-3.0, 3.0))
     grid = LogPolarGrid(s_min, s_min + draw(st.floats(0.1, 5.0)), n_s, n_theta,
                         draw(st.floats(0.1, 2.0 * math.pi)))
-    vals = draw(st.lists(st.floats(allow_nan=False), min_size=grid.shape[0] * grid.shape[1],
+    vals = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=grid.shape[0] * grid.shape[1],
                          max_size=grid.shape[0] * grid.shape[1]))
     return ScalarField(grid, np.array(vals, dtype=float).reshape(grid.shape))
 

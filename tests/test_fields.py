@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from sectorflow import (
 )
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import GridError, NotDivergenceFree
-from sectorflow.fields import field_from_csv, from_working, interior_max
+from sectorflow.fields import (field_from_csv, from_working, interior_max, read_field,
+                               write_field)
 
 
 def _grid(n=64, theta0=math.pi / 2):
@@ -209,6 +211,89 @@ class TestCsv:
         field.vals.flat[node] = np.nan
         with pytest.raises(GridError, match=f"CSV line {node + 2} holds a NaN"):
             field_from_csv(field_to_csv(field), grid)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_value_rejected(self, value):
+        # an infinite value used to reach Verify, whose isfinite masks dropped it
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        field = _theta_field(grid)
+        field.vals[4, 5] = value
+        with pytest.raises(GridError, match="CSV line 51 holds an infinite value"):
+            field_from_csv(field_to_csv(field), grid)
+
+    @pytest.mark.parametrize(
+        "row", ["0.0,0.1", "0.0,zero,1.0", "0.0,0.1,1.0,2.0", "# a comment", "", " "],
+        ids=["two-columns", "non-numeric", "four-columns", "comment", "blank", "space"])
+    def test_malformed_row_names_its_line(self, row):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        lines = field_to_csv(_theta_field(grid)).split("\n")
+        text = "\n".join(lines[:6] + [row] + lines[6:])
+        with pytest.raises(GridError, match="CSV line 7 is not three numbers"):
+            field_from_csv(text, grid)
+
+    def test_rows_of_two_columns_rejected(self):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        with pytest.raises(GridError, match="CSV line 2 is not three numbers"):
+            field_from_csv("s,theta\n0.0,0.0\n0.0,0.1\n", grid)
+
+    @pytest.mark.parametrize("text", ["s,theta,value\n", "s,theta,value", ""])
+    def test_header_only_text_misses_every_node(self, text):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="99 of 99 grid nodes have no CSV row"):
+                field_from_csv(text, grid)
+
+    def test_crlf_and_no_final_newline_read(self):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        field = _theta_field(grid)
+        text = field_to_csv(field)
+        for variant in (text.replace("\n", "\r\n"), text.rstrip("\n")):
+            np.testing.assert_array_equal(field_from_csv(variant, grid).vals, field.vals)
+
+
+class TestReadField:
+    def test_binary_export_round_trip_is_bitwise(self, tmp_path):
+        grid = LogPolarGrid(-0.3, 1.7, 512, 512, 2.0)  # 513^2 nodes: a .npy export
+        vals = np.random.default_rng(0).standard_normal(grid.shape)
+        vals[0, 0] = -0.0
+        path = write_field(ScalarField(grid, vals), tmp_path / "stream.csv")
+        assert path.name == "stream.npy" and not (tmp_path / "stream.csv").exists()
+        back = read_field(path, grid)
+        np.testing.assert_array_equal(back.vals.view(np.int64), vals.view(np.int64))
+
+    def test_csv_export_read_back(self, tmp_path):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        field = _theta_field(grid)
+        path = write_field(field, tmp_path / "stream.csv")
+        np.testing.assert_array_equal(read_field(path, grid).vals, field.vals)
+
+    def _dump(self, tmp_path, grid, vals):
+        np.save(tmp_path / "psi.npy", vals)
+        (tmp_path / "psi.json").write_text(grid.to_json())
+        return tmp_path / "psi.npy"
+
+    def test_sidecar_of_another_grid_rejected(self, tmp_path):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        path = self._dump(tmp_path, grid, _theta_field(grid).vals)
+        other = LogPolarGrid(0.0, 1.0, 10, 8, 1.0)
+        with pytest.raises(GridError, match="another grid"):
+            read_field(path, other)
+
+    def test_missing_sidecar_is_os_error(self, tmp_path):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        path = self._dump(tmp_path, grid, _theta_field(grid).vals)
+        (tmp_path / "psi.json").unlink()
+        with pytest.raises(OSError):
+            read_field(path, grid)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dump_rejected(self, tmp_path, value):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        vals = _theta_field(grid).vals
+        vals[3, 7] = value
+        with pytest.raises(GridError, match=r"non-finite value at node \(3, 7\)"):
+            read_field(self._dump(tmp_path, grid, vals), grid)
 
 
 @settings(max_examples=25, deadline=None)

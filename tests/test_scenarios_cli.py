@@ -145,6 +145,16 @@ class TestCli:
         )
         assert code == 0
 
+    def test_verify_reads_binary_export(self, tmp_path):
+        grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
+        sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
+        np.save(tmp_path / "stream.npy", sample_stream(sol, grid).vals)
+        (tmp_path / "stream.json").write_text(grid.to_json())
+        text = (CONFIGS / "verify.ini").read_text().replace(
+            "psi_csv = stream.csv", f"psi_csv = {tmp_path / 'stream.npy'}")
+        cfg = _write(tmp_path, "verify.ini", text)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_verify_missing_field_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(
@@ -310,8 +320,12 @@ class TestConfigMistakes:
             "[domain]\na = 3\nb = 2\ntheta0 = 1.0\n" + _SIN,
             "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n[grid]\ns_min = 0.5\n" + _SIN,
             "[domain]\na = 2\nb = inf\ntheta0 = 1.0\n[grid]\ns_min = 0\n" + _SIN,
+            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n"
+            "[family]\nkind = radial_alpha1\np = -0.5\nsgn = -1\n",
+            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n" + _SIN + "c2 = 0\n",
         ],
-        ids=["family-key-missing", "a-above-b", "s_min-off-ln-a", "s_min-off-ln-a-half-line"],
+        ids=["family-key-missing", "a-above-b", "s_min-off-ln-a", "s_min-off-ln-a-half-line",
+             "family-key-unread", "family-key-of-another-kind"],
     )
     def test_exits_2_without_report(self, sections, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.ini", "[scenario]\nname = bad\ntag = Thm2_A2\n" + sections)
@@ -319,6 +333,15 @@ class TestConfigMistakes:
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_slide_below_8_cells_exits_2(self, n, tmp_path, capsys):
+        cfg = _write(tmp_path, "slide.ini",
+                     f"[scenario]\nname = slide\ntag = Slide\n[slide]\nn = {n}\n")
+        out = tmp_path / "out"
+        assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "at least 8 cells" in capsys.readouterr().err
 
     def test_half_line_takes_ln_a_for_s_min(self, tmp_path):
         """a = 2, b = inf with only s_max set runs on [ln 2, s_max]."""
