@@ -15,7 +15,6 @@ from sectorflow import (
     Alpha1Frame,
     ExpForm,
     GeneralFrame,
-    PeriodicInS,
     PowerForm,
     RawFrame,
     ZeroG,
@@ -31,7 +30,7 @@ from sectorflow.domain import LogPolarGrid
 def run(name, grid, op, gspec, frame, h):
     init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
     start_var = s_variance(init)
-    Psi, rep = solve_semilinear(grid, op, gspec, frame, h, PeriodicInS(), init=init)
+    Psi, rep = solve_semilinear(grid, op, gspec, frame, h, init=init)
     print(f"{name:<22} iters={rep.iterations}  residual={rep.final_residual:.1e}"
           f"  s-variance {start_var:.2e} -> {s_variance(Psi):.2e}")
     return Psi

@@ -45,15 +45,10 @@ from .fields import (
     velocity_from_stream,
 )
 from .elliptic import (
-    DirichletBoth,
     EllipticOperator,
     ExpForm,
-    NeumannLeft,
-    NeumannRight,
-    PeriodicInS,
     PowerForm,
     SolveReport,
-    Tabulated,
     ZeroG,
     default_initial_guess,
     general_frame_operator,

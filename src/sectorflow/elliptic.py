@@ -1,13 +1,11 @@
 """Damped-Newton solver for semilinear problems L Psi = F(s) g(arg) on
-log-polar rectangles.
+log-polar rectangles, periodic in s.
 
-The operator L = a11 d_ss + 2 a12 d_stheta + a22 d_thth + b1 d_s
-+ b2 d_theta + c0 has constant coefficients.  The working frame fixes the
-nonlinearity argument (Psi + c s, e^{(1-alpha)s} Psi, or Psi itself) and
-the canonical forcing profile F.  Dirichlet data Psi = h(theta) is imposed
-on the theta-edges and, depending on the side condition, on the s-edges;
-the remaining s-edge options are periodic identification and a zero
-s-derivative (ghost reflection) at one truncated end.
+The operator L = a11 d_ss + a22 d_thth + b1 d_s + c0 has constant
+coefficients.  The working frame fixes the nonlinearity argument (Psi + c s,
+e^{(1-alpha)s} Psi, or Psi itself) and the canonical forcing profile F.
+Dirichlet data Psi = h(theta) is imposed on the theta-edges, and the two
+s-edges are identified, so the grid spans one period in s.
 
 The discrete operator is written once, as the term table of
 :func:`_stencil_terms`; the Newton residual and the Jacobian both come from
@@ -15,18 +13,13 @@ it.  The table's order is the residual's floating-point evaluation order,
 and it is fixed: converged residuals sit near the roundoff floor, so another
 order changes which solves meet their tolerance.
 
-Each Newton step solves J delta = -R on one of two linear paths, chosen only
-by the side condition and the operator's coefficients:
-
-* periodic in s with a12 = b2 = 0 (every pipeline solve): GMRES on the
-  assembled Jacobian, right-preconditioned by the exact inverse of its
-  constant part shifted by the mean nonlinear diagonal.  An rfft in s times
-  a DST-I in theta diagonalises that part, and its eigenvalues come from
-  the same term table (:func:`_periodic_symbol`).  The step stops at
-  ||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses it within the
-  iteration cap falls back to the sparse LU;
-* every other case (Neumann or Dirichlet s-edges, a12 != 0 or b2 != 0):
-  a sparse LU factorisation (``splu``) of the Jacobian.
+Each Newton step solves J delta = -R by GMRES on the assembled Jacobian,
+right-preconditioned by the exact inverse of its constant part shifted by
+the mean nonlinear diagonal.  An rfft in s times a DST-I in theta
+diagonalises that part, and its eigenvalues come from the same term table
+(:func:`_periodic_symbol`).  The step stops at ||J delta + R||_2 <=
+KRYLOV_RTOL ||R||_2; a step that misses it within the iteration cap falls
+back to a sparse LU factorisation (``splu``) of the Jacobian.
 """
 
 from __future__ import annotations
@@ -59,32 +52,27 @@ KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
 
 @dataclass(frozen=True)
 class EllipticOperator:
-    """Constant-coefficient operator a.D2 + b.D + c0."""
+    """Constant-coefficient operator a11 d_ss + a22 d_thth + b1 d_s + c0."""
 
     a11: float
-    a12: float
     a22: float
     b1: float = 0.0
-    b2: float = 0.0
     c0: float = 0.0
 
     def __post_init__(self):
-        if not (self.a11 > 0 and self.a11 * self.a22 - self.a12**2 > 0):
-            raise ParameterDomain(
-                "operator must be uniformly elliptic: a11 > 0 and "
-                "a11*a22 - a12^2 > 0"
-            )
+        if not (self.a11 > 0 and self.a22 > 0):
+            raise ParameterDomain("operator must be uniformly elliptic: a11 > 0 and a22 > 0")
 
 
 def laplace_operator() -> EllipticOperator:
-    return EllipticOperator(1.0, 0.0, 1.0)
+    return EllipticOperator(1.0, 1.0)
 
 
 def general_frame_operator(alpha: float) -> EllipticOperator:
     """d_ss + d_thth + 2(1-alpha) d_s + (1-alpha)^2, conjugate to the
     polar Laplacian under Psi = psi e^{s(alpha-1)}."""
     return EllipticOperator(
-        1.0, 0.0, 1.0, b1=2.0 * (1.0 - alpha), c0=(1.0 - alpha) ** 2
+        1.0, 1.0, b1=2.0 * (1.0 - alpha), c0=(1.0 - alpha) ** 2
     )
 
 
@@ -146,55 +134,7 @@ class PowerForm:
         return d
 
 
-@dataclass(frozen=True)
-class Tabulated:
-    """Piecewise-linear g from sorted (z, value) samples; clamped outside."""
-
-    z_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.z_grid) != len(self.values) or len(self.z_grid) < 2:
-            raise ParameterDomain("tabulated g needs >= 2 congruent samples")
-        if np.any(np.diff(self.z_grid) <= 0):
-            raise ParameterDomain("z_grid must be strictly increasing")
-
-    def g(self, z):
-        return np.interp(np.asarray(z, dtype=float), self.z_grid, self.values)
-
-    def g_prime(self, z):
-        slopes = np.gradient(self.values, self.z_grid)
-        return np.interp(np.asarray(z, dtype=float), self.z_grid, slopes)
-
-
-GSpec = ZeroG | ExpForm | PowerForm | Tabulated
-
-
-# --------------------------------------------------------------------------
-# side conditions
-
-
-@dataclass(frozen=True)
-class PeriodicInS:
-    """Identify s = s_min with s = s_max: the grid spans one period."""
-
-
-@dataclass(frozen=True)
-class NeumannLeft:
-    """Zero s-derivative at s = s_min; Dirichlet trace at s = s_max."""
-
-
-@dataclass(frozen=True)
-class NeumannRight:
-    """Zero s-derivative at s = s_max; Dirichlet trace at s = s_min."""
-
-
-@dataclass(frozen=True)
-class DirichletBoth:
-    """Dirichlet trace Psi = h(theta) on both s-edges."""
-
-
-SideCondition = PeriodicInS | NeumannLeft | NeumannRight | DirichletBoth
+GSpec = ZeroG | ExpForm | PowerForm
 
 
 @dataclass
@@ -246,57 +186,34 @@ def default_initial_guess(
     return ScalarField(grid, vals)
 
 
-def _row_maps(side: SideCondition, n_s: int):
-    """Unknown s-rows and their minus/plus neighbor rows in the full array."""
-    if isinstance(side, DirichletBoth):
-        U = np.arange(1, n_s)
-        return U, U - 1, U + 1
-    if isinstance(side, PeriodicInS):
-        U = np.arange(0, n_s)
-        return U, (U - 1) % n_s, (U + 1) % n_s
-    if isinstance(side, NeumannLeft):
-        U = np.arange(0, n_s)
-        im = U - 1
-        im[0] = 1
-        return U, im, U + 1
-    U = np.arange(1, n_s + 1)
-    ip = U + 1
-    ip[-1] = n_s - 1
-    return U, U - 1, ip
-
-
 def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float, U, im, ip):
     """The discrete operator as (coefficient, denominator, taps) terms, in
     evaluation order.  A tap (rows, dj, w) weights Psi at the s-rows ``rows``
     and the theta-columns shifted by ``dj``; centre taps have rows U, dj 0.
-    A term is coefficient * (sum of w * Psi[tap]) / denominator, and terms
-    with a zero a12, b1 or b2 coefficient are left out."""
+    A term is coefficient * (sum of w * Psi[tap]) / denominator, and the
+    b1 term is left out when b1 is zero."""
     terms = [
         (op.a11, h_s**2, [(ip, 0, 1.0), (U, 0, -2.0), (im, 0, 1.0)]),
         (op.a22, h_theta**2, [(U, 1, 1.0), (U, 0, -2.0), (U, -1, 1.0)]),
     ]
-    if op.a12 != 0.0:
-        terms.append((2.0 * op.a12, 4.0 * h_s * h_theta,
-                      [(ip, 1, 1.0), (ip, -1, -1.0), (im, 1, -1.0), (im, -1, 1.0)]))
     if op.b1 != 0.0:
         terms.append((op.b1, 2.0 * h_s, [(ip, 0, 1.0), (im, 0, -1.0)]))
-    if op.b2 != 0.0:
-        terms.append((op.b2, 2.0 * h_theta, [(U, 1, 1.0), (U, -1, -1.0)]))
     terms.append((op.c0, 1.0, [(U, 0, 1.0)]))
     return terms
 
 
-def _periodic_symbol(terms, U, n_s: int, n_t: int) -> np.ndarray:
+def _periodic_symbol(terms, n_s: int, n_t: int) -> np.ndarray:
     """Eigenvalues of the stencil's constant part, periodic in s and
     Dirichlet in theta, on the modes of rfft (k, over s) times DST-I (m,
-    over theta): a tap of row shift d and column shift dj contributes
-    w e^{2 pi i k d / n_s} cos(pi m dj / n_t).  The cosine form holds for
-    taps in symmetric +-dj pairs, i.e. when a12 = b2 = 0."""
+    over theta): a tap whose rows are the s-rows shifted by d (rows[0] = d
+    mod n_s) and whose columns are shifted by dj contributes
+    w e^{2 pi i k d / n_s} cos(pi m dj / n_t), a cosine because every dj
+    tap has a -dj twin."""
     k = np.arange(n_s // 2 + 1)[:, None]
     m = np.arange(1, n_t)[None, :]
 
     def tap(rows, dj, w):
-        kd = k * (rows[0] - U[0]) % n_s
+        kd = k * rows[0] % n_s
         return w * np.exp(2j * np.pi * kd / n_s) * np.cos(np.pi * m * dj / n_t)
 
     return reduce(add, (coef * reduce(add, (tap(*t) for t in taps)) / denom
@@ -329,13 +246,12 @@ def solve_semilinear(
     gspec: GSpec,
     frame: FrameTag,
     boundary_h,
-    side: SideCondition,
     init: ScalarField | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> tuple[ScalarField, SolveReport]:
-    """Damped Newton on the 5-point (+ centered cross/first-order)
-    discretization of L Psi = F(s) g(arg(s, Psi)).
+    """Damped Newton on the 5-point (+ centered first-order in s)
+    discretization of L Psi = F(s) g(arg(s, Psi)), periodic in s.
 
     The frame fixes F and arg: F = e^{2s} and arg = Psi + c s in the
     alpha = 1 frame, F = e^{(1+alpha)s} and arg = Psi e^{(1-alpha)s} in the
@@ -345,11 +261,6 @@ def solve_semilinear(
     2^-10 floor; exhaustion raises NoConvergence with the best iterate
     attached.
     """
-    if isinstance(side, (NeumannLeft, NeumannRight)) and (
-        op.b1 != 0.0 or op.b2 != 0.0
-    ):
-        raise ParameterDomain("reflection side conditions need b1 = b2 = 0")
-
     n_s, n_t = grid.n_s, grid.n_theta
     hs, ht = grid.h_s, grid.h_theta
     s = grid.s_nodes
@@ -358,22 +269,15 @@ def solve_semilinear(
 
     F_vals, darg_fn = _frame_pieces(frame, s)
 
-    Psi = (
-        init.vals.copy()
-        if init is not None
-        else default_initial_guess(grid, boundary_h).vals.copy()
-    )
-    # impose the Dirichlet trace exactly
+    Psi = (init if init is not None else default_initial_guess(grid, boundary_h)).vals.copy()
+    # impose the Dirichlet trace exactly and identify the s-edges
     Psi[:, 0] = h_vals[0]
     Psi[:, -1] = h_vals[-1]
-    if isinstance(side, (DirichletBoth, NeumannRight)):
-        Psi[0, :] = h_vals
-    if isinstance(side, (DirichletBoth, NeumannLeft)):
-        Psi[-1, :] = h_vals
-    if isinstance(side, PeriodicInS):
-        Psi[-1, :] = Psi[0, :]
+    Psi[-1, :] = Psi[0, :]
 
-    U, im, ip = _row_maps(side, n_s)
+    # the unknowns are s-rows 0 .. n_s - 1; row n_s repeats row 0
+    U = np.arange(n_s)
+    im, ip = (U - 1) % n_s, (U + 1) % n_s
     J = np.arange(1, n_t)
     s_col = s[U][:, None]
     F_col = F_vals[U][:, None]
@@ -390,11 +294,7 @@ def solve_semilinear(
 
     # the Jacobian is assembled once, with every tap but the centre ones as
     # a constant entry; each step writes the centre taps' sum minus the
-    # nonlinearity's derivative into the diagonal slots (a sparse add would
-    # drop the explicit zeros that cancelling cross taps leave under a
-    # reflection, which changes the LU's column ordering and its roundoff)
-    unk_id = np.full(n_s + 1, -1, dtype=int)
-    unk_id[U] = np.arange(nU)
+    # nonlinearity's derivative into the diagonal slots
     kk = np.arange(nU * nJ).reshape(nU, nJ)
     rows, cols, data = [kk.ravel()], [kk.ravel()], [np.zeros(nU * nJ)]
     is_centre = lambda tap_rows, dj: tap_rows is U and dj == 0
@@ -405,22 +305,17 @@ def solve_semilinear(
             if is_centre(tap_rows, dj):
                 continue
             value = coef * w / denom
-            tgt = unk_id[tap_rows][:, None]
-            jj = (J + dj)[None, :]
-            ok = (tgt >= 0) & (jj >= 1) & (jj <= n_t - 1)
-            rows.append(kk[ok])
-            cols.append((tgt * nJ + jj - 1)[ok])
+            jj = J + dj
+            ok = (jj >= 1) & (jj <= n_t - 1)
+            rows.append(kk[:, ok].ravel())
+            cols.append((tap_rows[:, None] * nJ + jj[ok] - 1).ravel())
             data.append(np.full(len(rows[-1]), value))
     jac = coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nU * nJ, nU * nJ),
     ).tocsc()
 
-    # the transforms diagonalise the constant part only for a periodic side
-    # without the cross and theta-advection terms
-    symbol = (_periodic_symbol(terms, U, n_s, n_t)
-              if isinstance(side, PeriodicInS) and op.a12 == 0.0 and op.b2 == 0.0
-              else None)
+    symbol = _periodic_symbol(terms, n_s, n_t)
 
     history, methods, krylov_its = [], [], []
     R = residual(Psi)
@@ -432,8 +327,7 @@ def solve_semilinear(
         nonlinear = F_col * gp * darg_fn(s_col)
         jac.setdiag((center - nonlinear).ravel())
         rhs = -R.ravel()
-        delta, its = (None, 0) if symbol is None else _krylov_step(
-            jac, rhs, symbol - np.mean(nonlinear))
+        delta, its = _krylov_step(jac, rhs, symbol - np.mean(nonlinear))
         methods.append("splu" if delta is None else "fft-dst-gmres")
         krylov_its.append(its)
         if delta is None:
@@ -448,8 +342,7 @@ def solve_semilinear(
         while True:
             trial = Psi.copy()
             trial[np.ix_(U, J)] += lam * delta
-            if isinstance(side, PeriodicInS):
-                trial[-1, :] = trial[0, :]
+            trial[-1, :] = trial[0, :]
             R_trial = residual(trial)
             trial_norm = float(np.max(np.abs(R_trial)))
             if trial_norm < res_norm or trial_norm <= tol:

@@ -74,6 +74,15 @@ def _num(value) -> float:
         raise ConfigError(f"cannot parse numeric value {text!r}: {exc}")
 
 
+def _finite(value) -> float:
+    """:func:`_num` for every value but the domain radii, the only ones
+    that may be infinite: nan or +-inf is a ConfigError."""
+    x = _num(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"numeric value {str(value)!r} is not finite")
+    return x
+
+
 def _int(value) -> int:
     """Parse an integer config value; a fraction is a ConfigError."""
     try:
@@ -191,7 +200,7 @@ def _domain_grid(scn: Scenario):
     Radii or a grid the domain rules out are a ConfigError."""
     n_s = _int(scn.grid.get("n_s", 64))
     n_t = _int(scn.grid.get("n_theta", 64))
-    limits = {key: _num(scn.grid[key]) for key in ("s_min", "s_max") if key in scn.grid}
+    limits = {key: _finite(scn.grid[key]) for key in ("s_min", "s_max") if key in scn.grid}
     try:
         dom = make_sector(*_domain_values(scn))
         return dom, build_grid(dom, n_s, n_t, **limits)
@@ -215,9 +224,9 @@ def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
             params["C"] = None
         elif key in ("c", "c1", "c2") and kind_name != "pure_rotation":
             # INI lower-cases keys; map back to the family constants
-            params[{"c": "C", "c1": "C1", "c2": "C2"}[key]] = _num(sval)
+            params[{"c": "C", "c1": "C1", "c2": "C2"}[key]] = _finite(sval)
         else:
-            params[key] = _num(sval)
+            params[key] = _finite(sval)
     try:
         sol = exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
     except KeyError as exc:
@@ -282,17 +291,18 @@ def _recovery_grid(grid):
 def _solve(scn, grid, op, gspec, frame, h):
     """Newton solve, periodic in s, from the seeded perturbed start, under
     the [solver] settings; returns (Psi, report, tol)."""
-    tol = _num(scn.solver.get("tol", 1e-10))
+    tol = _finite(scn.solver.get("tol", 1e-10))
+    if tol < 0.0:
+        raise ConfigError(f"[solver] tol must be nonnegative, got {tol}")
     seed = _int(scn.solver.get("seed", 0))
-    amp = _num(scn.solver.get("perturbation", 0.1))
+    amp = _finite(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(grid, op, gspec, frame, h, elliptic.PeriodicInS(),
-                                         init=init, tol=tol)
+    Psi, rep = elliptic.solve_semilinear(grid, op, gspec, frame, h, init=init, tol=tol)
     return Psi, rep, tol
 
 
 def _run_thm1i(scn, grid, out):
-    B = _num(scn.solver.get("b", 1.0))
+    B = _finite(scn.solver.get("b", 1.0))
     h = lambda th: B * th / grid.theta0
     psi, rep, tol = _solve(
         scn, grid, elliptic.laplace_operator(), elliptic.ZeroG(), fields.RawFrame(), h
@@ -393,15 +403,18 @@ def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
 
 
 def _run_cor1(scn, grid, out):
-    c = _num(scn.ode.get("c", 1.0))
-    p = _num(scn.ode.get("p", -1.0))
-    lo = _num(scn.ode.get("f0_min", -2.0))
-    hi = _num(scn.ode.get("f0_max", 2.0))
+    c = _finite(scn.ode.get("c", 1.0))
+    p = _finite(scn.ode.get("p", -1.0))
+    lo = _finite(scn.ode.get("f0_min", -2.0))
+    hi = _finite(scn.ode.get("f0_max", 2.0))
     n = _int(scn.ode.get("f0_count", 41))
     if n < 1:
         raise ConfigError(f"[ode] f0_count must be at least 1, got {n}")
-    step = _num(scn.ode.get("step", 1e-3))
-    cfg = angular_ode.OdeConfig(step=step)
+    step = _finite(scn.ode.get("step", 1e-3))
+    try:
+        cfg = angular_ode.OdeConfig(step=step)
+    except ValueError as exc:
+        raise ConfigError(f"[ode] {exc}")
     shots = angular_ode.shoot_alpha1(c, p, np.linspace(lo, hi, n), (0.0, 2 * math.pi), cfg)
     rep = angular_ode.classify_periodic(c, p, shots)
     expected = 2 if c * c + 2.0 * p < 0 else 0
@@ -465,8 +478,8 @@ def _run_slide(scn, grid, out):
     else:
         raise ConfigError(f"unknown slide profile {profile!r}")
     Psi = fields.ScalarField(g, vals)
-    xi = (_num(scn.slide.get("xi1", 1.0)), _num(scn.slide.get("xi2", 1.0)))
-    taus = [_num(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
+    xi = (_finite(scn.slide.get("xi1", 1.0)), _finite(scn.slide.get("xi2", 1.0)))
+    taus = [_finite(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
     if not taus:
         raise ConfigError("[slide] taus lists no translation")
     rep = rigidity.sliding_check(Psi, xi, taus)

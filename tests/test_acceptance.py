@@ -16,7 +16,6 @@ from sectorflow import (
     FamilyKind,
     GeneralFrame,
     OdeConfig,
-    PeriodicInS,
     PowerForm,
     RawFrame,
     ScalarField,
@@ -132,8 +131,7 @@ def test_criterion_03_swirl_free_rigidity_demo():
         grid = LogPolarGrid(0.0, math.log(2), n, n, theta0)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
         psi, rep = solve_semilinear(
-            grid, laplace_operator(), ZeroG(), RawFrame(), h,
-            PeriodicInS(), init=init,
+            grid, laplace_operator(), ZeroG(), RawFrame(), h, init=init,
         )
         assert rep.converged
         _, TH = grid.mesh()
@@ -173,8 +171,7 @@ def test_criterion_04_exponential_pipeline():
     h = lambda th: np.log(np.cos(th))
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
-        sgrid, laplace_operator(), ExpForm(-1.0, c), Alpha1Frame(c), h,
-        PeriodicInS(), init=init,
+        sgrid, laplace_operator(), ExpForm(-1.0, c), Alpha1Frame(c), h, init=init,
     )
     sv = s_variance(Psi)
     ok = slope_ok and r2_ok and func <= 1e-3 and rep.converged and sv <= 1e-6
@@ -204,7 +201,7 @@ def test_criterion_05_power_pipeline():
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
         sgrid, general_frame_operator(alpha), PowerForm(-2.0, 3.0),
-        GeneralFrame(alpha), h, PeriodicInS(), init=init,
+        GeneralFrame(alpha), h, init=init,
     )
     sv = s_variance(Psi)
     ok = q_ok and coef_ok and func <= 1e-3 and rep.converged and sv <= 1e-6

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sectorflow import (
-    DirichletBoth,
     ExpForm,
     GRecovery,
+    PowerForm,
     RawFrame,
     ScalarField,
     Thm1Relation,
@@ -23,7 +23,8 @@ from sectorflow import (
 )
 from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
-from sectorflow.elliptic import Tabulated
+from sectorflow.fields import write_field
+from sectorflow import elliptic
 from sectorflow.errors import (
     DegenerateField,
     InsufficientOverlap,
@@ -40,7 +41,7 @@ def test_no_convergence_carries_best_iterate_and_report():
     grid = _grid()
     with pytest.raises(NoConvergence) as info:
         solve_semilinear(grid, laplace_operator(), ExpForm(1.0, 1.0), RawFrame(),
-                         lambda th: th, DirichletBoth(), tol=0.0, max_iter=1)
+                         lambda th: th, tol=0.0, max_iter=1)
     rep = info.value.report
     assert rep.iterations == 1 and not rep.converged
     assert len(rep.residual_history) == 2 and rep.final_residual > 0.0
@@ -49,16 +50,18 @@ def test_no_convergence_carries_best_iterate_and_report():
     assert np.all(np.isfinite(info.value.field.vals))
 
 
-def test_singular_jacobian_when_g_prime_cancels_the_diagonal():
-    # g' equal to the 5-point centre coefficient zeroes the Jacobian's
-    # diagonal; the neighbour couplings left on 7 x 7 interior nodes have
-    # an exactly zero eigenvalue, so the LU meets a zero pivot
-    grid = _grid(8)
+def test_singular_jacobian_when_g_prime_cancels_the_diagonal(monkeypatch):
+    # on h = 1, g' of C|z| is C, the 5-point centre coefficient, so the
+    # Jacobian's diagonal is zero; with h_s = h_theta the neighbour
+    # couplings left on the 8 x 7 periodic unknowns have an exactly zero
+    # eigenvalue, and the LU fallback (GMRES forced to miss its cap) meets
+    # a zero pivot
+    grid = LogPolarGrid(0.0, math.log(2), 8, 8, math.log(2))
     centre = -2.0 / grid.h_s**2 - 2.0 / grid.h_theta**2
-    g = Tabulated(np.array([0.0, 1.0]), np.array([0.0, centre]))
+    monkeypatch.setattr(elliptic, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
     with pytest.raises(SingularJacobian):
-        solve_semilinear(grid, laplace_operator(), g, RawFrame(),
-                         lambda th: np.ones_like(th), DirichletBoth())
+        solve_semilinear(grid, laplace_operator(), PowerForm(centre, 1.0), RawFrame(),
+                         lambda th: np.ones_like(th))
 
 
 @pytest.mark.parametrize("zero_row", [None, 5])
@@ -85,11 +88,15 @@ def test_insufficient_overlap(z, relation):
 
 
 def test_pipeline_value_error_is_pipeline_failure(tmp_path):
-    cfg = tmp_path / "cor1.ini"
-    cfg.write_text("[scenario]\nname = cor1\ntag = Cor1\n[ode]\nc = 1\nstep = 0.5\n")
+    # an 8 x 8 field has 49 interior nodes, too few for g-recovery's bins
+    grid = _grid(8)
+    write_field(ScalarField(grid, np.tile(grid.theta_nodes, (9, 1))), tmp_path / "psi.csv")
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text("[scenario]\nname = verify\ntag = Verify\n[grid]\nn_s = 8\nn_theta = 8\n"
+                   f"[verify]\npsi_csv = {tmp_path / 'psi.csv'}\n")
     out = tmp_path / "out"
-    assert main(["ode", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["error"].startswith("PipelineFailure:")
-    assert "step must lie in (0, 0.1]" in report["error"]
+    assert "need at least 100 interior samples" in report["error"]
     assert report["passed"] is False

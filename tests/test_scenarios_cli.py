@@ -308,6 +308,7 @@ class TestSolveOnlyFlags:
 
 
 _SIN = "[family]\nkind = sin\nalpha = 2\np = -0.5\nc = pi/2\n"
+_THM1I = "tag = Thm1i\n[grid]\nn_s = 16\nn_theta = 16\n[solver]\n"
 
 
 class TestConfigMistakes:
@@ -333,6 +334,32 @@ class TestConfigMistakes:
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, sections, flags",
+        [
+            ("ode", "tag = Cor1\n[ode]\nc = nan\n", []),
+            ("ode", "tag = Cor1\n[ode]\nc = 1\np = inf\n", []),
+            ("solve", _THM1I + "tol = nan\n", []),
+            ("solve", _THM1I + "tol = -1\n", []),
+            ("solve", _THM1I + "perturbation = nan\n", []),
+            ("solve", _THM1I + "perturbation = inf\n", []),
+            ("solve", _THM1I + "b = nan\n", []),
+            ("solve", _THM1I, ["--tol", "nan"]),
+            ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
+            ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
+            *(("ode", f"tag = Cor1\n[ode]\nc = 1\nstep = {step}\n", [])
+              for step in ("0", "-1e-3", "nan", "10")),
+        ],
+        ids=["cor1-c-nan", "cor1-p-inf", "tol-nan", "tol-negative", "perturbation-nan",
+             "perturbation-inf", "b-nan", "cli-tol-nan", "slide-xi1-nan", "slide-tau-nan",
+             "step-0", "step-negative", "step-nan", "step-10"],
+    )
+    def test_non_finite_or_out_of_range_number_exits_2(self, cmd, sections, flags, tmp_path):
+        cfg = _write(tmp_path, "bad.ini", "[scenario]\nname = bad\n" + sections)
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_slide_below_8_cells_exits_2(self, n, tmp_path, capsys):
