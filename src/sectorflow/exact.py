@@ -459,9 +459,8 @@ def euler_residual_closed_form(
     the only error is floating-point cancellation.  Each residual is
     normalized by the largest term magnitude entering it.
     """
-    S, TH = grid.mesh()
     a = sol.alpha
-    r = np.exp(S)
+    r, TH = grid.r_nodes[:, None], grid.theta_nodes[None, :]  # broadcast to the mesh
     f, v = sol.f(TH), sol.v(TH)
     fp, vp = sol.f_prime(TH), sol.v_prime(TH)
     ra = r**-a

@@ -196,17 +196,15 @@ def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
 
 def sample_stream(sol: HomogeneousSolution, grid: LogPolarGrid) -> ScalarField:
     """Closed-form stream function sampled at the grid nodes."""
-    S, TH = grid.mesh()
-    return ScalarField(grid, np.asarray(sol.stream(np.exp(S), TH), dtype=float))
+    return ScalarField(grid, sol.stream(grid.r_nodes[:, None], grid.theta_nodes[None, :]))
 
 
 def sample_velocity(
     sol: HomogeneousSolution, grid: LogPolarGrid
 ) -> tuple[VectorField, ScalarField]:
     """Closed-form (velocity, pressure) sampled at the grid nodes."""
-    S, TH = grid.mesh()
-    ur, ut, P = sol.velocity_pressure(np.exp(S), TH)
-    return VectorField(grid, ur, ut), ScalarField(grid, P)
+    ur, ut, P = sol.velocity_pressure(grid.r_nodes[:, None], grid.theta_nodes[None, :])
+    return VectorField(grid, ur, ut), ScalarField(grid, np.broadcast_to(P, grid.shape).copy())
 
 
 def field_to_csv(field: ScalarField) -> str:
@@ -252,7 +250,7 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
                         + ("a NaN value" if np.isnan(v[k]) else "an infinite value"))
     node = (i * grid.shape[1] + j).astype(int)
     vals = np.full(grid.shape, np.nan)
-    if np.unique(node).size < node.size:
+    if np.bincount(node, minlength=vals.size).max() > 1:
         raise GridError("more than one CSV row for a grid node")
     if node.size < vals.size:
         raise GridError(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")

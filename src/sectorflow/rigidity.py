@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _RANK_WARNING = getattr(getattr(np, "exceptions", np), "RankWarning", UserWarning)
-from scipy.interpolate import RegularGridInterpolator
 
 from .domain import repr_csv
 from .errors import (
@@ -54,13 +53,12 @@ def homogeneity_fit(u: VectorField) -> dict:
     if rays.size == 0:
         raise DegenerateField("no ray stays bounded away from zero")
     s = g.s_nodes
-    slopes = []
-    fit_resid = 0.0
-    for j in rays:
-        y = np.log(M[:, j])
-        coef = np.polyfit(s, y, 1)
-        slopes.append(coef[0])
-        fit_resid = max(fit_resid, float(np.max(np.abs(y - np.polyval(coef, s)))))
+    # one least-squares line per ray, all rays at once: slope = sum d*Yc / sum d^2
+    d = (s - np.mean(s))[:, None]
+    Yc = np.log(M[:, rays])
+    Yc -= np.mean(Yc, axis=0)
+    slopes = np.sum(d * Yc, axis=0) / np.sum(d * d)
+    fit_resid = float(np.max(np.abs(Yc - slopes * d)))
     alpha_hat = -float(np.mean(slopes))
     W = np.exp(alpha_hat * s)[:, None] * u.ur_vals[:, rays]
     cross = float(np.max(W.max(axis=0) - W.min(axis=0))) / peak
@@ -265,58 +263,61 @@ def jacobian_check(lap: ScalarField, psi: ScalarField) -> float:
     Ls, Lt = grads(L)
     mask = np.isfinite(Ls) & np.isfinite(Lt)
     det = Ls * Pt - Lt * Ps
-    norm = np.hypot(Ls, Lt) * np.hypot(Ps, Pt)
-    scaleP = np.max(np.hypot(Ps, Pt)[np.isfinite(Ps)]) if np.any(np.isfinite(Ps)) else 0.0
-    scaleL = np.max(np.hypot(Ls, Lt)[mask]) if np.any(mask) else 0.0
+    gradP, gradL = np.hypot(Ps, Pt), np.hypot(Ls, Lt)
+    scaleP = np.max(gradP[np.isfinite(Ps)]) if np.any(np.isfinite(Ps)) else 0.0
+    scaleL = np.max(gradL[mask]) if np.any(mask) else 0.0
     floor = 1e-12 * (scaleP * scaleL + 1e-300)
-    vals = np.abs(det[mask]) / (norm[mask] + floor)
+    vals = np.abs(det[mask]) / ((gradL * gradP)[mask] + floor)
     return float(np.max(vals)) if vals.size else 0.0
 
 
 def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
     """Minimum of w^tau = Psi(. + tau xi) - Psi over the overlap rectangle.
 
-    The shifted field is evaluated by bilinear interpolation; the overlap
-    in (s, theta) shrinks with tau and EmptyOverlap is raised when the
-    theta-shift reaches the opening angle (or the s-shift the s-extent).
-    An empty ``tau_list`` raises ParameterDomain.
-    """
+    The shifted field is the bilinear interpolant of the grid nodes.  A
+    shift must point into the rectangle, xi1 >= 0, xi2 > 0 and tau >= 0
+    (tau = 0 gives w = 0); ParameterDomain is raised otherwise and for an
+    empty ``tau_list``.  The overlap shrinks with tau, and EmptyOverlap is
+    raised when the theta-shift reaches the opening angle (or the s-shift
+    the s-extent)."""
     g = Psi.grid
     xi1, xi2 = float(xi[0]), float(xi[1])
-    if xi2 <= 0:
-        raise ValueError("xi must have positive theta-component")
-    interp = RegularGridInterpolator(
-        (g.s_nodes, g.theta_nodes), Psi.vals, method="linear", bounds_error=True
-    )
+    taus = [float(tau) for tau in tau_list]
+    if not (taus and xi1 >= 0.0 and xi2 > 0.0 and all(tau >= 0.0 for tau in taus)):
+        raise ParameterDomain(f"the sliding check needs at least one tau, each tau >= 0, "
+                              f"xi1 >= 0 and xi2 > 0; got xi = ({xi1!r}, {xi2!r}), tau {taus!r}")
     per_tau = []
-    best = None
-    for tau in tau_list:
-        tau = float(tau)
+    for tau in taus:
         ds, dt = tau * xi1, tau * xi2
         if dt >= g.theta0 - 1e-15 or ds >= (g.s_max - g.s_min) - 1e-15:
-            raise EmptyOverlap(
-                f"shift ({ds:.3g}, {dt:.3g}) leaves no overlap with the rectangle"
-            )
+            raise EmptyOverlap(f"shift ({ds:.3g}, {dt:.3g}) leaves no overlap with the rectangle")
         si = g.s_nodes[g.s_nodes + ds <= g.s_max + 1e-12]
         tj = g.theta_nodes[g.theta_nodes + dt <= g.theta0 + 1e-12]
-        S, T = np.meshgrid(si, tj, indexing="ij")
-        pts = np.stack(
-            [np.minimum(S + ds, g.s_max), np.minimum(T + dt, g.theta0)], axis=-1
-        )
-        w = interp(pts) - Psi.vals[: len(si), : len(tj)]
+        i, y0 = _cells(g.s_nodes, np.minimum(si + ds, g.s_max))
+        j, y1 = _cells(g.theta_nodes, np.minimum(tj + dt, g.theta0))
+        lo, hi, y0 = Psi.vals[_run(i)], Psi.vals[_run(i + 1)], y0[:, None]
+        j0, j1 = _run(j), _run(j + 1)
+        # corner order and products of scipy's evaluate_linear_2d
+        shifted = (lo[:, j0] * (1 - y0) * (1 - y1) + lo[:, j1] * (1 - y0) * y1
+                   + hi[:, j0] * y0 * (1 - y1) + hi[:, j1] * y0 * y1)
+        w = shifted - Psi.vals[: len(si), : len(tj)]
         k = np.unravel_index(np.argmin(w), w.shape)
-        entry = {
-            "tau": tau,
-            "min_w": float(w[k]),
-            "location": {"s": float(si[k[0]]), "theta": float(tj[k[1]])},
-        }
-        per_tau.append(entry)
-        if best is None or entry["min_w"] < best["min_w"]:
-            best = dict(entry)
-    if best is None:
-        raise ParameterDomain("sliding check needs at least one translation tau")
+        per_tau.append({"tau": tau, "min_w": float(w[k]),
+                        "location": {"s": float(si[k[0]]), "theta": float(tj[k[1]])}})
+    best = min(per_tau, key=lambda entry: entry["min_w"])
     return {"min_w": best["min_w"], "location": best["location"],
             "tau": best["tau"], "per_tau": per_tau}
+
+
+def _cells(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index and offset in cells of ``x`` >= nodes[0], by scipy's find_indices."""
+    i = np.minimum(np.searchsorted(nodes, x, side="right") - 1, nodes.size - 2)
+    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+
+def _run(i: np.ndarray) -> slice | np.ndarray:
+    """Consecutive indices as a slice, so indexing takes a view, not a copy."""
+    return slice(i[0], i[-1] + 1) if np.all(np.diff(i) == 1) else i
 
 
 def s_variance(Psi: ScalarField) -> float:

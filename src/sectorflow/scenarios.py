@@ -26,8 +26,8 @@ import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
 from .domain import LogPolarGrid, build_grid, make_sector
-from .errors import (ConfigError, GridError, InvalidRadii, NoConvergence, PipelineFailure,
-                     SectorflowError)
+from .errors import (ConfigError, GridError, InvalidRadii, NoConvergence, ParameterDomain,
+                     PipelineFailure, SectorflowError)
 from .exact import FamilyKind
 
 _EXPR_NAMES = {"pi": math.pi, "e": math.e, "inf": math.inf}
@@ -480,9 +480,10 @@ def _run_slide(scn, grid, out):
     Psi = fields.ScalarField(g, vals)
     xi = (_finite(scn.slide.get("xi1", 1.0)), _finite(scn.slide.get("xi2", 1.0)))
     taus = [_finite(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
-    if not taus:
-        raise ConfigError("[slide] taus lists no translation")
-    rep = rigidity.sliding_check(Psi, xi, taus)
+    try:
+        rep = rigidity.sliding_check(Psi, xi, taus)
+    except ParameterDomain as exc:  # no tau, or a shift that leaves the rectangle
+        raise ConfigError(f"[slide] {exc}")
     checks = [_check("min_w_nonnegative", 0 if rep["min_w"] >= 0 else 1, 0)]
     if profile == "sec" and any(abs(t - 0.1) < 1e-12 for t in taus):
         spot = [e for e in rep["per_tau"] if abs(e["tau"] - 0.1) < 1e-12][0]

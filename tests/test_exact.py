@@ -9,6 +9,8 @@ from sectorflow import (
     construct_exact,
     euler_residual_closed_form,
     profile_residual,
+    sample_stream,
+    sample_velocity,
 )
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import OutOfValidity, ParameterDomain, SingularityInRange
@@ -23,6 +25,15 @@ ATLAS = [
     (FamilyKind.SIN, {"alpha": 2.0, "p": -0.5, "C": math.pi / 2}, 1.0),
     (FamilyKind.PURE_ROTATION, {"alpha": 2.0, "c": 3.0}, 1.0),
 ]
+
+#: ATLAS plus members whose alpha is no power of 2, so -alpha * x rounds
+MESH_ORACLE = ATLAS + [
+    (FamilyKind.COS_POWER, {"alpha": 0.37, "C1": 1.3, "C2": 0.1}, 1.0),
+    (FamilyKind.SIN, {"alpha": -0.4, "p": -0.7, "C": 0.3}, 2.0),
+    (FamilyKind.PURE_ROTATION, {"alpha": 1.7, "c": 3.0}, 1.0),
+]
+MESH_IDS = [k.value for k, _, _ in ATLAS] + ["cos_power-alpha-0.37", "sin-alpha--0.4",
+                                             "pure_rotation-alpha-1.7"]
 
 
 class TestConstruction:
@@ -168,6 +179,12 @@ class TestEulerResidual:
         mom_r, mom_t, div = euler_residual_closed_form(sol, grid)
         assert max(mom_r, mom_t, div) < 1e-9
 
+    @pytest.mark.parametrize("kind,params,theta0", MESH_ORACLE, ids=MESH_IDS)
+    def test_equals_the_full_mesh_evaluation(self, kind, params, theta0):
+        sol = construct_exact(kind, params, theta0)
+        grid = LogPolarGrid(-1.3, 0.7, 77, 64, theta0)
+        assert euler_residual_closed_form(sol, grid) == _euler_on_mesh(sol, grid)
+
     def test_stream_consistency(self):
         # numerical theta-derivative of psi reproduces -r*u_r
         sol = construct_exact(FamilyKind.TANH, {"v": 1.0, "p": -1.0, "C": 1.0}, 1.0)
@@ -177,6 +194,50 @@ class TestEulerResidual:
         dpsi = np.gradient(psi, t, edge_order=2)
         ur, _, _ = sol.velocity_pressure(r, t)
         np.testing.assert_allclose(-dpsi / r, ur, atol=5e-6)
+
+
+def _euler_on_mesh(sol, grid):
+    """euler_residual_closed_form with every factor evaluated on the full mesh."""
+    S, TH = grid.mesh()
+    a = sol.alpha
+    r = np.exp(S)
+    f, v = sol.f(TH), sol.v(TH)
+    fp, vp = sol.f_prime(TH), sol.v_prime(TH)
+    ra = r**-a
+    ur, ut = f * ra, v * ra
+    t1 = ur * (-a * f * ra / r)
+    t2 = (ut / r) * (fp * ra)
+    t3 = -(ut**2) / r
+    t4 = -2.0 * a * sol.p * r ** (-2 * a - 1)
+    scale_r = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)) + 1e-300
+    s1 = ur * (-a * v * ra / r)
+    s2 = (ut / r) * (vp * ra)
+    s3 = ut * ur / r
+    scale_t = np.max(np.abs(s1) + np.abs(s2) + np.abs(s3)) + 1e-300
+    d1 = (1.0 - a) * f * ra
+    d2 = vp * ra
+    scale_d = np.max(np.abs(d1) + np.abs(d2) + np.abs(ur) + np.abs(ut)) + 1e-300
+    return (
+        float(np.max(np.abs(t1 + t2 + t3 + t4)) / scale_r),
+        float(np.max(np.abs(s1 + s2 + s3)) / scale_t),
+        float(np.max(np.abs(d1 + d2)) / scale_d),
+    )
+
+
+class TestSampling:
+    @pytest.mark.parametrize("kind,params,theta0", MESH_ORACLE, ids=MESH_IDS)
+    def test_equals_the_full_mesh_evaluation(self, kind, params, theta0):
+        sol = construct_exact(kind, params, theta0)
+        grid = LogPolarGrid(-1.3, 0.7, 77, 64, theta0)
+        S, TH = grid.mesh()
+        psi = sample_stream(sol, grid)
+        u, P = sample_velocity(sol, grid)
+        np.testing.assert_array_equal(psi.vals, sol.stream(np.exp(S), TH))
+        for got, want in zip((u.ur_vals, u.utheta_vals, P.vals),
+                             sol.velocity_pressure(np.exp(S), TH)):
+            np.testing.assert_array_equal(got, want)
+        for a in (psi.vals, u.ur_vals, u.utheta_vals, P.vals):
+            assert a.shape == grid.shape and a.flags.c_contiguous and a.flags.writeable
 
 
 class TestCsvExport:

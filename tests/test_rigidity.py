@@ -30,6 +30,23 @@ def _grid(n=64, theta0=1.0, s_max=math.log(2)):
     return LogPolarGrid(0.0, s_max, n, n, theta0)
 
 
+_POLYFIT_GRID = LogPolarGrid(-0.5, 1.5, 96, 80, 1.0)
+
+
+def _polyfit_homogeneity(u):
+    """(alpha_hat, deviation, rays fitted) of homogeneity_fit, by one np.polyfit per ray."""
+    M = u.magnitude()
+    rays = np.where(np.min(M, axis=0) > 1e-13 * np.max(M))[0]
+    s = u.grid.s_nodes
+    coefs = [np.polyfit(s, np.log(M[:, j]), 1) for j in rays]
+    alpha_hat = -float(np.mean([c[0] for c in coefs]))
+    resid = max(float(np.max(np.abs(np.log(M[:, j]) - np.polyval(c, s))))
+                for j, c in zip(rays, coefs))
+    W = np.exp(alpha_hat * s)[:, None] * u.ur_vals[:, rays]
+    cross = float(np.max(W.max(axis=0) - W.min(axis=0))) / float(np.max(M))
+    return alpha_hat, resid + cross, rays.size
+
+
 class TestHomogeneityFit:
     def test_pure_rotation_exact(self):
         sol = construct_exact(FamilyKind.PURE_ROTATION, {"alpha": 2.0, "c": 3.0}, 1.0)
@@ -50,6 +67,29 @@ class TestHomogeneityFit:
         ur = np.exp(-S) + 0.1 * np.exp(-2 * S)
         fit = homogeneity_fit(VectorField(grid, ur, np.zeros(grid.shape)))
         assert fit["deviation"] > 0.01
+
+    @pytest.mark.parametrize("kind, params", [
+        (FamilyKind.SIN, {"alpha": 2.0, "p": -0.5, "C": 0.7}),
+        (FamilyKind.COS_POWER, {"alpha": 0.37, "C1": 1.3, "C2": 0.1}),
+    ], ids=["sin", "cos_power"])
+    def test_matches_a_polyfit_per_ray(self, kind, params):
+        u, _ = sample_velocity(construct_exact(kind, params, 1.0), _POLYFIT_GRID)
+        fit = homogeneity_fit(u)
+        alpha_hat, deviation, _ = _polyfit_homogeneity(u)
+        assert fit["alpha_hat"] == pytest.approx(alpha_hat, rel=0, abs=1e-13)
+        assert fit["deviation"] == pytest.approx(deviation, rel=0, abs=1e-13)
+
+    def test_matches_a_polyfit_per_ray_with_a_skipped_ray(self):
+        """The theta = 0 ray vanishes and is skipped; the degree varies by ray."""
+        S, TH = _POLYFIT_GRID.mesh()
+        noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(S.shape)
+        u = VectorField(_POLYFIT_GRID, np.sin(TH) * np.exp(-(2.0 + TH) * S) * noise,
+                        0.2 * np.sin(TH) * np.exp(-1.5 * S))
+        fit = homogeneity_fit(u)
+        alpha_hat, deviation, n_rays = _polyfit_homogeneity(u)
+        assert n_rays == _POLYFIT_GRID.n_theta
+        assert fit["alpha_hat"] == pytest.approx(alpha_hat, rel=0, abs=1e-13)
+        assert fit["deviation"] == pytest.approx(deviation, rel=0, abs=1e-13)
 
 
 class TestRecoverG:
@@ -165,6 +205,80 @@ class TestSliding:
         _, TH = grid.mesh()
         with pytest.raises(ParameterDomain):
             sliding_check(ScalarField(grid, TH.copy()), (1.0, 1.0), [])
+
+    @pytest.mark.parametrize("xi, tau", [((-1.0, 1.0), 0.1), ((1.0, -1.0), 0.1),
+                                         ((1.0, 0.0), 0.1), ((1.0, 1.0), -0.1),
+                                         ((0.0, 1.0), -0.1), ((-1.0, 1.0), 0.0)],
+                             ids=["xi1-negative", "xi2-negative", "xi2-zero", "tau-negative",
+                                  "tau-negative-theta-only", "xi1-negative-at-tau-0"])
+    def test_shift_leaving_the_rectangle_raises(self, xi, tau):
+        """A shift out of the rectangle raises instead of extrapolating."""
+        grid = _grid()
+        _, TH = grid.mesh()
+        with pytest.raises(ParameterDomain):
+            sliding_check(ScalarField(grid, TH.copy()), xi, [tau])
+
+    def test_zero_translation_gives_zero(self):
+        grid = _grid()
+        _, TH = grid.mesh()
+        out = sliding_check(ScalarField(grid, np.cos(3 * TH)), (0.3, 0.7), [0.0])
+        assert out["min_w"] == 0.0
+
+    def test_shift_onto_an_edge_just_past_the_last_node(self):
+        """At n = 49, theta0 = 1 lies an ulp past the last theta-node; a
+        node-aligned shift caps there and reads the edge value."""
+        grid = LogPolarGrid(0.0, 1.0, 49, 49, 1.0)
+        assert grid.theta_nodes[-1] < grid.theta0
+        _, TH = grid.mesh()
+        out = sliding_check(ScalarField(grid, TH.copy()), (0.0, 1.0), [37 / 49])
+        assert out["min_w"] == pytest.approx(37 / 49, abs=1e-12)
+
+
+def _interpolator_sliding(Psi, xi, taus):
+    """The per-tau entries of sliding_check, through scipy's interpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    g = Psi.grid
+    interp = RegularGridInterpolator(
+        (g.s_nodes, g.theta_nodes), Psi.vals, method="linear", bounds_error=True
+    )
+    per_tau = []
+    for tau in taus:
+        ds, dt = tau * xi[0], tau * xi[1]
+        si = g.s_nodes[g.s_nodes + ds <= g.s_max + 1e-12]
+        tj = g.theta_nodes[g.theta_nodes + dt <= g.theta0 + 1e-12]
+        S, T = np.meshgrid(si, tj, indexing="ij")
+        pts = np.stack([np.minimum(S + ds, g.s_max), np.minimum(T + dt, g.theta0)], axis=-1)
+        w = interp(pts) - Psi.vals[: len(si), : len(tj)]
+        k = np.unravel_index(np.argmin(w), w.shape)
+        per_tau.append({"tau": tau, "min_w": float(w[k]),
+                        "location": {"s": float(si[k[0]]), "theta": float(tj[k[1]])}})
+    return per_tau
+
+
+class TestSlidingOracle:
+    """sliding_check equals scipy's bilinear RegularGridInterpolator bit for bit."""
+
+    TAUS = [0.0, 0.02, 0.05, 0.1, 0.1234567, 0.3, 0.45]
+
+    @pytest.mark.parametrize("n", [16, 33, 100, 256])
+    @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.3, 0.7), (0.0, 0.25), (2.0, 0.1)], ids=str)
+    def test_random_field(self, n, xi):
+        grid = LogPolarGrid(-0.4, 1.1, n, n + 5, 1.3)
+        vals = np.random.default_rng(n).standard_normal(grid.shape)
+        Psi = ScalarField(grid, vals)
+        assert sliding_check(Psi, xi, self.TAUS)["per_tau"] == _interpolator_sliding(
+            Psi, xi, self.TAUS)
+
+    @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.0, 1.0)], ids=str)
+    def test_node_aligned_sec_spot(self, xi):
+        grid = LogPolarGrid(0.0, math.log(2), 500, 500, 1.0)
+        _, TH = grid.mesh()
+        Psi = ScalarField(grid, 1.0 / np.cos(TH))
+        taus = [0.02, 0.1, 0.45]
+        out = sliding_check(Psi, xi, taus)
+        assert out["per_tau"] == _interpolator_sliding(Psi, xi, taus)
+        assert out["per_tau"][1]["min_w"] == pytest.approx(1.0 / math.cos(0.1) - 1.0, abs=1e-15)
 
 
 class TestSVariance:

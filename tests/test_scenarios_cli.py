@@ -276,6 +276,13 @@ class TestNothingToRun:
         assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    def test_slide_zero_translation_runs(self, tmp_path):
+        text = "[scenario]\nname = slide\ntag = Slide\n[slide]\nn = 16\ntaus = 0\n"
+        cfg = _write(tmp_path, "slide.ini", text)
+        out = tmp_path / "out"
+        assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["sliding"]["min_w"] == 0.0
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_cor1_without_members_is_config_error(self, count, tmp_path):
         text = f"[scenario]\nname = cor1\ntag = Cor1\n[ode]\nc = 1\np = 0.5\nf0_count = {count}\n"
@@ -348,11 +355,16 @@ class TestConfigMistakes:
             ("solve", _THM1I, ["--tol", "nan"]),
             ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
             ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
+            ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = -1\n", []),
+            ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = -1\n", []),
+            ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = 0\n", []),
+            ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = -0.1\n", []),
             *(("ode", f"tag = Cor1\n[ode]\nc = 1\nstep = {step}\n", [])
               for step in ("0", "-1e-3", "nan", "10")),
         ],
         ids=["cor1-c-nan", "cor1-p-inf", "tol-nan", "tol-negative", "perturbation-nan",
              "perturbation-inf", "b-nan", "cli-tol-nan", "slide-xi1-nan", "slide-tau-nan",
+             "slide-xi1-negative", "slide-xi2-negative", "slide-xi2-zero", "slide-tau-negative",
              "step-0", "step-negative", "step-nan", "step-10"],
     )
     def test_non_finite_or_out_of_range_number_exits_2(self, cmd, sections, flags, tmp_path):
