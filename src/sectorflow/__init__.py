@@ -41,7 +41,6 @@ from .fields import (
     laplacian_polar,
     sample_stream,
     sample_velocity,
-    stream_from_velocity,
     velocity_from_stream,
 )
 from .elliptic import (

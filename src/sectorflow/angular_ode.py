@@ -5,9 +5,9 @@ the radial profile f solves the Riccati equation c f' = f^2 + c^2 + 2p.
 For alpha != 1 the pair (v, f) solves v' = (alpha - 1) f,
 f' = (alpha f^2 + v^2 + 2 alpha p) / v, which is singular at v = 0.
 Every integration is one vectorised RK4 march over an array of members
-(a shoot over many f(0), or a batch of one).  Each member stops on its
-own: tan-type branches blow up in finite angle and halt with a flag and a
-pole estimate, swirl that reaches the v = 0 floor halts with a flag.
+(a shoot over many f(0), or a batch of one), each marched to the end and
+cut afterwards: tan-type branches blow up in finite angle and are cut with
+a flag and a pole estimate, swirl that reaches the v = 0 floor with a flag.
 """
 
 from __future__ import annotations
@@ -63,44 +63,37 @@ def _pole_estimate(ts, f):
     return ts[-1] - g_last * (ts[-1] - ts[-2]) / (g_last - g_prev)
 
 
-def _march(alpha, p, rhs, y0, theta_span, cfg, v_floor=0.0) -> list[OdeResult]:
-    """March RK4 over every member (row (v, f) of ``y0``) at once; the step
-    count is rounded so the last node lands on theta_span[1].  A member stops
-    at its first state that is non-finite, has |f| > MAX_F or |v| < v_floor,
-    and is held at its last accepted state from then on; one stopped at the
-    first step keeps that held state as its second node."""
+def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResult]:
+    """March RK4 over every member (row of ``y0``) to theta_span[1], whose
+    node the rounded step count lands on.  Members are independent, so each
+    is cut after the march at its first state with an |entry| outside
+    [lo, hi] (NaN fails both): below ``lo`` is a swirl-floor hit, else a
+    blow-up; one cut at the first step keeps y0 as its second node.
+    ``profile(nodes, rows)`` builds a member's AngularProfile."""
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     if not t1 > t0:
         raise ValueError("theta_span must be increasing")
     n = max(1, round((t1 - t0) / cfg.step))
     h = (t1 - t0) / n
-    path = np.empty((n + 1, len(y0), 2))
+    path = np.empty((n + 1, *np.shape(y0)))
     path[0] = y0
-    # an accepted (|v|, |f|) lies in [lo, hi]: inf exceeds hi, NaN fails both
-    lo, hi = np.array([v_floor, 0.0]), np.array([np.finfo(float).max, MAX_F])
-    last, floor, held = np.full(len(y0), n), np.zeros(len(y0), dtype=bool), None
-    for i in range(n):
-        y, y_next = path[i], path[i + 1]
-        k1 = rhs(y)
-        k2 = rhs(y + h / 2 * k1)
-        k3 = rhs(y + h / 2 * k2)
-        k4 = rhs(y + h * k3)
-        y_next[:] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if held is not None:
-            np.copyto(y_next, y, where=held)
-        a = np.abs(y_next)
-        inside = (lo <= a) & (a <= hi)
-        if not inside.all():
-            stop = ~inside.all(axis=1) & (last == n)  # first stops only; y0 is unchecked
-            last[stop] = i
-            floor |= stop & (a[:, 0] < v_floor)
-            y_next[stop] = y[stop]
-            held = (last < n)[:, None]
+    with np.errstate(all="ignore"):  # a member past its cut may overflow
+        for i in range(n):
+            y = path[i]
+            k1 = rhs(y)
+            k2 = rhs(y + h / 2 * k1)
+            k3 = rhs(y + h / 2 * k2)
+            k4 = rhs(y + h * k3)
+            np.add(y, (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=path[i + 1])
+    a = np.abs(path[1:])
+    bad = ~((lo <= a) & (a <= hi)).all(axis=2)
+    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
+    floor = (cut < n) & (a[np.minimum(cut, n - 1), np.arange(len(cut))] < lo).any(axis=1)
+    path[1, cut == 0] = path[0, cut == 0]
     nodes = t0 + np.arange(n + 1) * h
     results = []
-    for m, k in enumerate(last):
-        end = max(k, 1) + 1
-        prof = AngularProfile(alpha, p, nodes[:end], *path[:end, m].T)
+    for m, k in enumerate(cut.tolist()):
+        prof = profile(nodes[:max(k, 1) + 1], path[:max(k, 1) + 1, m])
         if k == n:
             results.append(OdeResult(prof))
         elif floor[m]:
@@ -116,6 +109,7 @@ def shoot_alpha1(
 ) -> list[OdeResult]:
     """Integrate the Riccati profile c f' = f^2 + c^2 + 2p from every f(0)
     in ``f0_grid`` in one march, each member once; one result per f(0).
+    The march carries f alone: the swirl v = c is constant.
 
     Raises ZeroSwirl for c = 0 (the equation degenerates to algebra).  A
     member that blows up carries its partial profile and a pole estimate.
@@ -123,13 +117,9 @@ def shoot_alpha1(
     if c == 0.0:
         raise ZeroSwirl("alpha=1 profile equation needs c != 0")
     const = c * c + 2.0 * p
-    only_f = np.array([0.0, 1.0])
-
-    def rhs(y):  # the Riccati map on both columns, zeroed on v
-        return (y * y + const) / c * only_f
-
-    f0 = np.asarray(f0_grid, dtype=float)
-    return _march(1.0, p, rhs, np.column_stack([np.full_like(f0, c), f0]), theta_span, cfg)
+    f0 = np.asarray(f0_grid, dtype=float)[:, None]
+    return _march(lambda t, f: AngularProfile(1.0, p, t, np.full(len(t), float(c)), f[:, 0]),
+                  lambda f: (f * f + const) / c, f0, theta_span, cfg)
 
 
 def integrate_alpha1(
@@ -162,7 +152,9 @@ def integrate_general(
         return np.column_stack([(alpha - 1.0) * f,
                                 (alpha * f * f + v * v + 2.0 * alpha * p) / v])
 
-    return _march(alpha, p, rhs, [[v0, f0]], theta_span, cfg, v_floor)[0]
+    # the largest float bounds |v|, so an infinite swirl is a blow-up
+    return _march(lambda t, y: AngularProfile(alpha, p, t, *y.T), rhs, [[v0, f0]], theta_span,
+                  cfg, lo=(v_floor, 0.0), hi=(np.finfo(float).max, MAX_F))[0]
 
 
 PERIODIC_TOL = 1e-9

@@ -17,6 +17,10 @@ class GridError(SectorflowError):
     """Grid construction parameters inconsistent with the domain."""
 
 
+class GridMismatch(GridError):
+    """A field export was written on another grid than it is read onto."""
+
+
 class ParameterDomain(SectorflowError):
     """Family parameters violate the constraints of the chosen branch."""
 
@@ -43,15 +47,6 @@ class SingularSwirl(SectorflowError):
     def __init__(self, message, theta=None):
         super().__init__(message)
         self.theta = theta
-
-
-class NotDivergenceFree(SectorflowError):
-    """Velocity samples fail the discrete continuity check."""
-
-    def __init__(self, message, defect=None, node=None):
-        super().__init__(message)
-        self.defect = defect
-        self.node = node
 
 
 class NoConvergence(SectorflowError):

@@ -17,12 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import LogPolarGrid, cumulative_trapezoid
-from .errors import GridError, NotDivergenceFree
+from .domain import LogPolarGrid
+from .errors import GridError, GridMismatch
 from .exact import HomogeneousSolution
-
-#: default ceiling for the relative discrete-divergence precheck
-DIVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,33 +115,6 @@ def divergence_defect(u: VectorField) -> np.ndarray:
     )
 
 
-def stream_from_velocity(u: VectorField, tol: float = DIVERGENCE_TOL) -> ScalarField:
-    """Reconstruct psi by trapezoid line integration, psi(s_min, 0) = 0.
-
-    Integrates u_theta dr along theta = 0 first, then -r u_r dtheta along
-    rays.  The relative divergence defect must be below ``tol``, else
-    NotDivergenceFree is raised with the worst node attached.
-    """
-    g = u.grid
-    div = divergence_defect(u)
-    scale = float(np.max(u.magnitude())) + 1e-300
-    worst = np.unravel_index(np.nanargmax(np.abs(div)), div.shape)
-    if abs(div[worst]) / scale > tol:
-        raise NotDivergenceFree(
-            f"relative divergence defect {abs(div[worst]) / scale:.3e} "
-            f"exceeds {tol:.1e}",
-            defect=float(abs(div[worst]) / scale),
-            node=tuple(int(k) for k in worst),
-        )
-    r = g.r_nodes
-    # psi along theta = 0: integral of u_theta dr = u_theta e^s ds
-    base = cumulative_trapezoid(u.utheta_vals[:, 0] * r, g.h_s)
-    # along each ray: psi_theta = -r u_r
-    ray = cumulative_trapezoid(u.ur_vals, g.h_theta, axis=1)
-    vals = base[:, None] - r[:, None] * ray
-    return ScalarField(g, vals)
-
-
 def laplacian_polar(psi: ScalarField) -> ScalarField:
     """Delta psi = e^{-2s} (psi_ss + psi_thth), interior nodes only (NaN edges)."""
     g = psi.grid
@@ -222,8 +192,9 @@ _NODE_TOL = 1e-6
 def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     """Read the (s, theta, value) rows of :func:`field_to_csv` onto ``grid``.
     Raises GridError naming the line for a row that is not three numbers
-    (a ``#`` comment included), a row off the grid or a non-finite value,
-    and GridError for a node without exactly one row."""
+    (a ``#`` comment included) or a non-finite value, and for a node with
+    two rows; GridMismatch (another grid's export) naming the line for a
+    row off the grid, and for a node without a row."""
     n_rows = text.count("\n", 0, len(text) - text.endswith("\n"))  # lines after the header
     try:
         with warnings.catch_warnings():
@@ -242,8 +213,8 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
             & (i >= 0) & (i <= grid.n_s) & (j >= 0) & (j <= grid.n_theta))
     if off.any():
         k = int(np.argmax(off))
-        raise GridError(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
-                        "is not a node of the grid")
+        raise GridMismatch(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
+                           "is not a node of the grid")
     if not np.isfinite(v).all():
         k = int(np.argmax(~np.isfinite(v)))
         raise GridError(f"CSV line {k + 2} holds "
@@ -253,7 +224,7 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     if np.bincount(node, minlength=vals.size).max() > 1:
         raise GridError("more than one CSV row for a grid node")
     if node.size < vals.size:
-        raise GridError(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")
+        raise GridMismatch(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")
     vals.flat[node] = v
     return ScalarField(grid, vals)
 
@@ -294,13 +265,14 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
 def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
     """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
     whose JSON sidecar must describe ``grid``, or else CSV text.  Raises
-    GridError for another grid's dump or a non-finite value."""
+    GridMismatch for another grid's export and GridError for a non-finite
+    value."""
     path = Path(path)
     if path.suffix != ".npy":
         return field_from_csv(path.read_text(), grid)
     sidecar = path.with_suffix(".json")
     if sidecar.read_text() != grid.to_json():
-        raise GridError(f"{sidecar} describes another grid than {grid.to_json()}")
+        raise GridMismatch(f"{sidecar} describes another grid than {grid.to_json()}")
     vals = np.load(path)
     if not np.isfinite(vals).all():
         node = np.unravel_index(np.argmax(~np.isfinite(vals)), vals.shape)

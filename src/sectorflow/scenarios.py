@@ -26,8 +26,8 @@ import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
 from .domain import LogPolarGrid, build_grid, make_sector
-from .errors import (ConfigError, GridError, InvalidRadii, NoConvergence, ParameterDomain,
-                     PipelineFailure, SectorflowError)
+from .errors import (ConfigError, GridError, GridMismatch, InvalidRadii, NoConvergence,
+                     ParameterDomain, PipelineFailure, SectorflowError)
 from .exact import FamilyKind
 
 _EXPR_NAMES = {"pi": math.pi, "e": math.e, "inf": math.inf}
@@ -495,7 +495,7 @@ def _run_slide(scn, grid, out):
 def _run_verify(scn, grid, out):
     try:
         psi = fields.read_field(scn.verify["psi_csv"], grid)
-    except OSError as exc:
+    except (OSError, GridMismatch) as exc:  # a missing file or another grid's export
         raise ConfigError(f"cannot read psi_csv: {exc}")
     lap = fields.laplacian_polar(psi)
     rec = rigidity.recover_g(psi, lap)
@@ -553,9 +553,10 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
     """Execute the scenario pipeline; returns (exit_code, report).
 
     Exit codes: 0 all checks passed, 1 at least one check failed,
-    3 numerical failure inside a pipeline step (a failed solve keeps its
-    ``solve_report``).  The report is written as sorted-key JSON to
-    out_dir/report.json either way; a ConfigError propagates unwritten.
+    3 numerical failure or exhausted memory inside a pipeline step (a
+    failed solve keeps its ``solve_report``).  The report is written as
+    sorted-key JSON to out_dir/report.json either way; a ConfigError
+    propagates unwritten.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -566,8 +567,11 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
         checks, artifacts = TAGS[scn.tag].pipeline(scn, grid, out)
     except ConfigError:
         raise
-    except (SectorflowError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        if not isinstance(exc, SectorflowError):
+    except (SectorflowError, ValueError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's message names the size, not the error
+            exc = PipelineFailure(f"pipeline step ran out of memory: {exc}")
+        elif not isinstance(exc, SectorflowError):
             exc = PipelineFailure(f"pipeline step failed: {exc}")
         report["error"] = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, NoConvergence) and exc.report is not None:

@@ -156,8 +156,10 @@ def test_general_matches_cos_power(alpha, c1):
 # batched march replaced.  The march must reproduce them bit for bit.
 
 
-def _scalar_rk4_path(rhs, y0, t0, t1, step, stop):
-    """(t_nodes, accepted rows, rejected state or None)."""
+def _scalar_rk4_path(rhs, y0, t0, t1, step, stop=None):
+    """(t_nodes, accepted rows, rejected state or None, theta of the last
+    accepted node); a member cut at the first step keeps y0 as its second
+    node.  With ``stop=None`` nothing is rejected: the march runs to t1."""
     n = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n
     ts = [t0]
@@ -165,17 +167,22 @@ def _scalar_rk4_path(rhs, y0, t0, t1, step, stop):
     y = ys[0]
     for i in range(n):
         t = t0 + i * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y_next = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y_next)) or stop(y_next):
-            return np.array(ts), np.vstack(ys), y_next
+        with np.errstate(all="ignore"):  # a rejected state may overflow
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y_next = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if stop is not None and (not np.all(np.isfinite(y_next)) or stop(y_next)):
+            cut_theta = ts[-1]
+            if i == 0:
+                ts.append(t0 + h)
+                ys.append(y)
+            return np.array(ts), np.vstack(ys), y_next, cut_theta
         ts.append(t0 + (i + 1) * h)
         ys.append(y_next)
         y = y_next
-    return np.array(ts), np.vstack(ys), None
+    return np.array(ts), np.vstack(ys), None, None
 
 
 def _scalar_pole(ts, f):
@@ -187,10 +194,21 @@ def _scalar_pole(ts, f):
     return None
 
 
-def _scalar_alpha1(c, p, f0, span, cfg):
+def _alpha1_rhs(c, p):
     const = c * c + 2.0 * p
-    ts, ys, rejected = _scalar_rk4_path(
-        lambda t, y: np.array([(y[0] * y[0] + const) / c]), [f0], float(span[0]),
+    return lambda t, y: np.array([(y[0] * y[0] + const) / c])
+
+
+def _general_rhs(alpha, p):
+    def rhs(t, y):
+        v, f = y
+        return np.array([(alpha - 1.0) * f, (alpha * f * f + v * v + 2.0 * alpha * p) / v])
+    return rhs
+
+
+def _scalar_alpha1(c, p, f0, span, cfg):
+    ts, ys, rejected, _ = _scalar_rk4_path(
+        _alpha1_rhs(c, p), [f0], float(span[0]),
         float(span[1]), cfg.step, lambda y: abs(y[0]) > MAX_F,
     )
     f = ys[:, 0]
@@ -201,13 +219,8 @@ def _scalar_alpha1(c, p, f0, span, cfg):
 
 def _scalar_general(alpha, p, v0, f0, span, cfg):
     v_floor = 1e-8 * max(abs(v0), 1.0)
-
-    def rhs(t, y):
-        v, f = y
-        return np.array([(alpha - 1.0) * f, (alpha * f * f + v * v + 2.0 * alpha * p) / v])
-
-    ts, ys, rejected = _scalar_rk4_path(
-        rhs, [v0, f0], float(span[0]), float(span[1]), cfg.step,
+    ts, ys, rejected, cut_theta = _scalar_rk4_path(
+        _general_rhs(alpha, p), [v0, f0], float(span[0]), float(span[1]), cfg.step,
         lambda y: abs(y[0]) < v_floor or abs(y[1]) > MAX_F,
     )
     # the stop reason is read off the rejected state: a swirl-floor hit if
@@ -215,7 +228,7 @@ def _scalar_general(alpha, p, v0, f0, span, cfg):
     floor = rejected is not None and abs(rejected[0]) < v_floor
     blew = rejected is not None and not floor
     flags = (blew, _scalar_pole(ts, ys[:, 1]) if blew else None,
-             floor, float(ts[-1]) if floor else None)
+             floor, float(cut_theta) if floor else None)
     return ts, ys[:, 0], ys[:, 1], flags
 
 
@@ -289,12 +302,64 @@ def test_member_starting_above_max_f_blows_up_at_first_step(grid):
     it is a blow-up whose profile holds f(0) over that step, and the other
     members integrate as they would alone."""
     span = (0.0, 2 * math.pi)
-    *rest, big = shoot_alpha1(1.0, -1.0, grid, span)
+    results = shoot_alpha1(1.0, -1.0, grid, span)
+    big = results[-1]
     assert big.blew_up
     assert big.blowup_theta == big.profile.theta_nodes[1] == pytest.approx(1e-3, rel=1e-3)
     assert list(big.profile.f_vals) == [grid[-1]] * 2
-    for f0, res in zip(grid, rest):
+    for f0, res in zip(grid, results):
         _assert_bitwise(res, _scalar_alpha1(1.0, -1.0, f0, span, OdeConfig()))
+
+
+def _end_state(rhs, y0, span, step):
+    """Where a member lands when it is marched to the end of ``span``
+    without being cut, as the march does before it cuts."""
+    return _scalar_rk4_path(rhs, y0, *span, step)[1][-1]
+
+
+class TestMarchPastTheCut:
+    """Every member is marched to the end before it is cut, so a cut member
+    may overflow to +-inf or NaN afterwards.  Its result must still be the
+    oracle's bit for bit, and no overflow warning may escape (the test
+    configuration turns RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize(
+        "c, p, grid, lands_on",
+        [
+            (1.0, -1.0, [2.5e8, 20.0, 1.01], np.inf),  # above MAX_F at y0, early, late
+            (-1.5, 0.1, [-1.0, 0.0, 2.0], -np.inf),  # c < 0: f falls to -inf
+            # -inf + inf at the first stage: NaN at the first step, cut at step 0
+            (1.0, -1.0, [-np.inf], np.nan),
+        ],
+    )
+    def test_shoot_overflows_after_the_cut(self, c, p, grid, lands_on):
+        span, cfg = (0.0, 2 * math.pi), OdeConfig(step=5e-3)
+        results = shoot_alpha1(c, p, grid, span, cfg)
+        for f0, res in zip(grid, results):
+            end = _end_state(_alpha1_rhs(c, p), [f0], span, cfg.step)[0]
+            assert np.array_equal(end, lands_on, equal_nan=True)
+            assert res.blew_up
+            _assert_bitwise(res, _scalar_alpha1(c, p, f0, span, cfg))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, -0.5, math.sin(0.4), -math.cos(0.4), (0.0, 3.0)),  # through the swirl floor
+            (1.5, 0.2, -0.7, 0.3, (0.0, 3.0)),  # v < 0 blow-up: -inf, then inf / -inf
+        ],
+    )
+    def test_general_marched_to_nan_past_the_cut(self, args):
+        alpha, p, v0, f0, span = args
+        cfg = OdeConfig(step=1e-3)
+        assert np.isnan(_end_state(_general_rhs(alpha, p), [v0, f0], span, cfg.step)).all()
+        _assert_bitwise(integrate_general(*args, cfg), _scalar_general(*args, cfg))
+
+    def test_shoot_swirl_is_exactly_c(self):
+        grid = [-2.0, 0.5, 1.0, 20.0]
+        for res in shoot_alpha1(3, -5, grid, (0.0, 1.0)):
+            v = res.profile.v_vals
+            assert v.dtype == np.float64 and v.shape == res.profile.theta_nodes.shape
+            assert np.all(v == 3.0)
 
 
 def test_cor1_with_a_member_above_max_f_runs(tmp_path):

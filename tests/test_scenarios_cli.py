@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorflow import FamilyKind, construct_exact, field_to_csv, sample_stream
+from sectorflow import FamilyKind, ScalarField, construct_exact, field_to_csv, sample_stream
 from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import ConfigError
@@ -106,7 +106,6 @@ class TestCli:
         # a stream whose Laplacian is not a function of the stream value
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
         S, TH = grid.mesh()
-        from sectorflow import ScalarField
 
         bad = ScalarField(grid, np.sin(3 * S) * np.cos(2 * TH) + S * TH)
         (tmp_path / "stream.csv").write_text(field_to_csv(bad))
@@ -382,6 +381,40 @@ class TestConfigMistakes:
         assert not (out / "report.json").exists()
         assert "at least 8 cells" in capsys.readouterr().err
 
+    @staticmethod
+    def _verify(tmp_path, psi_path, capsys):
+        text = (CONFIGS / "verify.ini").read_text().replace(
+            "psi_csv = stream.csv", f"psi_csv = {psi_path}")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(_write(tmp_path, "verify.ini", text)),
+                     "--out", str(out)])
+        return code, out, capsys.readouterr()
+
+    def test_verify_csv_of_another_grid_exits_2(self, tmp_path, capsys):
+        other = LogPolarGrid(0.0, math.log(2), 32, 48, 1.0)  # verify.ini reads 64 x 64
+        sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
+        (tmp_path / "stream.csv").write_text(field_to_csv(sample_stream(sol, other)))
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.csv", capsys)
+        assert code == 2 and not (out / "report.json").exists()
+        assert "is not a node of the grid" in captured.err
+
+    def test_verify_npy_of_another_grid_exits_2(self, tmp_path, capsys):
+        other = LogPolarGrid(0.0, math.log(2), 64, 64, 0.5)
+        np.save(tmp_path / "stream.npy", np.ones(other.shape))
+        (tmp_path / "stream.json").write_text(other.to_json())
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
+        assert code == 2 and not (out / "report.json").exists()
+        assert "describes another grid" in captured.err
+
+    def test_verify_nan_value_stays_a_numerical_failure(self, tmp_path, capsys):
+        grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
+        vals = np.ones(grid.shape)
+        vals[5, 9] = np.nan
+        (tmp_path / "stream.csv").write_text(field_to_csv(ScalarField(grid, vals)))
+        code, out, _ = self._verify(tmp_path, tmp_path / "stream.csv", capsys)
+        report = json.loads((out / "report.json").read_text())
+        assert code == 3 and report["error"].startswith("GridError: CSV line")
+
     def test_half_line_takes_ln_a_for_s_min(self, tmp_path):
         """a = 2, b = inf with only s_max set runs on [ln 2, s_max]."""
         cfg = _write(tmp_path, "half.ini", "[scenario]\nname = half\ntag = Thm5ii\n"
@@ -403,3 +436,22 @@ def test_failed_solve_keeps_its_solve_report(tmp_path):
     assert rep["converged"] is False and rep["linear_method"]
     assert len(rep["residual_history"]) == rep["iterations"] + 1
     assert rep["residual_history"][-1] == rep["final_residual"] > 1e-30
+
+
+def test_out_of_memory_exits_3_with_a_report(tmp_path, monkeypatch, capsys):
+    """A pipeline step that exhausts memory (a tiny Cor1 step asks numpy for
+    terabytes) is a numerical failure.  The march is replaced so that no
+    huge array is ever requested."""
+    from sectorflow import angular_ode
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.75 TiB for an array")
+
+    monkeypatch.setattr(angular_ode, "_march", exhausted)
+    out = tmp_path / "out"
+    assert main(["ode", "--config", str(CONFIGS / "cor1.ini"), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == ("PipelineFailure: pipeline step ran out of memory: "
+                               "Unable to allocate 3.75 TiB for an array")
+    assert "numerical failure" in capsys.readouterr().out
