@@ -47,10 +47,6 @@ class OdeResult:
     hit_swirl_floor: bool = False
     floor_theta: float | None = None
 
-    @property
-    def completed(self) -> bool:
-        return not (self.blew_up or self.hit_swirl_floor)
-
 
 def _pole_estimate(ts, f):
     """Zero of 1/f extrapolated linearly from the last two nodes (1/f

@@ -458,37 +458,28 @@ def euler_residual_closed_form(
     the grid nodes using the analytic derivatives of the closed forms, so
     the only error is floating-point cancellation.  Each residual is
     normalized by the largest term magnitude entering it.
+
+    The family is (-alpha)-homogeneous, so every momentum term is
+    r^(-2 alpha - 1) times a function of theta, and every term of the
+    continuity equation (scaled by r) is r^(-alpha) times one.  That power
+    of r is a common factor of each sum and of its term magnitudes, so
+    each ratio is the same at every radius: the terms are evaluated as
+    their angular factors on the theta nodes alone.
     """
     a = sol.alpha
-    r, TH = grid.r_nodes[:, None], grid.theta_nodes[None, :]  # broadcast to the mesh
-    f, v = sol.f(TH), sol.v(TH)
-    fp, vp = sol.f_prime(TH), sol.v_prime(TH)
-    ra = r**-a
-    ur, ut = f * ra, v * ra
+    th = grid.theta_nodes
+    f, v = sol.f(th), sol.v(th)
+    fp, vp = sol.f_prime(th), sol.v_prime(th)
 
-    # radial momentum: u_r dr(u_r) + (u_t / r) dth(u_r) - u_t^2 / r + dr(P)
-    t1 = ur * (-a * f * ra / r)
-    t2 = (ut / r) * (fp * ra)
-    t3 = -(ut**2) / r
-    t4 = -2.0 * a * sol.p * r ** (-2 * a - 1)
-    mom_r = t1 + t2 + t3 + t4
-    scale_r = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)) + 1e-300
-
-    # angular momentum: u_r dr(u_t) + (u_t / r) dth(u_t) + u_t u_r / r
-    s1 = ur * (-a * v * ra / r)
-    s2 = (ut / r) * (vp * ra)
-    s3 = ut * ur / r
-    mom_t = s1 + s2 + s3
-    scale_t = np.max(np.abs(s1) + np.abs(s2) + np.abs(s3)) + 1e-300
-
-    # continuity scaled by r: dr(r u_r) + dth(u_t)
-    d1 = (1.0 - a) * f * ra
-    d2 = vp * ra
-    div = d1 + d2
-    scale_d = np.max(np.abs(d1) + np.abs(d2) + np.abs(ur) + np.abs(ut)) + 1e-300
+    def ratio(terms, scale_only=()):
+        return float(np.max(np.abs(sum(terms)))
+                     / (np.max(sum(np.abs(t) for t in (*terms, *scale_only))) + 1e-300))
 
     return (
-        float(np.max(np.abs(mom_r)) / scale_r),
-        float(np.max(np.abs(mom_t)) / scale_t),
-        float(np.max(np.abs(div)) / scale_d),
+        # radial momentum: u_r dr(u_r) + (u_t / r) dth(u_r) - u_t^2 / r + dr(P)
+        ratio((-a * f * f, v * fp, -(v * v), -2.0 * a * sol.p)),
+        # angular momentum: u_r dr(u_t) + (u_t / r) dth(u_t) + u_t u_r / r
+        ratio((-a * f * v, v * vp, v * f)),
+        # continuity scaled by r, dr(r u_r) + dth(u_t), against |u_r| + |u_t| too
+        ratio(((1.0 - a) * f, vp), scale_only=(f, v)),
     )

@@ -316,19 +316,23 @@ def _solve(scn, grid, op, gspec, frame, h):
     return Psi, rep, tol
 
 
+def _profile_check(Psi, h):
+    """max |Psi - h(theta)| over the mesh, against 5 h^2 (h the larger step)."""
+    grid = Psi.grid
+    err = float(np.max(np.abs(Psi.vals - h(grid.theta_nodes))))
+    return _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)
+
+
 def _run_thm1i(scn, grid, out):
     B = _finite(scn.solver.get("b", 1.0))
     h = lambda th: B * th / grid.theta0
     psi, rep, tol = _solve(
         scn, grid, elliptic.laplace_operator(), elliptic.ZeroG(), fields.RawFrame(), h
     )
-    exact_vals = np.tile(h(grid.theta_nodes), (grid.n_s + 1, 1))
-    err = float(np.max(np.abs(psi.vals - exact_vals)))
-    h2 = max(grid.h_s, grid.h_theta) ** 2
     checks = [
         _check("converged", 0 if rep.converged else 1, 0),
         _check("s_variance", rep.s_variance, max(tol, 1e-6)),
-        _check("profile_error", err, 5.0 * h2),
+        _profile_check(psi, h),
     ]
     fields.write_field(psi, out / "solution.csv")
     return checks, {"solve_report": asdict(rep)}
@@ -382,7 +386,9 @@ def _run_rigidity_solve(scn, grid, out, default_family, case):
         _check("g_functional_equation", rigidity.g_functional_check(rec, relation), 1e-3),
     ]
     Psi, rep, tol = _solve(scn, grid, op, gspec, frame, sol.stream_h)
-    checks.append(_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)))
+    # an s-free Psi passes solve_s_variance under a wrong K or C too
+    checks += [_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)),
+               _profile_check(Psi, sol.stream_h)]
     artifacts["g_recovery"] = _recovery_summary(rec)
     artifacts["solve_report"] = asdict(rep)
     (out / "g_scatter.csv").write_text(rec.to_csv())
@@ -608,8 +614,9 @@ def _write_json(path: Path, obj: dict):
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     """Run every scenario listed in a batch config into isolated subdirs.
 
-    Every config is parsed before any runs; a scenario name that is not one
-    plain path component, or is taken, is a ConfigError.  Scenarios execute
+    Every config is parsed, and its domain and grid built, before any runs;
+    a mistake there, or a scenario name that is not one plain path
+    component or is taken, is a ConfigError.  Scenarios execute
     sequentially in listed order so that repeated runs are byte-identical.
     The summary records each scenario's exit code; the batch exits 0 only
     if all scenarios do.
@@ -631,6 +638,7 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
         if scn.name in taken:
             raise ConfigError(f"scenario name {scn.name!r} is already taken")
         taken.add(scn.name)
+        _domain_grid(scn)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"scenarios": []}

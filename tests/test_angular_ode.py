@@ -22,7 +22,7 @@ from sectorflow.scenarios import parse_config, run_scenario
 class TestAlpha1Integration:
     def test_tan_oracle(self):
         res = integrate_alpha1(1.0, 0.0, 0.0, (0.0, 0.5))
-        assert res.completed
+        assert not (res.blew_up or res.hit_swirl_floor)
         assert res.profile.f_vals[-1] == pytest.approx(math.tan(0.5), abs=1e-8)
 
     def test_constant_branch(self):
@@ -32,7 +32,7 @@ class TestAlpha1Integration:
     def test_blowup_pole_estimate(self):
         res = integrate_alpha1(1.0, 0.0, 0.0, (0.0, 2.0))
         assert res.blew_up
-        assert not res.completed
+        assert not res.hit_swirl_floor
         assert res.blowup_theta == pytest.approx(math.pi / 2, abs=1e-3)
 
     def test_zero_swirl_rejected(self):
@@ -47,7 +47,7 @@ class TestAlpha1Integration:
 class TestGeneralIntegration:
     def test_sec_oracle(self):
         res = integrate_general(2.0, 0.0, 1.0, 0.0, (0.0, 1.0))
-        assert res.completed
+        assert not (res.blew_up or res.hit_swirl_floor)
         assert res.profile.v_vals[-1] == pytest.approx(1.0 / math.cos(1.0), abs=1e-7)
 
     def test_sin_family_oracle(self):

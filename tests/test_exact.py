@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,9 +182,42 @@ class TestEulerResidual:
 
     @pytest.mark.parametrize("kind,params,theta0", MESH_ORACLE, ids=MESH_IDS)
     def test_equals_the_full_mesh_evaluation(self, kind, params, theta0):
+        # the row and the mesh round the same ratios in another order; on
+        # the second grid the r-factors span e^5
         sol = construct_exact(kind, params, theta0)
-        grid = LogPolarGrid(-1.3, 0.7, 77, 64, theta0)
-        assert euler_residual_closed_form(sol, grid) == _euler_on_mesh(sol, grid)
+        for s_min, s_max, n_s in ((-1.3, 0.7, 77), (-2.0, 3.0, 50)):
+            grid = LogPolarGrid(s_min, s_max, n_s, 64, theta0)
+            np.testing.assert_allclose(euler_residual_closed_form(sol, grid),
+                                       _euler_on_mesh(sol, grid),
+                                       rtol=0, atol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind,params,theta0", MESH_ORACLE, ids=MESH_IDS)
+    def test_a_wrong_pressure_is_detected_as_on_the_mesh(self, kind, params, theta0):
+        # p enters the radial momentum alone; the other two stay at roundoff
+        sol = construct_exact(kind, params, theta0)
+        sol = dataclasses.replace(sol, p=sol.p + 0.1)
+        grid = LogPolarGrid(-2.0, 3.0, 50, 64, theta0)
+        row, mesh = euler_residual_closed_form(sol, grid), _euler_on_mesh(sol, grid)
+        assert row[0] >= 1e-3
+        assert row[0] == pytest.approx(mesh[0], rel=1e-12, abs=0)
+        np.testing.assert_allclose(row[1:], mesh[1:], rtol=0, atol=8 * np.finfo(float).eps)
+
+    def test_evaluates_the_profile_on_the_theta_row_only(self):
+        sol = construct_exact(FamilyKind.SIN, {"alpha": -0.4, "p": -0.7, "C": 0.3}, 2.0)
+        grid = LogPolarGrid(-1.3, 0.7, 77, 64, 2.0)
+        shapes = []
+
+        def recording(fn):
+            def wrapped(t):
+                shapes.append(np.shape(t))
+                return fn(t)
+            return wrapped
+
+        names = ("f", "v", "f_prime", "v_prime")
+        spy = dataclasses.replace(sol, **{n: recording(getattr(sol, n)) for n in names})
+        assert euler_residual_closed_form(spy, grid) == euler_residual_closed_form(sol, grid)
+        assert len(shapes) >= len(names)
+        assert set(shapes) == {(grid.n_theta + 1,)}
 
     @pytest.mark.parametrize("kind,params,theta0", ATLAS, ids=[k.value for k, _, _ in ATLAS])
     def test_stream_consistency(self, kind, params, theta0):

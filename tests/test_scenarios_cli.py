@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ from sectorflow import FamilyKind, ScalarField, construct_exact, field_to_csv, s
 from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import ConfigError
-from sectorflow.scenarios import parse_config, run_scenario
+from sectorflow.scenarios import parse_config, run_batch, run_scenario
 from sectorflow.scenarios import TAGS, _num
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -503,3 +504,37 @@ def test_out_of_memory_exits_3_with_a_report(tmp_path, monkeypatch, capsys):
     assert report["error"] == ("PipelineFailure: pipeline step ran out of memory: "
                                "Unable to allocate 3.75 TiB for an array")
     assert "numerical failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cfg,form,key", [("thm1ii", "ExpForm", "K"),
+                                          ("thm2_a1", "PowerForm", "C")])
+def test_solve_with_a_wrong_g_fails_on_profile_error(cfg, form, key, tmp_path, monkeypatch):
+    """A wrong g constant still gives an s-free solution, so only the
+    comparison with the family's trace h(theta) can see it."""
+    from sectorflow import elliptic
+
+    real = getattr(elliptic, form)
+
+    def scaled(*args, **kwargs):
+        g = real(*args, **kwargs)
+        return dataclasses.replace(g, **{key: 1.5 * getattr(g, key)})
+
+    monkeypatch.setattr(elliptic, form, scaled)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(CONFIGS / f"{cfg}.ini"), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["profile_error"]
+
+
+def test_batch_with_a_bad_domain_later_writes_nothing(tmp_path, capsys):
+    """Every entry's domain and grid are built before the first one runs."""
+    _write(tmp_path, "good.ini", (CONFIGS / "slide.ini").read_text())
+    _write(tmp_path, "bad.ini", "[scenario]\nname = bad\ntag = Slide\n"
+           "[domain]\na = 3\nb = 2\n[slide]\nn = 16\n")
+    cfg = _write(tmp_path, "batch.ini", "[batch]\nscenarios = good.ini, bad.ini\n")
+    out = tmp_path / "out"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        run_batch(cfg, out)
+    assert not out.exists()
