@@ -151,12 +151,11 @@ def _s_limit(name: str, given, fixed, default) -> float:
     return fixed
 
 
-def cumulative_trapezoid(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Trapezoid-rule integral of samples ``y`` (node spacing ``h``) from
-    the first node along ``axis``; same shape as ``y``, starting at 0."""
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
-    steps = np.cumsum((y[1:] + y[:-1]) * (h / 2.0), axis=0)
-    return np.moveaxis(np.concatenate([np.zeros_like(y[:1]), steps]), 0, axis)
+def cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid-rule integral of the 1-D samples ``y`` (node spacing ``h``)
+    from the first node; same length as ``y``, starting at 0."""
+    y = np.asarray(y, dtype=float)
+    return np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) * (h / 2.0))])
 
 
 #: rows formatted per block by :func:`repr_csv`; bounds its transient memory

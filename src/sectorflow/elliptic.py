@@ -8,18 +8,22 @@ Dirichlet data Psi = h(theta) is imposed on the theta-edges, and the two
 s-edges are identified, so the grid spans one period in s.
 
 The discrete operator is written once, as the term table of
-:func:`_stencil_terms`; the Newton residual and the Jacobian both come from
-it.  The table's order is the residual's floating-point evaluation order,
-and it is fixed: converged residuals sit near the roundoff floor, so another
-order changes which solves meet their tolerance.
+:func:`_stencil_terms`, and evaluated by :func:`_apply_stencil`; the Newton
+residual and the Jacobian's action both call it, so no matrix is assembled.
+The table's order is the residual's floating-point evaluation order, and it
+is fixed: converged residuals sit near the roundoff floor, so another order
+changes which solves meet their tolerance.
 
-Each Newton step solves J delta = -R by GMRES on the assembled Jacobian,
-right-preconditioned by the exact inverse of its constant part shifted by
-the mean nonlinear diagonal.  An rfft in s times a DST-I in theta
-diagonalises that part, and its eigenvalues come from the same term table
-(:func:`_periodic_symbol`).  The step stops at ||J delta + R||_2 <=
-KRYLOV_RTOL ||R||_2; a step that misses it within the iteration cap falls
-back to a sparse LU factorisation (``splu``) of the Jacobian.
+Each Newton step solves J delta = -R by GMRES on the Jacobian's action (the
+stencil on delta minus the nonlinearity's derivative times delta; the
+Jacobian-free Newton-Krylov pattern of Knoll & Keyes, J. Comput. Phys. 193,
+2004), right-preconditioned by the exact inverse of the stencil's constant
+part shifted by the mean nonlinear diagonal.  An rfft in s times a DST-I in
+theta diagonalises that part, and its eigenvalues come from the same term
+table (:func:`_periodic_symbol`).  GMRES aims at ||J delta + R||_2 <=
+KRYLOV_RTOL ||R||_2; a step that misses it within the iteration cap is
+still taken, recorded as not converged, and the damped line search
+rejects it if the residual does not decrease.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from operator import add
 
 import numpy as np
 from scipy.fft import dst, irfft, rfft
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+# splu is unused here, but bench/spans.py TARGETS wraps elliptic.splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu  # noqa: F401
 
 from .domain import LogPolarGrid
-from .errors import NoConvergence, ParameterDomain, SingularJacobian
+from .errors import NoConvergence, ParameterDomain
 from .fields import Alpha1Frame, FrameTag, GeneralFrame, ScalarField, from_working
 from .rigidity import s_variance
 
@@ -46,7 +50,7 @@ DAMPING_FLOOR = 2.0**-10
 #: GMRES misses it on the late Newton steps
 KRYLOV_RTOL = 1e-10
 #: GMRES restart length and restart cycles; a step not solved within them
-#: falls back to the sparse LU
+#: is GMRES's last iterate, recorded in SolveReport.krylov_converged
 KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
 
 
@@ -139,16 +143,16 @@ GSpec = ZeroG | ExpForm | PowerForm
 
 @dataclass
 class SolveReport:
-    """Newton outcome.  ``linear_method`` ("fft-dst-gmres" or "splu") and
-    ``krylov_iterations`` hold one entry per Newton step; a step with GMRES
-    iterations but "splu" missed the Krylov cap and fell back to the LU."""
+    """Newton outcome.  ``krylov_converged`` and ``krylov_iterations`` hold
+    one entry per Newton step; a False step is GMRES's iterate at the cap,
+    which missed KRYLOV_RTOL."""
 
     iterations: int
     final_residual: float
     s_variance: float
     converged: bool
     residual_history: list = field(default_factory=list)
-    linear_method: list = field(default_factory=list)
+    krylov_converged: list = field(default_factory=list)
     krylov_iterations: list = field(default_factory=list)
 
 
@@ -186,58 +190,70 @@ def default_initial_guess(
     return ScalarField(grid, vals)
 
 
-def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float, U, im, ip):
+def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float):
     """The discrete operator as (coefficient, denominator, taps) terms, in
-    evaluation order.  A tap (rows, dj, w) weights Psi at the s-rows ``rows``
-    and the theta-columns shifted by ``dj``; centre taps have rows U, dj 0.
-    A term is coefficient * (sum of w * Psi[tap]) / denominator, and the
-    b1 term is left out when b1 is zero."""
+    evaluation order.  A tap (di, dj, w) weights Psi at the node di s-rows
+    and dj theta-columns away.  A term is coefficient * (sum of w * Psi[tap])
+    / denominator, and the b1 term is left out when b1 is zero."""
     terms = [
-        (op.a11, h_s**2, [(ip, 0, 1.0), (U, 0, -2.0), (im, 0, 1.0)]),
-        (op.a22, h_theta**2, [(U, 1, 1.0), (U, 0, -2.0), (U, -1, 1.0)]),
+        (op.a11, h_s**2, [(1, 0, 1.0), (0, 0, -2.0), (-1, 0, 1.0)]),
+        (op.a22, h_theta**2, [(0, 1, 1.0), (0, 0, -2.0), (0, -1, 1.0)]),
     ]
     if op.b1 != 0.0:
-        terms.append((op.b1, 2.0 * h_s, [(ip, 0, 1.0), (im, 0, -1.0)]))
-    terms.append((op.c0, 1.0, [(U, 0, 1.0)]))
+        terms.append((op.b1, 2.0 * h_s, [(1, 0, 1.0), (-1, 0, -1.0)]))
+    terms.append((op.c0, 1.0, [(0, 0, 1.0)]))
     return terms
+
+
+def _apply_stencil(terms, Q: np.ndarray) -> np.ndarray:
+    """The stencil at the interior nodes of ``Q``, whose first and last rows
+    are ghost copies of the s-rows before the first and after the last
+    interior row, and whose first and last columns are the theta-edges."""
+    n, m = Q.shape[0] - 2, Q.shape[1] - 2
+    return reduce(add, (
+        coef * reduce(add, (w * Q[1 + di:1 + di + n, 1 + dj:1 + dj + m] for di, dj, w in taps))
+        / denom
+        for coef, denom, taps in terms
+    ))
 
 
 def _periodic_symbol(terms, n_s: int, n_t: int) -> np.ndarray:
     """Eigenvalues of the stencil's constant part, periodic in s and
     Dirichlet in theta, on the modes of rfft (k, over s) times DST-I (m,
-    over theta): a tap whose rows are the s-rows shifted by d (rows[0] = d
-    mod n_s) and whose columns are shifted by dj contributes
-    w e^{2 pi i k d / n_s} cos(pi m dj / n_t), a cosine because every dj
+    over theta): a tap (di, dj, w) contributes
+    w e^{2 pi i k di / n_s} cos(pi m dj / n_t), a cosine because every dj
     tap has a -dj twin."""
     k = np.arange(n_s // 2 + 1)[:, None]
     m = np.arange(1, n_t)[None, :]
 
-    def tap(rows, dj, w):
-        kd = k * rows[0] % n_s
+    def tap(di, dj, w):
+        kd = k * di % n_s
         return w * np.exp(2j * np.pi * kd / n_s) * np.cos(np.pi * m * dj / n_t)
 
     return reduce(add, (coef * reduce(add, (tap(*t) for t in taps)) / denom
                         for coef, denom, taps in terms))
 
 
-def _krylov_step(jac, rhs: np.ndarray, symbol: np.ndarray):
-    """GMRES on ``jac`` right-preconditioned by the exact inverse of the
+def _krylov_step(jvp, rhs: np.ndarray, symbol: np.ndarray):
+    """GMRES on the Jacobian action ``jvp`` (step array to array, in the
+    shape of ``rhs``), right-preconditioned by the exact inverse of the
     separable operator with eigenvalues ``symbol`` (:func:`_periodic_symbol`
-    shifted by the mean nonlinear diagonal).  Returns (step, iterations);
-    the step is None when GMRES misses KRYLOV_RTOL within its cap."""
-    shape = (jac.shape[0] // symbol.shape[1], symbol.shape[1])
+    shifted by the mean nonlinear diagonal).  Returns (step, iterations,
+    converged): the step is GMRES's last iterate, and converged says
+    whether it met KRYLOV_RTOL within the cap."""
+    shape = rhs.shape
 
     def precond(v):
         V = rfft(dst(v.reshape(shape), type=1, norm="ortho", axis=1), axis=0)
-        return dst(irfft(V / symbol, n=shape[0], axis=0), type=1, norm="ortho", axis=1).ravel()
+        return dst(irfft(V / symbol, n=shape[0], axis=0), type=1, norm="ortho", axis=1)
 
     its = []
     y, info = gmres(
-        LinearOperator(jac.shape, matvec=lambda v: jac @ precond(v), dtype=float),
-        rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
+        LinearOperator((rhs.size,) * 2, matvec=lambda v: jvp(precond(v)).ravel(), dtype=float),
+        rhs.ravel(), rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
         callback=its.append, callback_type="pr_norm",
     )
-    return (precond(y) if info == 0 else None), len(its)
+    return precond(y), len(its), info == 0
 
 
 def solve_semilinear(
@@ -275,73 +291,40 @@ def solve_semilinear(
     Psi[:, -1] = h_vals[-1]
     Psi[-1, :] = Psi[0, :]
 
-    # the unknowns are s-rows 0 .. n_s - 1; row n_s repeats row 0
-    U = np.arange(n_s)
-    im, ip = (U - 1) % n_s, (U + 1) % n_s
-    J = np.arange(1, n_t)
-    s_col = s[U][:, None]
-    F_col = F_vals[U][:, None]
-    nU, nJ = len(U), len(J)
-    terms = _stencil_terms(op, hs, ht, U, im, ip)
-
-    def residual(P):
-        lap = reduce(add, (
-            coef * reduce(add, (w * P[np.ix_(tap_rows, J + dj)] for tap_rows, dj, w in taps))
-            / denom
-            for coef, denom, taps in terms
-        ))
-        return lap - F_col * gspec.g(from_working(s_col, P[np.ix_(U, J)], frame))
-
-    # the Jacobian is assembled once, with every tap but the centre ones as
-    # a constant entry; each step writes the centre taps' sum minus the
-    # nonlinearity's derivative into the diagonal slots
-    kk = np.arange(nU * nJ).reshape(nU, nJ)
-    rows, cols, data = [kk.ravel()], [kk.ravel()], [np.zeros(nU * nJ)]
-    is_centre = lambda tap_rows, dj: tap_rows is U and dj == 0
-    center = reduce(add, (coef * w / denom for coef, denom, taps in terms
-                          for tap_rows, dj, w in taps if is_centre(tap_rows, dj)))
-    for coef, denom, taps in terms:
-        for tap_rows, dj, w in taps:
-            if is_centre(tap_rows, dj):
-                continue
-            value = coef * w / denom
-            jj = J + dj
-            ok = (jj >= 1) & (jj <= n_t - 1)
-            rows.append(kk[:, ok].ravel())
-            cols.append((tap_rows[:, None] * nJ + jj[ok] - 1).ravel())
-            data.append(np.full(len(rows[-1]), value))
-    jac = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nU * nJ, nU * nJ),
-    ).tocsc()
-
+    # the unknowns are s-rows 0 .. n_s - 1 and theta-columns 1 .. n_t - 1;
+    # row n_s repeats row 0
+    s_col = s[:n_s, None]
+    F_col = F_vals[:n_s, None]
+    terms = _stencil_terms(op, hs, ht)
     symbol = _periodic_symbol(terms, n_s, n_t)
 
-    history, methods, krylov_its = [], [], []
+    def residual(P):
+        lap = _apply_stencil(terms, np.concatenate([P[n_s - 1:n_s], P]))
+        return lap - F_col * gspec.g(from_working(s_col, P[:n_s, 1:n_t], frame))
+
+    history, krylov_ok, krylov_its = [], [], []
     R = residual(Psi)
     res_norm = float(np.max(np.abs(R)))
     history.append(res_norm)
     iters = 0
     while res_norm > tol and iters < max_iter:
-        gp = gspec.g_prime(from_working(s_col, Psi[np.ix_(U, J)], frame))
+        gp = gspec.g_prime(from_working(s_col, Psi[:n_s, 1:n_t], frame))
         nonlinear = F_col * gp * darg_fn(s_col)
-        jac.setdiag((center - nonlinear).ravel())
-        rhs = -R.ravel()
-        delta, its = _krylov_step(jac, rhs, symbol - np.mean(nonlinear))
-        methods.append("splu" if delta is None else "fft-dst-gmres")
+
+        def jvp(d):
+            # the stencil on the step, zero on the theta-edges and periodic
+            # in s, minus the nonlinearity's derivative
+            Q = np.pad(d, 1)
+            Q[0], Q[-1] = Q[-2], Q[1]
+            return _apply_stencil(terms, Q) - nonlinear * d
+
+        delta, its, ok = _krylov_step(jvp, -R, symbol - np.mean(nonlinear))
         krylov_its.append(its)
-        if delta is None:
-            try:
-                delta = splu(jac).solve(rhs)
-            except RuntimeError as exc:
-                raise SingularJacobian(f"Newton linearization is singular: {exc}")
-        delta = delta.reshape(nU, nJ)
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("Newton step is not finite")
+        krylov_ok.append(ok)
         lam = 1.0
         while True:
             trial = Psi.copy()
-            trial[np.ix_(U, J)] += lam * delta
+            trial[:n_s, 1:n_t] += lam * delta
             trial[-1, :] = trial[0, :]
             R_trial = residual(trial)
             trial_norm = float(np.max(np.abs(R_trial)))
@@ -355,7 +338,7 @@ def solve_semilinear(
                     "damping floor reached without residual decrease",
                     field=best,
                     report=SolveReport(iters, res_norm, s_variance(best), False,
-                                       history, methods, krylov_its),
+                                       history, krylov_ok, krylov_its),
                 )
         iters += 1
         history.append(res_norm)
@@ -363,7 +346,7 @@ def solve_semilinear(
     converged = res_norm <= tol
     out = ScalarField(grid, Psi)
     report = SolveReport(iters, res_norm, s_variance(out), converged, history,
-                         methods, krylov_its)
+                         krylov_ok, krylov_its)
     if not converged:
         raise NoConvergence(
             f"residual {res_norm:.3e} above tolerance after {iters} iterations",

@@ -58,10 +58,6 @@ class NoConvergence(SectorflowError):
         self.report = report
 
 
-class SingularJacobian(SectorflowError):
-    """Newton linearization is numerically singular."""
-
-
 class DegenerateField(SectorflowError):
     """Field magnitude below the detection floor everywhere."""
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_RANK_WARNING = getattr(getattr(np, "exceptions", np), "RankWarning", UserWarning)
-
 from .domain import repr_csv
 from .errors import (
     DegenerateField,
@@ -130,7 +128,7 @@ def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
         if zb.size >= 3 and zb[-1] > zb[0]:
             zc = (zb - zb[0]) / (zb[-1] - zb[0])  # conditioning of the fit
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", _RANK_WARNING)
+                warnings.simplefilter("ignore", np.exceptions.RankWarning)
                 coef = np.polyfit(zc, gb, min(2, zb.size - 2))
             defect = max(defect, float(np.max(np.abs(gb - np.polyval(coef, zc)))))
         elif zb.size >= 2 and zb[-1] == zb[0]:

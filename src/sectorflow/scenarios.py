@@ -310,6 +310,8 @@ def _solve(scn, grid, op, gspec, frame, h):
     if tol < 0.0:
         raise ConfigError(f"[solver] tol must be nonnegative, got {tol}")
     seed = _int(scn.solver.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"[solver] seed must be nonnegative, got {seed}")
     amp = _finite(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
     Psi, rep = elliptic.solve_semilinear(grid, op, gspec, frame, h, init=init, tol=tol)

@@ -10,12 +10,12 @@ import pytest
 from sectorflow import (
     ExpForm,
     GRecovery,
-    PowerForm,
     RawFrame,
     ScalarField,
     Thm1Relation,
     Thm2Relation,
     VectorField,
+    default_initial_guess,
     g_functional_check,
     homogeneity_fit,
     laplace_operator,
@@ -29,7 +29,6 @@ from sectorflow.errors import (
     DegenerateField,
     InsufficientOverlap,
     NoConvergence,
-    SingularJacobian,
 )
 
 
@@ -50,18 +49,17 @@ def test_no_convergence_carries_best_iterate_and_report():
     assert np.all(np.isfinite(info.value.field.vals))
 
 
-def test_singular_jacobian_when_g_prime_cancels_the_diagonal(monkeypatch):
-    # on h = 1, g' of C|z| is C, the 5-point centre coefficient, so the
-    # Jacobian's diagonal is zero; with h_s = h_theta the neighbour
-    # couplings left on the 8 x 7 periodic unknowns have an exactly zero
-    # eigenvalue, and the LU fallback (GMRES forced to miss its cap) meets
-    # a zero pivot
-    grid = LogPolarGrid(0.0, math.log(2), 8, 8, math.log(2))
-    centre = -2.0 / grid.h_s**2 - 2.0 / grid.h_theta**2
-    monkeypatch.setattr(elliptic, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
-    with pytest.raises(SingularJacobian):
-        solve_semilinear(grid, laplace_operator(), PowerForm(centre, 1.0), RawFrame(),
-                         lambda th: np.ones_like(th))
+def test_non_finite_step_is_rejected_by_the_line_search(monkeypatch):
+    # no step is checked for finiteness: a NaN step never lowers the
+    # residual, so damping runs to its floor and the start is kept
+    monkeypatch.setattr(elliptic, "_krylov_step",
+                        lambda jvp, rhs, symbol: (np.full_like(rhs, np.nan), 1, False))
+    grid, h = _grid(), lambda th: th
+    with pytest.raises(NoConvergence) as info:
+        solve_semilinear(grid, laplace_operator(), ExpForm(1.0, 1.0), RawFrame(), h)
+    rep = info.value.report
+    assert rep.iterations == 0 and rep.krylov_converged == [False]
+    np.testing.assert_array_equal(info.value.field.vals, default_initial_guess(grid, h).vals)
 
 
 @pytest.mark.parametrize("zero_row", [None, 5])

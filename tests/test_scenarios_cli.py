@@ -353,6 +353,8 @@ class TestConfigMistakes:
             ("solve", _THM1I + "perturbation = inf\n", []),
             ("solve", _THM1I + "b = nan\n", []),
             ("solve", _THM1I, ["--tol", "nan"]),
+            ("solve", _THM1I + "seed = -1\n", []),
+            ("solve", _THM1I, ["--seed", "-1"]),
             ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
             ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
             ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = -1\n", []),
@@ -363,7 +365,8 @@ class TestConfigMistakes:
               for step in ("0", "-1e-3", "nan", "10")),
         ],
         ids=["cor1-c-nan", "cor1-p-inf", "tol-nan", "tol-negative", "perturbation-nan",
-             "perturbation-inf", "b-nan", "cli-tol-nan", "slide-xi1-nan", "slide-tau-nan",
+             "perturbation-inf", "b-nan", "cli-tol-nan", "seed-negative",
+             "cli-seed-negative", "slide-xi1-nan", "slide-tau-nan",
              "slide-xi1-negative", "slide-xi2-negative", "slide-xi2-zero", "slide-tau-negative",
              "step-0", "step-negative", "step-nan", "step-10"],
     )
@@ -482,7 +485,7 @@ def test_failed_solve_keeps_its_solve_report(tmp_path):
     assert code == 3 and report["error"].startswith("NoConvergence")
     saved = json.loads((tmp_path / "out" / "report.json").read_text())
     rep = saved["solve_report"]
-    assert rep["converged"] is False and rep["linear_method"]
+    assert rep["converged"] is False and all(rep["krylov_converged"])
     assert len(rep["residual_history"]) == rep["iterations"] + 1
     assert rep["residual_history"][-1] == rep["final_residual"] > 1e-30
 
