@@ -30,9 +30,6 @@ from .angular_ode import (
     w_equation_residual,
 )
 from .fields import (
-    Alpha1Frame,
-    GeneralFrame,
-    RawFrame,
     ScalarField,
     VectorField,
     field_to_csv,
@@ -41,14 +38,14 @@ from .fields import (
     sample_velocity,
 )
 from .elliptic import (
-    EllipticOperator,
+    Alpha1Frame,
     ExpForm,
+    GeneralFrame,
     PowerForm,
+    RawFrame,
     SolveReport,
     ZeroG,
     default_initial_guess,
-    general_frame_operator,
-    laplace_operator,
     solve_semilinear,
 )
 from .rigidity import (

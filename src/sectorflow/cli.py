@@ -5,7 +5,7 @@ Subcommands route a config file to the matching pipeline:
   exact   family construction + residual certification
   ode     angular-profile integration / periodic shooting
   solve   semilinear elliptic rigidity demo
-  verify  certification checks on a supplied field CSV
+  verify  certification checks on a supplied field export (CSV or .npy)
   slide   translation-comparison positivity check
   batch   run a list of scenario configs into isolated directories
 

@@ -1,9 +1,10 @@
 """Damped-Newton solver for semilinear problems L Psi = F(s) g(arg) on
 log-polar rectangles, periodic in s.
 
-The operator L = a11 d_ss + a22 d_thth + b1 d_s + c0 has constant
-coefficients.  The working frame fixes the nonlinearity argument (Psi + c s,
-e^{(1-alpha)s} Psi, or Psi itself) and the canonical forcing profile F.
+The working frame is the whole problem statement.  It fixes the constant-
+coefficient operator L = d_ss + d_thth + b1 d_s + c0, the forcing profile F
+and the nonlinearity's argument (Psi + c s, e^{(1-alpha)s} Psi, or Psi
+itself); :func:`_frame_problem` is the one place that maps a frame to them.
 Dirichlet data Psi = h(theta) is imposed on the theta-edges, and the two
 s-edges are identified, so the grid spans one period in s.
 
@@ -39,7 +40,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu  # noqa: F401
 
 from .domain import LogPolarGrid
 from .errors import NoConvergence, ParameterDomain
-from .fields import Alpha1Frame, FrameTag, GeneralFrame, ScalarField, from_working
+from .fields import ScalarField
 from .rigidity import s_variance
 
 #: Newton damping floor: step fraction never drops below 2**-10
@@ -54,30 +55,55 @@ KRYLOV_RTOL = 1e-10
 KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
 
 
+# --------------------------------------------------------------------------
+# working frames
+
+
 @dataclass(frozen=True)
-class EllipticOperator:
-    """Constant-coefficient operator a11 d_ss + a22 d_thth + b1 d_s + c0."""
+class Alpha1Frame:
+    """Working frame Psi = psi(e^s, theta) - c*s: L = d_ss + d_thth,
+    F = e^{2s}."""
 
-    a11: float
-    a22: float
-    b1: float = 0.0
-    c0: float = 0.0
-
-    def __post_init__(self):
-        if not (self.a11 > 0 and self.a22 > 0):
-            raise ParameterDomain("operator must be uniformly elliptic: a11 > 0 and a22 > 0")
+    c: float
 
 
-def laplace_operator() -> EllipticOperator:
-    return EllipticOperator(1.0, 1.0)
+@dataclass(frozen=True)
+class GeneralFrame:
+    """Working frame Psi = psi(e^s, theta) * e^{s(alpha-1)}: L = d_ss +
+    d_thth + 2(1-alpha) d_s + (1-alpha)^2, conjugate to the polar Laplacian,
+    and F = e^{(1+alpha)s}."""
+
+    alpha: float
 
 
-def general_frame_operator(alpha: float) -> EllipticOperator:
-    """d_ss + d_thth + 2(1-alpha) d_s + (1-alpha)^2, conjugate to the
-    polar Laplacian under Psi = psi e^{s(alpha-1)}."""
-    return EllipticOperator(
-        1.0, 1.0, b1=2.0 * (1.0 - alpha), c0=(1.0 - alpha) ** 2
-    )
+@dataclass(frozen=True)
+class RawFrame:
+    """Identity frame Psi = psi(e^s, theta): L = d_ss + d_thth, F = 1."""
+
+
+FrameTag = Alpha1Frame | GeneralFrame | RawFrame
+
+
+def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
+    """Stream values psi from working-frame values Psi at log-radii ``s``
+    (``s`` broadcasts against ``Psi``): Psi + c s, Psi e^{s(1-alpha)} or a
+    copy of Psi.  This is the nonlinearity's argument in the solver."""
+    if isinstance(tag, Alpha1Frame):
+        return Psi + tag.c * s
+    if isinstance(tag, GeneralFrame):
+        return Psi * np.exp(-s * (tag.alpha - 1.0))
+    return Psi.copy()
+
+
+def _frame_problem(frame: FrameTag, s: np.ndarray):
+    """(b1, c0, F, d arg / d Psi) of the frame's problem at log-radii ``s``:
+    L = d_ss + d_thth + b1 d_s + c0, and arg is :func:`from_working`."""
+    if isinstance(frame, GeneralFrame):
+        a = frame.alpha
+        return (2.0 * (1.0 - a), (1.0 - a) ** 2,
+                np.exp((1.0 + a) * s), np.exp((1.0 - a) * s))
+    F = np.exp(2.0 * s) if isinstance(frame, Alpha1Frame) else np.ones_like(s)
+    return 0.0, 0.0, F, np.ones_like(s)
 
 
 # --------------------------------------------------------------------------
@@ -156,15 +182,6 @@ class SolveReport:
     krylov_iterations: list = field(default_factory=list)
 
 
-def _frame_pieces(frame: FrameTag, s_nodes: np.ndarray):
-    """(canonical F, d arg / d Psi) for the frame; arg is :func:`from_working`."""
-    if isinstance(frame, GeneralFrame):
-        a = frame.alpha
-        return np.exp((1.0 + a) * s_nodes), lambda s: np.exp((1.0 - a) * s)
-    F = np.exp(2.0 * s_nodes) if isinstance(frame, Alpha1Frame) else np.ones_like(s_nodes)
-    return F, lambda s: np.ones_like(s)
-
-
 def default_initial_guess(
     grid: LogPolarGrid,
     boundary_h,
@@ -190,18 +207,19 @@ def default_initial_guess(
     return ScalarField(grid, vals)
 
 
-def _stencil_terms(op: EllipticOperator, h_s: float, h_theta: float):
-    """The discrete operator as (coefficient, denominator, taps) terms, in
-    evaluation order.  A tap (di, dj, w) weights Psi at the node di s-rows
-    and dj theta-columns away.  A term is coefficient * (sum of w * Psi[tap])
-    / denominator, and the b1 term is left out when b1 is zero."""
+def _stencil_terms(b1: float, c0: float, h_s: float, h_theta: float):
+    """d_ss + d_thth + b1 d_s + c0 as (coefficient, denominator, taps)
+    terms, in evaluation order.  A tap (di, dj, w) weights Psi at the node
+    di s-rows and dj theta-columns away.  A term is coefficient * (sum of
+    w * Psi[tap]) / denominator, and the b1 term is left out when b1 is
+    zero."""
     terms = [
-        (op.a11, h_s**2, [(1, 0, 1.0), (0, 0, -2.0), (-1, 0, 1.0)]),
-        (op.a22, h_theta**2, [(0, 1, 1.0), (0, 0, -2.0), (0, -1, 1.0)]),
+        (1.0, h_s**2, [(1, 0, 1.0), (0, 0, -2.0), (-1, 0, 1.0)]),
+        (1.0, h_theta**2, [(0, 1, 1.0), (0, 0, -2.0), (0, -1, 1.0)]),
     ]
-    if op.b1 != 0.0:
-        terms.append((op.b1, 2.0 * h_s, [(1, 0, 1.0), (-1, 0, -1.0)]))
-    terms.append((op.c0, 1.0, [(0, 0, 1.0)]))
+    if b1 != 0.0:
+        terms.append((b1, 2.0 * h_s, [(1, 0, 1.0), (-1, 0, -1.0)]))
+    terms.append((c0, 1.0, [(0, 0, 1.0)]))
     return terms
 
 
@@ -258,7 +276,6 @@ def _krylov_step(jvp, rhs: np.ndarray, symbol: np.ndarray):
 
 def solve_semilinear(
     grid: LogPolarGrid,
-    op: EllipticOperator,
     gspec: GSpec,
     frame: FrameTag,
     boundary_h,
@@ -269,21 +286,21 @@ def solve_semilinear(
     """Damped Newton on the 5-point (+ centered first-order in s)
     discretization of L Psi = F(s) g(arg(s, Psi)), periodic in s.
 
-    The frame fixes F and arg: F = e^{2s} and arg = Psi + c s in the
-    alpha = 1 frame, F = e^{(1+alpha)s} and arg = Psi e^{(1-alpha)s} in the
-    general frame, F = 1 and arg = Psi in the raw frame.  ``boundary_h``
-    is a callable of theta giving the Dirichlet trace Psi = h(theta).
-    Newton steps are halved until the residual decreases, down to the
-    2^-10 floor; exhaustion raises NoConvergence with the best iterate
-    attached.
+    The frame fixes L, F and arg: L = d_ss + d_thth, F = e^{2s} and
+    arg = Psi + c s in the alpha = 1 frame; L = d_ss + d_thth +
+    2(1-alpha) d_s + (1-alpha)^2, F = e^{(1+alpha)s} and
+    arg = Psi e^{(1-alpha)s} in the general frame; L = d_ss + d_thth, F = 1
+    and arg = Psi in the raw frame.  ``boundary_h`` is a callable of theta
+    giving the Dirichlet trace Psi = h(theta).  Newton steps are halved
+    until the residual decreases, down to the 2^-10 floor; exhaustion, or a
+    non-finite residual or g' before a step, raises NoConvergence with the
+    best iterate attached.
     """
     n_s, n_t = grid.n_s, grid.n_theta
     hs, ht = grid.h_s, grid.h_theta
     s = grid.s_nodes
     th = grid.theta_nodes
     h_vals = np.asarray(boundary_h(th), dtype=float)
-
-    F_vals, darg_fn = _frame_pieces(frame, s)
 
     Psi = (init if init is not None else default_initial_guess(grid, boundary_h)).vals.copy()
     # impose the Dirichlet trace exactly and identify the s-edges
@@ -294,13 +311,19 @@ def solve_semilinear(
     # the unknowns are s-rows 0 .. n_s - 1 and theta-columns 1 .. n_t - 1;
     # row n_s repeats row 0
     s_col = s[:n_s, None]
-    F_col = F_vals[:n_s, None]
-    terms = _stencil_terms(op, hs, ht)
+    b1, c0, F_col, darg = _frame_problem(frame, s_col)
+    terms = _stencil_terms(b1, c0, hs, ht)
     symbol = _periodic_symbol(terms, n_s, n_t)
 
     def residual(P):
         lap = _apply_stencil(terms, np.concatenate([P[n_s - 1:n_s], P]))
-        return lap - F_col * gspec.g(from_working(s_col, P[:n_s, 1:n_t], frame))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lap - F_col * gspec.g(from_working(s_col, P[:n_s, 1:n_t], frame))
+
+    def no_convergence(message, P):
+        best = ScalarField(grid, P)
+        return NoConvergence(message, field=best, report=SolveReport(
+            iters, res_norm, s_variance(best), False, history, krylov_ok, krylov_its))
 
     history, krylov_ok, krylov_its = [], [], []
     R = residual(Psi)
@@ -308,8 +331,11 @@ def solve_semilinear(
     history.append(res_norm)
     iters = 0
     while res_norm > tol and iters < max_iter:
-        gp = gspec.g_prime(from_working(s_col, Psi[:n_s, 1:n_t], frame))
-        nonlinear = F_col * gp * darg_fn(s_col)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gp = gspec.g_prime(from_working(s_col, Psi[:n_s, 1:n_t], frame))
+            nonlinear = F_col * gp * darg
+        if not (np.isfinite(R).all() and np.isfinite(nonlinear).all()):
+            raise no_convergence("non-finite residual or g' before a Newton step", Psi)
 
         def jvp(d):
             # the stencil on the step, zero on the theta-edges and periodic
@@ -333,24 +359,13 @@ def solve_semilinear(
                 break
             lam *= 0.5
             if lam < DAMPING_FLOOR:
-                best = ScalarField(grid, Psi)
-                raise NoConvergence(
-                    "damping floor reached without residual decrease",
-                    field=best,
-                    report=SolveReport(iters, res_norm, s_variance(best), False,
-                                       history, krylov_ok, krylov_its),
-                )
+                raise no_convergence("damping floor reached without residual decrease", Psi)
         iters += 1
         history.append(res_norm)
 
-    converged = res_norm <= tol
+    if not res_norm <= tol:
+        raise no_convergence(
+            f"residual {res_norm:.3e} above tolerance after {iters} iterations", Psi)
     out = ScalarField(grid, Psi)
-    report = SolveReport(iters, res_norm, s_variance(out), converged, history,
-                         krylov_ok, krylov_its)
-    if not converged:
-        raise NoConvergence(
-            f"residual {res_norm:.3e} above tolerance after {iters} iterations",
-            field=out,
-            report=report,
-        )
-    return out, report
+    return out, SolveReport(iters, res_norm, s_variance(out), True, history,
+                            krylov_ok, krylov_its)

@@ -1,7 +1,7 @@
 """Grid-sampled fields on log-polar rectangles: closed-form stream and
 velocity samples, the polar Laplacian (e^{-2s} times the central stencil in
-(s, theta) = (ln r, theta), NaN on the edge nodes), the working-frame map
-and field I/O."""
+(s, theta) = (ln r, theta), NaN on the edge nodes) and field I/O.  The
+working frames, which fix the elliptic problem, live in :mod:`.elliptic`."""
 
 from __future__ import annotations
 
@@ -50,28 +50,6 @@ class VectorField:
         return np.hypot(self.ur_vals, self.utheta_vals)
 
 
-@dataclass(frozen=True)
-class Alpha1Frame:
-    """Working frame Psi = psi(e^s, theta) - c*s."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class GeneralFrame:
-    """Working frame Psi = psi(e^s, theta) * e^{s(alpha-1)}."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class RawFrame:
-    """Identity frame Psi = psi(e^s, theta)."""
-
-
-FrameTag = Alpha1Frame | GeneralFrame | RawFrame
-
-
 def laplacian_polar(psi: ScalarField) -> ScalarField:
     """Delta psi = e^{-2s} (psi_ss + psi_thth), interior nodes only (NaN edges)."""
     g = psi.grid
@@ -82,17 +60,6 @@ def laplacian_polar(psi: ScalarField) -> ScalarField:
     ) / g.h_theta**2
     out[1:-1, 1:-1] = np.exp(-2.0 * g.s_nodes[1:-1])[:, None] * core
     return ScalarField(g, out)
-
-
-def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
-    """Stream values psi from working-frame values Psi at log-radii ``s``
-    (``s`` broadcasts against ``Psi``): Psi + c s, Psi e^{s(1-alpha)} or a
-    copy of Psi.  This is the nonlinearity's argument in the solver."""
-    if isinstance(tag, Alpha1Frame):
-        return Psi + tag.c * s
-    if isinstance(tag, GeneralFrame):
-        return Psi * np.exp(-s * (tag.alpha - 1.0))
-    return Psi.copy()
 
 
 def sample_stream(sol: HomogeneousSolution, grid: LogPolarGrid) -> ScalarField:

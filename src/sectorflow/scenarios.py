@@ -303,7 +303,7 @@ def _recovery_grid(grid):
     return LogPolarGrid(grid.s_min, grid.s_max, n_s, n_t, grid.theta0)
 
 
-def _solve(scn, grid, op, gspec, frame, h):
+def _solve(scn, grid, gspec, frame, h):
     """Newton solve, periodic in s, from the seeded perturbed start, under
     the [solver] settings; returns (Psi, report, tol)."""
     tol = _finite(scn.solver.get("tol", 1e-10))
@@ -314,7 +314,7 @@ def _solve(scn, grid, op, gspec, frame, h):
         raise ConfigError(f"[solver] seed must be nonnegative, got {seed}")
     amp = _finite(scn.solver.get("perturbation", 0.1))
     init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(grid, op, gspec, frame, h, init=init, tol=tol)
+    Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=tol)
     return Psi, rep, tol
 
 
@@ -328,9 +328,7 @@ def _profile_check(Psi, h):
 def _run_thm1i(scn, grid, out):
     B = _finite(scn.solver.get("b", 1.0))
     h = lambda th: B * th / grid.theta0
-    psi, rep, tol = _solve(
-        scn, grid, elliptic.laplace_operator(), elliptic.ZeroG(), fields.RawFrame(), h
-    )
+    psi, rep, tol = _solve(scn, grid, elliptic.ZeroG(), elliptic.RawFrame(), h)
     checks = [
         _check("converged", 0 if rep.converged else 1, 0),
         _check("s_variance", rep.s_variance, max(tol, 1e-6)),
@@ -351,7 +349,7 @@ def _exp_case(sol, fit, boundary):
                ok=fit.get("r_squared", 0.0) >= 0.999),
     ]
     return (rigidity.Thm1Relation(c), checks, elliptic.ExpForm(K=-boundary["c3_hat"], c=c),
-            elliptic.laplace_operator(), fields.Alpha1Frame(c))
+            elliptic.Alpha1Frame(c))
 
 
 def _power_case(sol, fit, boundary):
@@ -367,7 +365,7 @@ def _power_case(sol, fit, boundary):
     C1 = float(sol.stream_h(np.zeros(1))[0])
     C = ((1.0 - alpha) ** 2 * C1 - boundary["c3_hat"]) / abs(C1) ** q
     return (rigidity.Thm2Relation(alpha), checks, elliptic.PowerForm(C, q),
-            elliptic.general_frame_operator(alpha), fields.GeneralFrame(alpha))
+            elliptic.GeneralFrame(alpha))
 
 
 def _run_rigidity_solve(scn, grid, out, default_family, case):
@@ -379,7 +377,7 @@ def _run_rigidity_solve(scn, grid, out, default_family, case):
     lap_r = fields.laplacian_polar(psi_r)
     rec = rigidity.recover_g(psi_r, lap_r)
     scale = float(np.nanmax(np.abs(lap_r.vals)))
-    relation, form_checks, gspec, op, frame = case(
+    relation, form_checks, gspec, frame = case(
         sol, rec.fit or {}, artifacts["boundary_report"]
     )
     checks += [
@@ -387,7 +385,7 @@ def _run_rigidity_solve(scn, grid, out, default_family, case):
         *form_checks,
         _check("g_functional_equation", rigidity.g_functional_check(rec, relation), 1e-3),
     ]
-    Psi, rep, tol = _solve(scn, grid, op, gspec, frame, sol.stream_h)
+    Psi, rep, tol = _solve(scn, grid, gspec, frame, sol.stream_h)
     # an s-free Psi passes solve_s_variance under a wrong K or C too
     checks += [_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)),
                _profile_check(Psi, sol.stream_h)]
@@ -455,7 +453,6 @@ def _run_cor1(scn, grid, out):
     w_res = [angular_ode.w_equation_residual(r.profile, c) for r in shots if not r.blew_up]
     if w_res:
         checks.append(_check("w_equation_residual", max(w_res), 100.0 * step**2))
-    (out / "shooting.json").write_text(json.dumps(rep, sort_keys=True))
     return checks, {"shooting": rep}
 
 

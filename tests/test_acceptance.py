@@ -28,11 +28,9 @@ from sectorflow import (
     default_initial_guess,
     euler_residual_closed_form,
     g_functional_check,
-    general_frame_operator,
     integrate_alpha1,
     integrate_general,
     jacobian_check,
-    laplace_operator,
     laplacian_polar,
     periodic_shooting,
     profile_residual,
@@ -130,9 +128,7 @@ def test_criterion_03_swirl_free_rigidity_demo():
     for n in (32, 64, 128):
         grid = LogPolarGrid(0.0, math.log(2), n, n, theta0)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
-        psi, rep = solve_semilinear(
-            grid, laplace_operator(), ZeroG(), RawFrame(), h, init=init,
-        )
+        psi, rep = solve_semilinear(grid, ZeroG(), RawFrame(), h, init=init)
         assert rep.converged
         _, TH = grid.mesh()
         errs.append(float(np.max(np.abs(psi.vals - B * TH / theta0))))
@@ -170,9 +166,7 @@ def test_criterion_04_exponential_pipeline():
     sgrid = LogPolarGrid(0.0, math.log(2), 64, 64, THETA0)
     h = lambda th: np.log(np.cos(th))
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
-    Psi, rep = solve_semilinear(
-        sgrid, laplace_operator(), ExpForm(-1.0, c), Alpha1Frame(c), h, init=init,
-    )
+    Psi, rep = solve_semilinear(sgrid, ExpForm(-1.0, c), Alpha1Frame(c), h, init=init)
     sv = s_variance(Psi)
     ok = slope_ok and r2_ok and func <= 1e-3 and rep.converged and sv <= 1e-6
     _verdict(
@@ -200,8 +194,7 @@ def test_criterion_05_power_pipeline():
     h = lambda th: -1.0 / np.cos(th)
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
-        sgrid, general_frame_operator(alpha), PowerForm(-2.0, 3.0),
-        GeneralFrame(alpha), h, init=init,
+        sgrid, PowerForm(-2.0, 3.0), GeneralFrame(alpha), h, init=init,
     )
     sv = s_variance(Psi)
     ok = q_ok and coef_ok and func <= 1e-3 and rep.converged and sv <= 1e-6

@@ -18,14 +18,12 @@ from sectorflow import (
     ZeroG,
     construct_exact,
     default_initial_guess,
-    general_frame_operator,
-    laplace_operator,
     solve_semilinear,
 )
 from sectorflow import elliptic
 from sectorflow.domain import LogPolarGrid
-from sectorflow.elliptic import EllipticOperator
-from sectorflow.errors import ParameterDomain
+from sectorflow.elliptic import from_working
+from sectorflow.errors import NoConvergence, ParameterDomain
 from sectorflow.rigidity import s_variance
 from sectorflow.scenarios import _exp_case, _power_case, parse_config, run_scenario
 
@@ -37,19 +35,49 @@ def _grid(n=64, theta0=math.pi / 2):
 
 
 class TestOperators:
+    # (b1, c0) of the operator d_ss + d_thth + b1 d_s + c0 each frame fixes
+
     def test_laplace_coefficients(self):
-        op = laplace_operator()
-        assert (op.a11, op.a22, op.b1, op.c0) == (1.0, 1.0, 0.0, 0.0)
+        for frame in (RawFrame(), Alpha1Frame(1.5)):
+            assert elliptic._frame_problem(frame, np.zeros(3))[:2] == (0.0, 0.0)
 
     def test_general_frame_coefficients(self):
-        op = general_frame_operator(2.0)
-        assert op.b1 == -2.0
-        assert op.c0 == 1.0
+        assert elliptic._frame_problem(GeneralFrame(2.0), np.zeros(3))[:2] == (-2.0, 1.0)
+        assert elliptic._frame_problem(GeneralFrame(0.5), np.zeros(3))[:2] == (1.0, 0.25)
 
-    def test_ellipticity_enforced(self):
-        for a11, a22 in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)]:
-            with pytest.raises(ParameterDomain):
-                EllipticOperator(a11, a22)
+
+class TestWorkingFrames:
+    def test_alpha1_frame_removes_log(self):
+        grid = _grid()
+        S, TH = grid.mesh()
+        c = 1.5
+        psi = from_working(S, np.sin(TH), Alpha1Frame(c))
+        np.testing.assert_allclose(psi, c * S + np.sin(TH), atol=1e-12)
+
+    def test_general_frame_removes_power(self):
+        grid = _grid()
+        S, TH = grid.mesh()
+        alpha = 2.0
+        psi = from_working(S, np.cos(TH), GeneralFrame(alpha))
+        np.testing.assert_allclose(psi, np.cos(TH) * np.exp((1 - alpha) * S), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "tag", [Alpha1Frame(0.7), GeneralFrame(2.5), RawFrame()]
+    )
+    def test_round_trip(self, tag):
+        # from_working inverts the frames' defining maps Psi = psi - c s,
+        # Psi = psi e^{s(alpha-1)} and Psi = psi; s broadcasts over theta
+        grid = _grid()
+        S, TH = grid.mesh()
+        psi = np.sin(S) * np.cos(TH) + S
+        if isinstance(tag, Alpha1Frame):
+            Psi = psi - tag.c * S
+        elif isinstance(tag, GeneralFrame):
+            Psi = psi * np.exp(S * (tag.alpha - 1.0))
+        else:
+            Psi = psi
+        back = from_working(grid.s_nodes[:, None], Psi, tag)
+        np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
 class TestGSpecs:
@@ -61,7 +89,7 @@ class TestGSpecs:
     def test_thm1ii_exp_form(self):
         # tangent stream with v = c = 1 and edge constant c3 = A = 1
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
-        _, _, g, _, frame = _exp_case(sol, {}, {"c3_hat": 1.0})
+        _, _, g, frame = _exp_case(sol, {}, {"c3_hat": 1.0})
         assert isinstance(g, ExpForm) and frame == Alpha1Frame(1.0)
         z = np.linspace(-1, 1, 11)
         np.testing.assert_allclose(g.g(z), -np.exp(-2.0 * z), rtol=1e-12)
@@ -70,7 +98,7 @@ class TestGSpecs:
         # alpha=2 secant stream: C1 = h(0) = -1, c3 = f'(0) = 1 gives
         # g(z) = -2|z|^3, i.e. 2 z^3 on the z < 0 branch the stream occupies
         sol = construct_exact(FamilyKind.COS_POWER, {"alpha": 2.0, "C1": 1.0, "C2": 0.0}, 1.0)
-        _, _, g, _, frame = _power_case(sol, {}, {"c3_hat": 1.0})
+        _, _, g, frame = _power_case(sol, {}, {"c3_hat": 1.0})
         assert isinstance(g, PowerForm) and frame == GeneralFrame(2.0)
         assert g.q == pytest.approx(3.0)
         z = np.linspace(-2.0, -0.1, 21)
@@ -87,14 +115,7 @@ class TestLinearSolves:
         B, theta0 = 1.0, grid.theta0
         h = lambda th: B * th / theta0
         init = default_initial_guess(grid, h, amplitude=0.1, seed=3)
-        psi, rep = solve_semilinear(
-            grid,
-            laplace_operator(),
-            ZeroG(),
-            RawFrame(),
-            h,
-            init=init,
-        )
+        psi, rep = solve_semilinear(grid, ZeroG(), RawFrame(), h, init=init)
         _, TH = grid.mesh()
         assert rep.converged
         assert s_variance(psi) <= 1e-6
@@ -107,14 +128,7 @@ class TestSemilinearSolves:
         c = 1.0
         h = lambda th: np.log(np.cos(th))
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
-        Psi, rep = solve_semilinear(
-            grid,
-            laplace_operator(),
-            ExpForm(-1.0, c),
-            Alpha1Frame(c),
-            h,
-            init=init,
-        )
+        Psi, rep = solve_semilinear(grid, ExpForm(-1.0, c), Alpha1Frame(c), h, init=init)
         _, TH = grid.mesh()
         assert rep.converged
         assert s_variance(Psi) <= 1e-6
@@ -126,12 +140,7 @@ class TestSemilinearSolves:
         h = lambda th: -1.0 / np.cos(th)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=1)
         Psi, rep = solve_semilinear(
-            grid,
-            general_frame_operator(alpha),
-            PowerForm(-2.0, 3.0),
-            GeneralFrame(alpha),
-            h,
-            init=init,
+            grid, PowerForm(-2.0, 3.0), GeneralFrame(alpha), h, init=init
         )
         _, TH = grid.mesh()
         assert rep.converged
@@ -160,56 +169,91 @@ class TestSemilinearSolves:
 class TestFullStencil:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_linear_solve_takes_one_newton_step(self, n):
-        # every term of the stencil is present, and a11 != a22, so one
-        # Newton step solves the linear problem only if the Jacobian is the
-        # residual's exact linearisation
-        op = EllipticOperator(1.0, 0.8, b1=0.5, c0=0.2)
+        # every term of the stencil is present (b1 = 1 and c0 = 1/4 in the
+        # alpha = 0.5 frame), so one Newton step solves the linear problem
+        # only if the Jacobian is the residual's exact linearisation
         grid = _grid(n, 1.0)
         h = lambda th: np.sin(2.0 * th) + th
         init = default_initial_guess(grid, h, amplitude=0.5, seed=n)
-        _, rep = solve_semilinear(grid, op, ZeroG(), RawFrame(), h, init=init)
+        _, rep = solve_semilinear(grid, ZeroG(), GeneralFrame(0.5), h, init=init)
         assert rep.converged
         assert rep.iterations == 1
 
 
-# the three (operator, g, frame, trace) combinations the pipelines solve,
-# on theta0 = 1 with the traces of their exact families
+class TestFrameConsistency:
+    """Before any Newton step, the residual of an exact family's
+    s-independent trace is the discretisation error when the frame's L, F
+    and arg are the family's equation; it falls as h^2."""
+
+    @staticmethod
+    def _start_residual(g, frame, h, n):
+        grid = LogPolarGrid(0.0, math.log(2), n, n, 1.0)
+        try:
+            return solve_semilinear(grid, g, frame, h, max_iter=0)[1].final_residual
+        except NoConvergence as exc:
+            return exc.report.final_residual
+
+    @pytest.mark.parametrize("g, frame, h", [
+        (ExpForm(-1.0, 1.0), Alpha1Frame(1.0), lambda th: np.log(np.cos(th))),
+        (PowerForm(-2.0, 3.0), GeneralFrame(2.0), lambda th: -1.0 / np.cos(th)),
+    ], ids=["alpha1-tan", "general-frame-cos-power"])
+    def test_exact_trace_residual_falls_at_second_order(self, g, frame, h):
+        r64, r128 = (self._start_residual(g, frame, h, n) for n in (64, 128))
+        assert r64 >= 3.5 * r128
+
+    def test_linear_trace_is_exact_in_the_raw_frame(self):
+        # theta0 = 1 on 64 cells puts every node on a binary fraction
+        assert self._start_residual(ZeroG(), RawFrame(), lambda th: 2.0 * th - 1.0, 64) == 0.0
+
+
+# the three (g, frame, b1, c0, trace) combinations the pipelines solve, on
+# theta0 = 1 with the traces of their exact families; (b1, c0) are the
+# frame's operator coefficients, written out here so that the oracle never
+# reads them from the solver
 PIPELINE_SOLVES = {
-    "thm1i": (laplace_operator(), ZeroG(), RawFrame(), lambda th: th),
-    "thm1ii": (laplace_operator(), ExpForm(-1.0, 1.0), Alpha1Frame(1.0),
+    "thm1i": (ZeroG(), RawFrame(), 0.0, 0.0, lambda th: th),
+    "thm1ii": (ExpForm(-1.0, 1.0), Alpha1Frame(1.0), 0.0, 0.0,
                lambda th: np.log(np.cos(th))),
-    "thm2": (general_frame_operator(2.0), PowerForm(-2.0, 3.0), GeneralFrame(2.0),
+    "thm2": (PowerForm(-2.0, 3.0), GeneralFrame(2.0), -2.0, 1.0,
              lambda th: -1.0 / np.cos(th)),
 }
 
+# frames with their (b1, c0); the raw frame's operator is the plain Laplacian
+FRAMES = pytest.mark.parametrize("frame, b1, c0", [
+    (RawFrame(), 0.0, 0.0),
+    (Alpha1Frame(1.0), 0.0, 0.0),
+    (GeneralFrame(2.0), -2.0, 1.0),
+    (GeneralFrame(0.5), 1.0, 0.25),
+], ids=["laplace", "alpha1", "general-frame", "general-frame-0.5"])
 
-def _periodic_solve(case, n_s, n_theta=None, op=None):
-    default_op, g, frame, h = PIPELINE_SOLVES[case]
-    grid = LogPolarGrid(0.0, math.log(2), n_s, n_theta or n_s, 1.0)
+
+def _case(case, n_s, n_theta, frame):
+    """(g, frame, b1, c0, trace, grid) of ``case``, with ``frame`` a
+    (frame, b1, c0) triple that replaces the case's own when given."""
+    g, *own, h = PIPELINE_SOLVES[case]
+    return (g, *(frame or own), h, LogPolarGrid(0.0, math.log(2), n_s, n_theta or n_s, 1.0))
+
+
+def _periodic_solve(case, n_s, n_theta=None, frame=None):
+    g, frame, _, _, h, grid = _case(case, n_s, n_theta, frame)
     init = default_initial_guess(grid, h, amplitude=0.1, seed=n_s)
-    return solve_semilinear(grid, op or default_op, g, frame, h, init=init)
+    return solve_semilinear(grid, g, frame, h, init=init)
 
 
-OPERATORS = pytest.mark.parametrize("op", [
-    laplace_operator(),
-    general_frame_operator(2.0),
-    EllipticOperator(1.3, 0.8, b1=0.5, c0=-0.2),
-], ids=["laplace", "general-frame", "skewed"])
-
-
-def _oracle_jacobian(op, grid, nonlinear):
-    """The Newton Jacobian written out entry by entry from the difference
-    formulas, independently of the solver's stencil table.  Unknown (i, j)
-    is s-row i < n_s, whose neighbours wrap mod n_s, and theta-column
-    0 < j < n_theta, whose edge neighbours are Dirichlet data (no entry);
-    ``nonlinear[i, j - 1]`` is the derivative of F g(arg) at that unknown."""
+def _oracle_jacobian(b1, c0, grid, nonlinear):
+    """The Newton Jacobian of d_ss + d_thth + b1 d_s + c0 - F g(arg) written
+    out entry by entry from the difference formulas, independently of the
+    solver's stencil table.  Unknown (i, j) is s-row i < n_s, whose
+    neighbours wrap mod n_s, and theta-column 0 < j < n_theta, whose edge
+    neighbours are Dirichlet data (no entry); ``nonlinear[i, j - 1]`` is the
+    derivative of F g(arg) at that unknown."""
     n_s, n_t = grid.n_s, grid.n_theta
-    k_s, k_t, k_b = op.a11 / grid.h_s**2, op.a22 / grid.h_theta**2, op.b1 / (2.0 * grid.h_s)
+    k_s, k_t, k_b = 1.0 / grid.h_s**2, 1.0 / grid.h_theta**2, b1 / (2.0 * grid.h_s)
     unknown = lambda i, j: (i % n_s) * (n_t - 1) + j - 1
     rows, cols, vals = [], [], []
     for i in range(n_s):
         for j in range(1, n_t):
-            entries = [((i, j), -2.0 * k_s - 2.0 * k_t + op.c0 - nonlinear[i, j - 1]),
+            entries = [((i, j), -2.0 * k_s - 2.0 * k_t + c0 - nonlinear[i, j - 1]),
                        ((i + 1, j), k_s + k_b), ((i - 1, j), k_s - k_b)]
             entries += [((i, j + dj), k_t) for dj in (-1, 1) if 0 < j + dj < n_t]
             for (ii, jj), v in entries:
@@ -234,16 +278,14 @@ class _RecordingG:
         return self.g_primes[-1]
 
 
-def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, op=None, exact=None,
+def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, frame=None, exact=None,
                        columns=False):
     """Solve ``case`` as :func:`_periodic_solve` does and record each Newton
     step as (oracle Jacobian, rhs, step, action), all flat; the action is the
     solver's Jacobian action applied to every unit vector when ``columns``
     is set, else None.  With ``exact`` (a solver of oracle @ x = rhs), every
     step is that solve instead of GMRES."""
-    default_op, g, frame, h = PIPELINE_SOLVES[case]
-    op = op or default_op
-    grid = LogPolarGrid(0.0, math.log(2), n_s, n_theta or n_s, 1.0)
+    g, frame, b1, c0, h, grid = _case(case, n_s, n_theta, frame)
     spec = _RecordingG(g)
     # F d arg/d Psi: 1 in the raw frame, e^{2s} in the alpha = 1 and general frames
     factor = (np.ones((n_s, 1)) if isinstance(frame, RawFrame)
@@ -252,7 +294,7 @@ def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, op=None, exact=None
     steps = []
 
     def recording(jvp, rhs, symbol):
-        A = _oracle_jacobian(op, grid, factor * spec.g_primes[-1])
+        A = _oracle_jacobian(b1, c0, grid, factor * spec.g_primes[-1])
         if exact is None:
             step, its, ok = krylov_step(jvp, rhs, symbol)
         else:
@@ -266,7 +308,7 @@ def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, op=None, exact=None
 
     monkeypatch.setattr(elliptic, "_krylov_step", recording)
     init = default_initial_guess(grid, h, amplitude=0.1, seed=n_s)
-    psi, rep = solve_semilinear(grid, op, spec, frame, h, init=init)
+    psi, rep = solve_semilinear(grid, spec, frame, h, init=init)
     monkeypatch.undo()
     assert len(steps) == rep.iterations
     return psi, rep, steps
@@ -307,30 +349,31 @@ class TestKrylovStep:
         assert np.max(np.abs(psi.vals - ref.vals)) <= 1e-12 * np.max(np.abs(ref.vals))
 
     @pytest.mark.parametrize("n_s, n_theta", [(16, 16), (24, 17)])
-    @OPERATORS
+    @FRAMES
     @pytest.mark.parametrize("case", list(PIPELINE_SOLVES))
-    def test_action_is_the_dense_jacobian(self, case, op, n_s, n_theta, monkeypatch):
+    def test_action_is_the_dense_jacobian(self, case, frame, b1, c0, n_s, n_theta,
+                                          monkeypatch):
         # the Jacobian action on each unit vector is a column of the oracle,
         # across the periodic wrap, the zero theta-edges and g'; each step
         # meets the forcing against a dense solve; and the Newton solution
         # matches a solve whose every step is that dense solve
-        psi, rep, steps = _solve_with_oracle(monkeypatch, case, n_s, n_theta, op,
-                                             columns=True)
+        psi, rep, steps = _solve_with_oracle(monkeypatch, case, n_s, n_theta,
+                                             (frame, b1, c0), columns=True)
         assert rep.converged and rep.iterations >= 1
         for A, rhs, step, action in steps:
             dense = A.toarray()
             assert np.max(np.abs(action - dense)) <= 1e-12 * np.max(np.abs(dense))
             _assert_meets_forcing(A, rhs, step, np.linalg.solve(dense, rhs))
-        ref, _, _ = _solve_with_oracle(monkeypatch, case, n_s, n_theta, op,
+        ref, _, _ = _solve_with_oracle(monkeypatch, case, n_s, n_theta, (frame, b1, c0),
                                        exact=_dense_solve)
         assert np.max(np.abs(psi.vals - ref.vals)) <= 1e-12 * np.max(np.abs(ref.vals))
 
     @pytest.mark.parametrize("n_s, n_theta", [(16, 16), (33, 20), (64, 64)])
-    @OPERATORS
-    def test_linear_solve_takes_one_krylov_iteration(self, op, n_s, n_theta):
+    @FRAMES
+    def test_linear_solve_takes_one_krylov_iteration(self, frame, b1, c0, n_s, n_theta):
         # with g = 0 the preconditioner is the Jacobian's exact inverse, so a
         # mis-signed or mis-scaled symbol term costs extra iterations
-        _, rep = _periodic_solve("thm1i", n_s, n_theta, op)
+        _, rep = _periodic_solve("thm1i", n_s, n_theta, (frame, b1, c0))
         assert rep.converged
         assert rep.krylov_converged == [True] * rep.iterations
         assert rep.krylov_iterations == [1] * rep.iterations

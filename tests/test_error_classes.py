@@ -3,6 +3,7 @@ its handler needs."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from sectorflow import (
     default_initial_guess,
     g_functional_check,
     homogeneity_fit,
-    laplace_operator,
     solve_semilinear,
 )
 from sectorflow.cli import main
@@ -39,8 +39,8 @@ def _grid(n=16):
 def test_no_convergence_carries_best_iterate_and_report():
     grid = _grid()
     with pytest.raises(NoConvergence) as info:
-        solve_semilinear(grid, laplace_operator(), ExpForm(1.0, 1.0), RawFrame(),
-                         lambda th: th, tol=0.0, max_iter=1)
+        solve_semilinear(grid, ExpForm(1.0, 1.0), RawFrame(), lambda th: th,
+                         tol=0.0, max_iter=1)
     rep = info.value.report
     assert rep.iterations == 1 and not rep.converged
     assert len(rep.residual_history) == 2 and rep.final_residual > 0.0
@@ -56,10 +56,21 @@ def test_non_finite_step_is_rejected_by_the_line_search(monkeypatch):
                         lambda jvp, rhs, symbol: (np.full_like(rhs, np.nan), 1, False))
     grid, h = _grid(), lambda th: th
     with pytest.raises(NoConvergence) as info:
-        solve_semilinear(grid, laplace_operator(), ExpForm(1.0, 1.0), RawFrame(), h)
+        solve_semilinear(grid, ExpForm(1.0, 1.0), RawFrame(), h)
     rep = info.value.report
     assert rep.iterations == 0 and rep.krylov_converged == [False]
     np.testing.assert_array_equal(info.value.field.vals, default_initial_guess(grid, h).vals)
+
+
+def test_non_finite_g_prime_fails_before_any_krylov_step():
+    # g' = -200 g overflows to -inf at the start; the solve stops there
+    # instead of running GMRES to its cap on inf and NaN arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="non-finite") as info:
+            solve_semilinear(_grid(), ExpForm(1e307, 0.01), RawFrame(), np.zeros_like)
+    rep = info.value.report
+    assert rep.iterations == 0 and rep.krylov_iterations == []
 
 
 @pytest.mark.parametrize("zero_row", [None, 5])

@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from sectorflow import (
-    Alpha1Frame,
-    GeneralFrame,
-    RawFrame,
     ScalarField,
     field_to_csv,
     laplacian_polar,
 )
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import GridError, GridMismatch
-from sectorflow.fields import field_from_csv, from_working, read_field, write_field
+from sectorflow.fields import field_from_csv, read_field, write_field
 
 
 def _grid(n=64, theta0=math.pi / 2):
@@ -46,40 +43,6 @@ class TestLaplacian:
         target = -np.exp(-2.0 * psi.vals)
         err = np.nanmax(np.abs(lap.vals - target))
         assert err < 100 * (grid.h_s**2 + grid.h_theta**2)
-
-
-class TestWorkingFrames:
-    def test_alpha1_frame_removes_log(self):
-        grid = _grid()
-        S, TH = grid.mesh()
-        c = 1.5
-        psi = from_working(S, np.sin(TH), Alpha1Frame(c))
-        np.testing.assert_allclose(psi, c * S + np.sin(TH), atol=1e-12)
-
-    def test_general_frame_removes_power(self):
-        grid = _grid()
-        S, TH = grid.mesh()
-        alpha = 2.0
-        psi = from_working(S, np.cos(TH), GeneralFrame(alpha))
-        np.testing.assert_allclose(psi, np.cos(TH) * np.exp((1 - alpha) * S), atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "tag", [Alpha1Frame(0.7), GeneralFrame(2.5), RawFrame()]
-    )
-    def test_round_trip(self, tag):
-        # from_working inverts the frames' defining maps Psi = psi - c s,
-        # Psi = psi e^{s(alpha-1)} and Psi = psi; s broadcasts over theta
-        grid = _grid()
-        S, TH = grid.mesh()
-        psi = np.sin(S) * np.cos(TH) + S
-        if isinstance(tag, Alpha1Frame):
-            Psi = psi - tag.c * S
-        elif isinstance(tag, GeneralFrame):
-            Psi = psi * np.exp(S * (tag.alpha - 1.0))
-        else:
-            Psi = psi
-        back = from_working(grid.s_nodes[:, None], Psi, tag)
-        np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
 class TestCsv:

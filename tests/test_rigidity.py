@@ -328,6 +328,24 @@ class TestBoundaryReport:
         assert rep.mass_identity_defect < 1e-6
         assert rep.flux_consistency_defect < 1e-6
 
+    @pytest.mark.parametrize("kind, params, alpha", [
+        (FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0),
+        (FamilyKind.COS_POWER, {"alpha": 2.0, "C1": 1.0, "C2": 0.0}, 2.0),
+    ], ids=["tan", "cos_power"])
+    def test_radial_ratio_defect(self, kind, params, alpha):
+        # u(1, theta) = 2^alpha u(2, theta) holds node for node on the
+        # annulus 1 < r < 2; a factor 1 + 0.1 s breaks it; with b = 3 the
+        # grid has no r = 2 row
+        sol = construct_exact(kind, params, 1.0)
+        u = sample_velocity(sol, _grid())
+        assert boundary_report(u, alpha).radial_ratio_defect == 0.0
+        S, _ = u.grid.mesh()
+        w = 1.0 + 0.1 * S
+        bent = VectorField(u.grid, u.ur_vals * w, u.utheta_vals * w)
+        assert boundary_report(bent, alpha).radial_ratio_defect > 0.05
+        u3 = sample_velocity(sol, _grid(s_max=math.log(3)))
+        assert boundary_report(u3, alpha).radial_ratio_defect is None
+
     def test_missing_row_rejected(self):
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
         u = sample_velocity(sol, _grid())

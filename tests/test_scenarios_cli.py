@@ -92,6 +92,8 @@ class TestCli:
         )
         assert code == 0
         assert "[PASS]" in capsys.readouterr().out
+        # the shooting report is written once, inside report.json
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_exit_two_on_config_error(self, tmp_path):
         bad = _write(tmp_path, "bad.ini", "[scenario]\ntag = Nope\n")
