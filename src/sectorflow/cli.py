@@ -54,17 +54,14 @@ def main(argv=None) -> int:
                 status = "pass" if item["exit_code"] == 0 else f"exit {item['exit_code']}"
                 print(f"{item['name']}: {status}")
             return code
-        scn = parse_config(args.config)
+        flags = {k: v for k in ("seed", "tol") if (v := getattr(args, k, None)) is not None}
+        scn = parse_config(args.config, {"solver": flags})
         if TAGS[scn.tag].subcommand != args.command:
             allowed = sorted(t for t, spec in TAGS.items() if spec.subcommand == args.command)
             raise ConfigError(
                 f"tag {scn.tag!r} is not runnable by '{args.command}' "
                 f"(expected one of {allowed})"
             )
-        if getattr(args, "seed", None) is not None:
-            scn.solver["seed"] = str(args.seed)
-        if getattr(args, "tol", None) is not None:
-            scn.solver["tol"] = repr(args.tol)
         code, report = run_scenario(scn, Path(args.out))
         if "error" in report:
             print(f"{scn.name}: numerical failure: {report['error']}")

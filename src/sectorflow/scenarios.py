@@ -7,7 +7,10 @@ solve, transform, certify), writes a JSON report plus CSV dumps, and
 returns exit status 0 only if every check for the tag passes.
 
 A tag is one :data:`TAGS` entry: its pipeline, the CLI subcommand that
-runs it, its default domain, and the config keys it cannot run without.
+runs it, its default domain and family, and the config keys it cannot run
+without.  :func:`parse_config` parses and checks every config value, from
+the one :data:`_KEYS` table, and builds the domain and grid; the pipelines
+only compute.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
-from .domain import LogPolarGrid, build_grid, make_sector
-from .errors import (ConfigError, GridError, GridMismatch, InvalidRadii, NoConvergence,
-                     ParameterDomain, PipelineFailure, SectorflowError)
+from .domain import MIN_CELLS, LogPolarGrid, SectorDomain, build_grid, make_sector
+from .errors import (ConfigError, EmptyOverlap, GridError, GridMismatch, InvalidAngle,
+                     InvalidRadii, NoConvergence, PipelineFailure, SectorflowError)
 from .exact import FamilyKind
 
 _EXPR_NAMES = {"pi": math.pi, "e": math.e, "inf": math.inf}
@@ -83,96 +86,148 @@ def _finite(value) -> float:
     return x
 
 
-def _int(value) -> int:
-    """Parse an integer config value; a fraction is a ConfigError."""
-    try:
-        return int(str(value))
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}")
+def _where(parse, ok, rule: str):
+    """``parse`` restricted to the values ``ok`` accepts; ``rule`` names them."""
+    def parse_in_range(text):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"must be {rule}, got {value!r}")
+        return value
+    return parse_in_range
+
+
+_NONNEGATIVE = _where(_finite, lambda x: x >= 0.0, "nonnegative")
+_SLIDE_PROFILES = {"sec": lambda th: 1.0 / np.cos(th), "theta": lambda th: th}
+
+#: every section's keys, each with its parser and its default (None: none);
+#: a parser raises ConfigError or ValueError on a value it rules out.
+#: [domain]'s defaults are the tag's, and _family parses [family].
+_KEYS = {
+    "scenario": {"name": (str, None), "tag": (str, None)},
+    "domain": {"a": (_num, None), "b": (_num, None), "theta0": (_num, None)},
+    "grid": {"n_s": (int, 64), "n_theta": (int, 64),
+             "s_min": (_finite, None), "s_max": (_finite, None)},
+    "family": None,
+    "solver": {"tol": (_NONNEGATIVE, 1e-10),
+               "seed": (_where(int, lambda n: n >= 0, "nonnegative"), 0),
+               "perturbation": (_finite, 0.1), "b": (_finite, 1.0)},
+    "ode": {"c": (_finite, None), "p": (_finite, -1.0), "f0_min": (_finite, -2.0),
+            "f0_max": (_finite, 2.0),
+            "f0_count": (_where(int, lambda n: n >= 1, "at least 1"), 41),
+            "step": (lambda text: angular_ode.OdeConfig(step=_finite(text)).step, 1e-3)},
+    "slide": {"profile": (_where(str, _SLIDE_PROFILES.__contains__, "sec or theta"), "sec"),
+              "n": (_where(int, lambda n: n >= MIN_CELLS, f"at least {MIN_CELLS} cells"), 500),
+              "xi1": (_NONNEGATIVE, 1.0),
+              "xi2": (_where(_finite, lambda x: x > 0.0, "positive"), 1.0),
+              "taus": (_where(lambda text: tuple(_finite(t) for t in text.split(",") if t.strip()),
+                              lambda taus: taus and min(taus) >= 0.0,
+                              "one or more nonnegative numbers"), (0.1,))},
+    "verify": {"psi_csv": (_where(str, bool, "a path"), None)},
+}
+
+
+def _section(name: str, items: dict, keys: dict | None = None) -> dict:
+    """[name]'s values, each parsed and checked by its ``keys`` entry (by
+    default its _KEYS entry), over the entries' defaults."""
+    keys = keys or _KEYS[name]
+    values = {key: default for key, (_, default) in keys.items() if default is not None}
+    for key, text in items.items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key [{name}] {key}")
+        try:
+            values[key] = keys[key][0](text)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}")
+    return values
+
+
+#: INI keys are lower-case; the builders name the shift constants C, C1, C2
+_CONSTANTS = {"c": "C", "c1": "C1", "c2": "C2"}
+
+
+def _family(items: dict) -> dict:
+    """[family] as its ``kind`` (a FamilyKind) plus the builder's parameters:
+    numbers, but for the rational family's c = none (its f = 0 branch)."""
+    kind = items.get("kind")
+    keys = {key: (_finite, None) for key in items}
+    keys["kind"] = (FamilyKind, None)
+    if kind == "rational":
+        keys["c"] = (lambda text: None if text.lower() == "none" else _finite(text), None)
+    return {key if kind == "pure_rotation" else _CONSTANTS.get(key, key): value
+            for key, value in _section("family", items, keys).items()}
 
 
 @dataclass
 class Scenario:
-    """Validated scenario configuration."""
+    """A parsed and checked scenario: its domain and grid, and each other
+    section's values, typed, with the defaults filled in."""
 
     name: str
     tag: str
-    domain: dict = dc_field(default_factory=dict)
-    grid: dict = dc_field(default_factory=dict)
-    family: dict = dc_field(default_factory=dict)
-    solver: dict = dc_field(default_factory=dict)
-    ode: dict = dc_field(default_factory=dict)
-    slide: dict = dc_field(default_factory=dict)
-    verify: dict = dc_field(default_factory=dict)
-
-
-#: the keys each config section may hold; the family's builder checks [family]
-_KEYS = {
-    "scenario": {"name", "tag"},
-    "domain": {"a", "b", "theta0"},
-    "grid": {"n_s", "n_theta", "s_min", "s_max"},
-    "family": None,
-    "solver": {"tol", "seed", "perturbation", "b"},
-    "ode": {"c", "p", "f0_min", "f0_max", "f0_count", "step"},
-    "slide": {"profile", "n", "xi1", "xi2", "taus"},
-    "verify": {"psi_csv"},
-}
+    domain: SectorDomain
+    grid: LogPolarGrid
+    family: dict
+    solver: dict
+    ode: dict
+    slide: dict
+    verify: dict
 
 
 @dataclass(frozen=True)
 class TagSpec:
     """What a scenario tag is: its pipeline, the CLI subcommand that runs
-    it, its default (a, b, theta0), whether it must run on the annulus
-    a = 1, b = 2, and the (section, key) pairs it needs non-empty."""
+    it, its default (a, b, theta0) and [family], whether it must run on the
+    annulus a = 1, b = 2, and the (section, key) pairs it cannot run without."""
 
     pipeline: Callable
     subcommand: str
     domain: tuple = (1.0, 2.0, 1.0)
+    family: dict = dc_field(default_factory=dict)
     unit_annulus: bool = False
     requires: tuple = ()
 
 
-def parse_config(path: str | Path) -> Scenario:
-    """Read an INI scenario file into a Scenario: a [scenario] section with
-    the tag (and an optional name), plus any of the other sections in _KEYS.
-    Any other section, a key outside its section's _KEYS, or text that is
-    not INI, is a ConfigError."""
+def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
+    """Read an INI scenario file, with ``overrides`` ({section: {key:
+    value}}, as the CLI's --seed and --tol) laid over it, into a Scenario:
+    a [scenario] section with the tag (and an optional name), plus any of
+    the other sections in _KEYS.  Every value is parsed and range-checked
+    here, and the domain and grid are built.  A file that cannot be read
+    or is not INI, any other section or key, or a value, domain or grid
+    that the checks rule out, is a ConfigError."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        cp.read_string(path.read_text())
-    except configparser.Error as exc:
-        raise ConfigError(f"invalid config: {exc}")
-    for name in cp.sections():
+        cp.read_string(path.read_text(encoding="utf-8"))
+        cp.read_dict(overrides or {})
+        text = {name: dict(cp[name]) for name in cp.sections()}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"invalid config {path}: {exc}")
+    for name in text:
         if name not in _KEYS:
             raise ConfigError(f"unknown config section [{name}]")
-        unknown = cp[name].keys() - _KEYS[name] if _KEYS[name] is not None else ()
-        if unknown:
-            raise ConfigError(f"unknown config key [{name}] {min(unknown)}")
-    meta = dict(cp["scenario"]) if cp.has_section("scenario") else {}
+    meta = _section("scenario", text.get("scenario", {}))
     tag = meta.get("tag")
     if tag not in TAGS:
         raise ConfigError(f"unknown or missing scenario tag {tag!r}")
-    scn = Scenario(name=meta.get("name", tag), tag=tag,
-                   **{k: dict(cp[k]) for k in cp.sections() if k != "scenario"})
-    _validate(scn)
-    return scn
-
-
-def _validate(scn: Scenario):
-    spec = TAGS[scn.tag]
-    a, b, theta0 = _domain_values(scn)
-    if spec.unit_annulus and not (a == 1.0 and b == 2.0):
-        raise ConfigError(
-            f"tag {scn.tag} runs on the annulus a=1, b=2 (got a={a}, b={b})"
-        )
+    spec = TAGS[tag]
+    values = {name: _section(name, text.get(name, {}))
+              for name in ("domain", "grid", "solver", "ode", "slide", "verify")}
+    values["family"] = _family(text.get("family", {})) or dict(spec.family)
     for section, key in spec.requires:
-        if not str(getattr(scn, section).get(key, "")).strip():
-            raise ConfigError(f"{scn.tag} needs [{section}] {key}")
-    if not (0.0 < theta0 <= 2.0 * math.pi):
-        raise ConfigError(f"theta0 must lie in (0, 2*pi], got {theta0}")
+        if key not in values[section]:
+            raise ConfigError(f"{tag} needs [{section}] {key}")
+    dom = {**dict(zip(("a", "b", "theta0"), spec.domain)), **values.pop("domain")}
+    if spec.unit_annulus and (dom["a"], dom["b"]) != (1.0, 2.0):
+        raise ConfigError(f"tag {tag} runs on the annulus a=1, b=2 "
+                          f"(got a={dom['a']}, b={dom['b']})")
+    g = values.pop("grid")
+    try:
+        domain = make_sector(dom["a"], dom["b"], dom["theta0"])
+        grid = build_grid(domain, g["n_s"], g["n_theta"], g.get("s_min"), g.get("s_max"))
+    except (InvalidRadii, InvalidAngle, GridError) as exc:
+        raise ConfigError(str(exc))
+    return Scenario(meta.get("name", tag), tag, domain, grid, **values)
 
 
 def _jsonable(obj):
@@ -201,54 +256,20 @@ def _check(name, value, threshold, ok=None):
             "passed": bool(ok)}
 
 
-def _domain_values(scn: Scenario) -> tuple[float, float, float]:
-    """(a, b, theta0) from [domain], defaulting to the tag's domain."""
-    return tuple(
-        _num(scn.domain.get(key, default))
-        for key, default in zip(("a", "b", "theta0"), TAGS[scn.tag].domain)
-    )
-
-
-def _domain_grid(scn: Scenario):
-    """The domain and its grid; [grid] passes only the s-limits it sets.
-    Radii or a grid the domain rules out are a ConfigError."""
-    n_s = _int(scn.grid.get("n_s", 64))
-    n_t = _int(scn.grid.get("n_theta", 64))
-    limits = {key: _finite(scn.grid[key]) for key in ("s_min", "s_max") if key in scn.grid}
-    try:
-        dom = make_sector(*_domain_values(scn))
-        return dom, build_grid(dom, n_s, n_t, **limits)
-    except (InvalidRadii, GridError) as exc:
-        raise ConfigError(str(exc))
-
-
-_FAMILY_BY_NAME = {k.value: k for k in FamilyKind}
-
-
 def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
-    kind_name = family.get("kind")
-    if kind_name not in _FAMILY_BY_NAME:
-        raise ConfigError(f"unknown family kind {kind_name!r}")
-    params = {}
-    for key, val in family.items():
-        if key == "kind":
-            continue
-        sval = str(val)
-        if key == "c" and sval.strip().lower() == "none":
-            params["C"] = None
-        elif key in ("c", "c1", "c2") and kind_name != "pure_rotation":
-            # INI lower-cases keys; map back to the family constants
-            params[{"c": "C", "c1": "C1", "c2": "C2"}[key]] = _finite(sval)
-        else:
-            params[key] = _finite(sval)
+    """The [family] member on [0, theta0].  Only its builder knows the
+    parameters a kind needs and reads: a missing or unread one is a
+    ConfigError."""
+    kind = family["kind"]
+    params = {key: value for key, value in family.items() if key != "kind"}
     try:
-        sol = exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
+        sol = exact.construct_exact(kind, params, theta0)
     except KeyError as exc:
-        raise ConfigError(f"family {kind_name!r} needs [family] {exc.args[0].lower()}")
+        raise ConfigError(f"family {kind.value!r} needs [family] {exc.args[0].lower()}")
     # a builder records every parameter it reads
     unread = sorted(key.lower() for key in params.keys() - sol.params.keys())
     if unread:
-        raise ConfigError(f"family {kind_name!r} reads no [family] {', '.join(unread)}")
+        raise ConfigError(f"family {kind.value!r} reads no [family] {', '.join(unread)}")
     return sol
 
 
@@ -306,16 +327,11 @@ def _recovery_grid(grid):
 def _solve(scn, grid, gspec, frame, h):
     """Newton solve, periodic in s, from the seeded perturbed start, under
     the [solver] settings; returns (Psi, report, tol)."""
-    tol = _finite(scn.solver.get("tol", 1e-10))
-    if tol < 0.0:
-        raise ConfigError(f"[solver] tol must be nonnegative, got {tol}")
-    seed = _int(scn.solver.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"[solver] seed must be nonnegative, got {seed}")
-    amp = _finite(scn.solver.get("perturbation", 0.1))
-    init = elliptic.default_initial_guess(grid, h, amplitude=amp, seed=seed)
-    Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=tol)
-    return Psi, rep, tol
+    solver = scn.solver
+    init = elliptic.default_initial_guess(grid, h, amplitude=solver["perturbation"],
+                                          seed=solver["seed"])
+    Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=solver["tol"])
+    return Psi, rep, solver["tol"]
 
 
 def _profile_check(Psi, h):
@@ -326,8 +342,7 @@ def _profile_check(Psi, h):
 
 
 def _run_thm1i(scn, grid, out):
-    B = _finite(scn.solver.get("b", 1.0))
-    h = lambda th: B * th / grid.theta0
+    h = lambda th: scn.solver["b"] * th / grid.theta0
     psi, rep, tol = _solve(scn, grid, elliptic.ZeroG(), elliptic.RawFrame(), h)
     checks = [
         _check("converged", 0 if rep.converged else 1, 0),
@@ -368,10 +383,10 @@ def _power_case(sol, fit, boundary):
             elliptic.GeneralFrame(alpha))
 
 
-def _run_rigidity_solve(scn, grid, out, default_family, case):
+def _run_rigidity_solve(scn, grid, out, case):
     """Certify the family, recover g from its stream, then re-solve the
     semilinear problem from a perturbed start with the case's g-spec."""
-    sol = _build_family(dict(scn.family) or default_family, grid.theta0)
+    sol = _build_family(scn.family, grid.theta0)
     checks, artifacts, _, _ = _certify_exact(sol, grid)
     psi_r = fields.sample_stream(sol, _recovery_grid(grid))
     lap_r = fields.laplacian_polar(psi_r)
@@ -415,7 +430,7 @@ def _truncation_gap(psi, artifacts):
 def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
     """Generic pipeline: construct the configured family and certify it.
     ``extra`` returns the tag's own checks and may add artifacts."""
-    sol = _build_family(dict(scn.family), grid.theta0)
+    sol = _build_family(scn.family, grid.theta0)
     checks, artifacts, psi, prof = _certify_exact(sol, grid)
     checks += extra(psi, artifacts)
     (out / "profile.csv").write_text(prof.to_csv(sol.kind.value, sol.params))
@@ -424,19 +439,10 @@ def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
 
 
 def _run_cor1(scn, grid, out):
-    c = _finite(scn.ode.get("c", 1.0))
-    p = _finite(scn.ode.get("p", -1.0))
-    lo = _finite(scn.ode.get("f0_min", -2.0))
-    hi = _finite(scn.ode.get("f0_max", 2.0))
-    n = _int(scn.ode.get("f0_count", 41))
-    if n < 1:
-        raise ConfigError(f"[ode] f0_count must be at least 1, got {n}")
-    step = _finite(scn.ode.get("step", 1e-3))
-    try:
-        cfg = angular_ode.OdeConfig(step=step)
-    except ValueError as exc:
-        raise ConfigError(f"[ode] {exc}")
-    shots = angular_ode.shoot_alpha1(c, p, np.linspace(lo, hi, n), (0.0, 2 * math.pi), cfg)
+    c, p, step = scn.ode["c"], scn.ode["p"], scn.ode["step"]
+    f0 = np.linspace(scn.ode["f0_min"], scn.ode["f0_max"], scn.ode["f0_count"])
+    shots = angular_ode.shoot_alpha1(c, p, f0, (0.0, 2 * math.pi),
+                                     angular_ode.OdeConfig(step=step))
     rep = angular_ode.classify_periodic(c, p, shots)
     expected = 2 if c * c + 2.0 * p < 0 else 0
     non_periodic_ok = all(
@@ -457,21 +463,22 @@ def _run_cor1(scn, grid, out):
 
 
 _ATLAS = [
-    ("radial_alpha1", {"p": -0.5, "sign": 1.0}, 1.0),
-    ("tan", {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0),
-    ("rational", {"v": 1.0, "C": 1.0}, 1.0),
-    ("tanh", {"v": 1.0, "p": -1.0, "C": 1.0}, 1.0),
-    ("cos_power", {"alpha": 2.0, "C1": 1.0, "C2": 0.0}, 1.0),
-    ("sin", {"alpha": 2.0, "p": -0.5, "C": math.pi / 2}, 1.0),
-    ("pure_rotation", {"alpha": 2.0, "c": 3.0}, 1.0),
+    ("radial_alpha1", {"p": -0.5, "sign": 1.0}),
+    ("tan", {"v": 1.0, "p": 0.0, "C": 0.0}),
+    ("rational", {"v": 1.0, "C": 1.0}),
+    ("tanh", {"v": 1.0, "p": -1.0, "C": 1.0}),
+    ("cos_power", {"alpha": 2.0, "C1": 1.0, "C2": 0.0}),
+    ("sin", {"alpha": 2.0, "p": -0.5, "C": math.pi / 2}),
+    ("pure_rotation", {"alpha": 2.0, "c": 3.0}),
 ]
 
 
 def _run_atlas(scn, grid, out):
     checks = []
     artifacts = {}
-    for kind_name, params, theta0 in _ATLAS:
-        sol = exact.construct_exact(_FAMILY_BY_NAME[kind_name], params, theta0)
+    theta0 = grid.theta0
+    for kind_name, params in _ATLAS:
+        sol = exact.construct_exact(FamilyKind(kind_name), params, theta0)
         e = exact.euler_residual_closed_form(sol, grid)
         t = np.linspace(0.0, theta0, 1001)
         r1, r2 = sol.closed_form_residual(t)
@@ -484,25 +491,12 @@ def _run_atlas(scn, grid, out):
 
 
 def _run_slide(scn, grid, out):
-    profile = scn.slide.get("profile", "sec")
-    n = _int(scn.slide.get("n", 500))
+    profile, n, taus = scn.slide["profile"], scn.slide["n"], scn.slide["taus"]
+    g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
+    Psi = fields.ScalarField(g, np.tile(_SLIDE_PROFILES[profile](g.theta_nodes), (n + 1, 1)))
     try:
-        g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
-    except GridError as exc:
-        raise ConfigError(f"[slide] n: {exc}")
-    th = g.theta_nodes
-    if profile == "sec":
-        vals = np.tile(1.0 / np.cos(th), (g.n_s + 1, 1))
-    elif profile == "theta":
-        vals = np.tile(th, (g.n_s + 1, 1))
-    else:
-        raise ConfigError(f"unknown slide profile {profile!r}")
-    Psi = fields.ScalarField(g, vals)
-    xi = (_finite(scn.slide.get("xi1", 1.0)), _finite(scn.slide.get("xi2", 1.0)))
-    taus = [_finite(t) for t in str(scn.slide.get("taus", "0.1")).split(",") if t.strip()]
-    try:
-        rep = rigidity.sliding_check(Psi, xi, taus)
-    except ParameterDomain as exc:  # no tau, or a shift that leaves the rectangle
+        rep = rigidity.sliding_check(Psi, (scn.slide["xi1"], scn.slide["xi2"]), taus)
+    except EmptyOverlap as exc:  # a shift that leaves the rectangle
         raise ConfigError(f"[slide] {exc}")
     checks = [_check("min_w_nonnegative", 0 if rep["min_w"] >= 0 else 1, 0)]
     if profile == "sec" and any(abs(t - 0.1) < 1e-12 for t in taus):
@@ -534,33 +528,31 @@ def _run_verify(scn, grid, out):
     return checks, artifacts
 
 
-_EXACT = TagSpec(_run_family_certification, "exact")
+_KIND = (("family", "kind"),)
+_EXACT = TagSpec(_run_family_certification, "exact", requires=_KIND)
 _HALF_LINE = (1.0, math.inf, 1.0)
 
 #: every scenario tag, in the paper's order
 TAGS: dict[str, TagSpec] = {
     "Thm1i": TagSpec(_run_thm1i, "solve", unit_annulus=True),
-    "Thm1ii": TagSpec(
-        partial(_run_rigidity_solve, case=_exp_case,
-                default_family={"kind": "tan", "v": "1", "p": "0", "c": "0"}),
-        "solve", unit_annulus=True,
-    ),
-    "Thm2_A1": TagSpec(
-        partial(_run_rigidity_solve, case=_power_case,
-                default_family={"kind": "cos_power", "alpha": "2", "c1": "1", "c2": "0"}),
-        "solve", unit_annulus=True,
-    ),
+    "Thm1ii": TagSpec(partial(_run_rigidity_solve, case=_exp_case), "solve",
+                      family={"kind": FamilyKind.TAN, "v": 1.0, "p": 0.0, "C": 0.0},
+                      unit_annulus=True, requires=_KIND),
+    "Thm2_A1": TagSpec(partial(_run_rigidity_solve, case=_power_case), "solve",
+                       family={"kind": FamilyKind.COS_POWER, "alpha": 2.0, "C1": 1.0, "C2": 0.0},
+                       unit_annulus=True, requires=_KIND),
     "Thm2_A2": _EXACT,
     "Thm2_A3": _EXACT,
     "Thm2_A4": _EXACT,
-    "Thm3": TagSpec(partial(_run_family_certification, extra=_rotation_checks), "exact"),
+    "Thm3": TagSpec(partial(_run_family_certification, extra=_rotation_checks), "exact",
+                    requires=_KIND),
     "Thm4_B1": _EXACT,
     "Thm4_B2": _EXACT,
     "Thm4_B3": _EXACT,
     "Thm4_B4": _EXACT,
-    "Thm5i": TagSpec(_run_family_certification, "exact", domain=_HALF_LINE),
+    "Thm5i": TagSpec(_run_family_certification, "exact", domain=_HALF_LINE, requires=_KIND),
     "Thm5ii": TagSpec(partial(_run_family_certification, extra=_truncation_gap), "exact",
-                      domain=_HALF_LINE),
+                      domain=_HALF_LINE, requires=_KIND),
     "Cor1": TagSpec(_run_cor1, "ode", domain=(1.0, 2.0, 2.0 * math.pi),
                     requires=(("ode", "c"),)),
     "AppendixAtlas": TagSpec(_run_atlas, "exact"),
@@ -580,11 +572,9 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"scenario": scn.name, "tag": scn.tag}
+    report = {"scenario": scn.name, "tag": scn.tag, "grid": scn.grid.metadata(scn.domain)}
     try:
-        dom, grid = _domain_grid(scn)
-        report["grid"] = grid.metadata(dom)
-        checks, artifacts = TAGS[scn.tag].pipeline(scn, grid, out)
+        checks, artifacts = TAGS[scn.tag].pipeline(scn, scn.grid, out)
     except ConfigError:
         raise
     except (SectorflowError, ValueError, ArithmeticError, MemoryError,
@@ -613,9 +603,9 @@ def _write_json(path: Path, obj: dict):
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     """Run every scenario listed in a batch config into isolated subdirs.
 
-    Every config is parsed, and its domain and grid built, before any runs;
-    a mistake there, or a scenario name that is not one plain path
-    component or is taken, is a ConfigError.  Scenarios execute
+    Every config is parsed, which checks its values and builds its domain
+    and grid, before any runs; a mistake there, or a scenario name that is
+    not one plain path component or is taken, is a ConfigError.  Scenarios execute
     sequentially in listed order so that repeated runs are byte-identical.
     The summary records each scenario's exit code; the batch exits 0 only
     if all scenarios do.
@@ -623,13 +613,14 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     config_path = Path(config_path)
     cp = configparser.ConfigParser()
     try:
-        cp.read_string(config_path.read_text())
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"invalid batch config: {exc}")
-    if "batch" not in cp or "scenarios" not in cp["batch"]:
+        cp.read_string(config_path.read_text(encoding="utf-8"))
+        listed = cp.get("batch", "scenarios")
+    except (configparser.NoSectionError, configparser.NoOptionError):
         raise ConfigError("batch config needs [batch] scenarios = path, path, ...")
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"invalid batch config: {exc}")
     scenarios = [parse_config((config_path.parent / rel.strip()).resolve())
-                 for rel in cp["batch"]["scenarios"].split(",") if rel.strip()]
+                 for rel in listed.split(",") if rel.strip()]
     taken = {"summary.json"}
     for scn in scenarios:
         if scn.name in ("", ".", "..") or Path(scn.name).name != scn.name:
@@ -637,7 +628,6 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
         if scn.name in taken:
             raise ConfigError(f"scenario name {scn.name!r} is already taken")
         taken.add(scn.name)
-        _domain_grid(scn)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"scenarios": []}

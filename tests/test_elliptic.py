@@ -157,8 +157,7 @@ class TestSemilinearSolves:
         assert np.max(np.abs(a.vals - c.vals)) > 0
 
     def test_report_json_fields(self, tmp_path):
-        scn = parse_config(CONFIGS / "thm1i.ini")
-        scn.grid.update(n_s="16", n_theta="16")
+        scn = parse_config(CONFIGS / "thm1i.ini", {"grid": {"n_s": 16, "n_theta": 16}})
         assert run_scenario(scn, tmp_path)[0] == 0
         rep = json.loads((tmp_path / "report.json").read_text())["solve_report"]
         assert {"iterations", "final_residual", "s_variance", "converged",
@@ -400,8 +399,7 @@ class TestGridLadder:
     @pytest.mark.parametrize("n", [192, 256])
     @pytest.mark.parametrize("config", ["thm1i.ini", "thm1ii.ini"])
     def test_shipped_config_passes(self, config, n, tmp_path):
-        scn = parse_config(CONFIGS / config)
-        scn.grid.update(n_s=str(n), n_theta=str(n))
+        scn = parse_config(CONFIGS / config, {"grid": {"n_s": n, "n_theta": n}})
         code, report = run_scenario(scn, tmp_path)
         assert code == 0, report
         rep = report["solve_report"]

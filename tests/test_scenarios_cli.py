@@ -26,7 +26,7 @@ class TestParseConfig:
     def test_ini_round_trip(self):
         scn = parse_config(CONFIGS / "thm1i.ini")
         assert scn.tag == "Thm1i"
-        assert scn.solver["seed"] == "0"
+        assert scn.solver["seed"] == 0
 
     @pytest.mark.parametrize("top", ["object", "array"])
     def test_json_config_exits_2(self, top, tmp_path):
@@ -49,6 +49,24 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
+
+    def test_directory_config_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, text", [
+        ("exact", b"[scenario]\nname = \xff\ntag = Thm3\n"),
+        ("batch", b"[batch]\nscenarios = \xff.ini\n"),
+        ("exact", b"[scenario]\nname = 5%\ntag = Thm3\n"),
+        ("batch", b"[batch]\nscenarios = 5%.ini\n"),
+    ], ids=["non-utf8", "non-utf8-batch", "percent", "percent-batch"])
+    def test_unreadable_config_text_exits_2(self, cmd, text, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_tag(self, tmp_path):
         path = _write(tmp_path, "bad.ini", "[scenario]\ntag = Thm99\n")
@@ -121,6 +139,14 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_atlas_builds_each_family_on_the_domain_angle(self, tmp_path):
+        """tan and cos_power have a pole at pi/2, inside theta0 = 2."""
+        text = (CONFIGS / "atlas.ini").read_text().replace("theta0 = 1.0", "theta0 = 2.0")
+        cfg, out = _write(tmp_path, "atlas.ini", text), tmp_path / "out"
+        assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"].startswith("SingularityInRange")
 
     def test_exit_three_on_numerical_failure(self, tmp_path):
         cfg = _write(
@@ -266,7 +292,7 @@ class TestIntegerValues:
         cfg = _write(tmp_path, "b2.ini", _B2_SECTIONS + "[grid]\nn_s = 64.5\nn_theta = 64\n")
         out = tmp_path / "out"
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
 
 class TestNothingToRun:
@@ -276,7 +302,15 @@ class TestNothingToRun:
         cfg = _write(tmp_path, "slide.ini", text)
         out = tmp_path / "out"
         assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_slide_shift_that_leaves_no_overlap_is_config_error(self, tmp_path, capsys):
+        text = "[scenario]\nname = slide\ntag = Slide\n[slide]\nn = 16\ntaus = 0.5,2\n"
+        cfg = _write(tmp_path, "slide.ini", text)
+        out = tmp_path / "out"
+        assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
+        assert "leaves no overlap" in capsys.readouterr().err
 
     def test_slide_zero_translation_runs(self, tmp_path):
         text = "[scenario]\nname = slide\ntag = Slide\n[slide]\nn = 16\ntaus = 0\n"
@@ -291,7 +325,7 @@ class TestNothingToRun:
         cfg = _write(tmp_path, "cor1.ini", text)
         out = tmp_path / "out"
         assert main(["ode", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
 
 class TestSolveOnlyFlags:
@@ -313,70 +347,69 @@ class TestSolveOnlyFlags:
         monkeypatch.setattr("sectorflow.cli.run_scenario", fake_run)
         argv = ["solve", "--config", str(CONFIGS / "thm1i.ini"), "--out", str(tmp_path)]
         assert main([*argv, "--seed", "7", "--tol", "1e-6"]) == 0
-        assert seen[0]["seed"] == "7" and seen[0]["tol"] == "1e-06"
+        assert seen[0]["seed"] == 7 and seen[0]["tol"] == 1e-6
 
 
 _SIN = "[family]\nkind = sin\nalpha = 2\np = -0.5\nc = pi/2\n"
 _THM1I = "tag = Thm1i\n[grid]\nn_s = 16\nn_theta = 16\n[solver]\n"
+_AB = "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n"
+# mistakes in a Thm2_A2 config: the family's builder finds these when the
+# scenario runs, since only it knows which keys a kind needs or reads ...
+_BUILDER_MISTAKES = {
+    "family-key-missing": _AB + "[family]\nkind = sin\nalpha = 2\nc = 1\n",
+    "family-key-unread": _AB + "[family]\nkind = radial_alpha1\np = -0.5\nsgn = -1\n",
+    "family-key-of-another-kind": _AB + _SIN + "c2 = 0\n",
+}
+# ... and parse_config finds these
+_PARSE_MISTAKES = {
+    "a-above-b": "[domain]\na = 3\nb = 2\ntheta0 = 1.0\n" + _SIN,
+    "s_min-off-ln-a": _AB + "[grid]\ns_min = 0.5\n" + _SIN,
+    "s_min-off-ln-a-half-line": "[domain]\na = 2\nb = inf\ntheta0 = 1.0\n[grid]\ns_min = 0\n" + _SIN,
+    "family-c-none-off-rational": _AB + _SIN.replace("pi/2", "none"),
+}
+# (subcommand, [scenario] tag and other sections, CLI flags)
+_NUMBER_MISTAKES = {
+    "cor1-c-nan": ("ode", "tag = Cor1\n[ode]\nc = nan\n", []),
+    "cor1-p-inf": ("ode", "tag = Cor1\n[ode]\nc = 1\np = inf\n", []),
+    "tol-nan": ("solve", _THM1I + "tol = nan\n", []),
+    "tol-negative": ("solve", _THM1I + "tol = -1\n", []),
+    "perturbation-nan": ("solve", _THM1I + "perturbation = nan\n", []),
+    "perturbation-inf": ("solve", _THM1I + "perturbation = inf\n", []),
+    "b-nan": ("solve", _THM1I + "b = nan\n", []),
+    "cli-tol-nan": ("solve", _THM1I, ["--tol", "nan"]),
+    "seed-negative": ("solve", _THM1I + "seed = -1\n", []),
+    "cli-seed-negative": ("solve", _THM1I, ["--seed", "-1"]),
+    "slide-xi1-nan": ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
+    "slide-tau-nan": ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
+    "slide-xi1-negative": ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = -1\n", []),
+    "slide-xi2-negative": ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = -1\n", []),
+    "slide-xi2-zero": ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = 0\n", []),
+    "slide-tau-negative": ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = -0.1\n", []),
+    **{f"step-{name}": ("ode", f"tag = Cor1\n[ode]\nc = 1\nstep = {step}\n", [])
+       for name, step in (("0", "0"), ("negative", "-1e-3"), ("nan", "nan"), ("10", "10"))},
+}
 
 
 class TestConfigMistakes:
     """Mistakes in a config exit 2 and write no report."""
 
-    @pytest.mark.parametrize(
-        "sections",
-        [
-            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n[family]\nkind = sin\nalpha = 2\nc = 1\n",
-            "[domain]\na = 3\nb = 2\ntheta0 = 1.0\n" + _SIN,
-            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n[grid]\ns_min = 0.5\n" + _SIN,
-            "[domain]\na = 2\nb = inf\ntheta0 = 1.0\n[grid]\ns_min = 0\n" + _SIN,
-            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n"
-            "[family]\nkind = radial_alpha1\np = -0.5\nsgn = -1\n",
-            "[domain]\na = 1\nb = 2\ntheta0 = 1.0\n" + _SIN + "c2 = 0\n",
-        ],
-        ids=["family-key-missing", "a-above-b", "s_min-off-ln-a", "s_min-off-ln-a-half-line",
-             "family-key-unread", "family-key-of-another-kind"],
-    )
-    def test_exits_2_without_report(self, sections, tmp_path, capsys):
+    @pytest.mark.parametrize("case", [*_BUILDER_MISTAKES, *_PARSE_MISTAKES])
+    def test_exits_2_without_report(self, case, tmp_path, capsys):
+        sections = {**_BUILDER_MISTAKES, **_PARSE_MISTAKES}[case]
         cfg = _write(tmp_path, "bad.ini", "[scenario]\nname = bad\ntag = Thm2_A2\n" + sections)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
+        assert out.exists() == (case in _BUILDER_MISTAKES)
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "cmd, sections, flags",
-        [
-            ("ode", "tag = Cor1\n[ode]\nc = nan\n", []),
-            ("ode", "tag = Cor1\n[ode]\nc = 1\np = inf\n", []),
-            ("solve", _THM1I + "tol = nan\n", []),
-            ("solve", _THM1I + "tol = -1\n", []),
-            ("solve", _THM1I + "perturbation = nan\n", []),
-            ("solve", _THM1I + "perturbation = inf\n", []),
-            ("solve", _THM1I + "b = nan\n", []),
-            ("solve", _THM1I, ["--tol", "nan"]),
-            ("solve", _THM1I + "seed = -1\n", []),
-            ("solve", _THM1I, ["--seed", "-1"]),
-            ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
-            ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
-            ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = -1\n", []),
-            ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = -1\n", []),
-            ("slide", "tag = Slide\n[slide]\nn = 16\nxi2 = 0\n", []),
-            ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = -0.1\n", []),
-            *(("ode", f"tag = Cor1\n[ode]\nc = 1\nstep = {step}\n", [])
-              for step in ("0", "-1e-3", "nan", "10")),
-        ],
-        ids=["cor1-c-nan", "cor1-p-inf", "tol-nan", "tol-negative", "perturbation-nan",
-             "perturbation-inf", "b-nan", "cli-tol-nan", "seed-negative",
-             "cli-seed-negative", "slide-xi1-nan", "slide-tau-nan",
-             "slide-xi1-negative", "slide-xi2-negative", "slide-xi2-zero", "slide-tau-negative",
-             "step-0", "step-negative", "step-nan", "step-10"],
-    )
+    @pytest.mark.parametrize("cmd, sections, flags", _NUMBER_MISTAKES.values(),
+                             ids=_NUMBER_MISTAKES)
     def test_non_finite_or_out_of_range_number_exits_2(self, cmd, sections, flags, tmp_path):
         cfg = _write(tmp_path, "bad.ini", "[scenario]\nname = bad\n" + sections)
         out = tmp_path / "out"
         assert main([cmd, "--config", str(cfg), "--out", str(out), *flags]) == 2
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_slide_below_8_cells_exits_2(self, n, tmp_path, capsys):
@@ -384,7 +417,7 @@ class TestConfigMistakes:
                      f"[scenario]\nname = slide\ntag = Slide\n[slide]\nn = {n}\n")
         out = tmp_path / "out"
         assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not (out / "report.json").exists()
+        assert not out.exists()
         assert "at least 8 cells" in capsys.readouterr().err
 
     @staticmethod
@@ -479,10 +512,8 @@ class TestBatchNames:
 
 
 def test_failed_solve_keeps_its_solve_report(tmp_path):
-    cfg = _write(tmp_path, "thm2_a1.ini", (CONFIGS / "thm2_a1.ini").read_text())
-    scn = parse_config(cfg)
-    scn.grid.update(n_s="16", n_theta="16")
-    scn.solver["tol"] = "1e-30"
+    scn = parse_config(CONFIGS / "thm2_a1.ini",
+                       {"grid": {"n_s": 16, "n_theta": 16}, "solver": {"tol": 1e-30}})
     code, report = run_scenario(scn, tmp_path / "out")
     assert code == 3 and report["error"].startswith("NoConvergence")
     saved = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -542,4 +573,34 @@ def test_batch_with_a_bad_domain_later_writes_nothing(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ConfigError):
         run_batch(cfg, out)
+    assert not out.exists()
+
+
+def _parse_time_mistakes():
+    """(id, config text) of every parse-time mistake the tests above run."""
+    for case, (_, sections, flags) in _NUMBER_MISTAKES.items():
+        if not flags:
+            yield case, "[scenario]\nname = bad\n" + sections
+    for case, sections in _PARSE_MISTAKES.items():
+        yield case, "[scenario]\nname = bad\ntag = Thm2_A2\n" + sections
+    for n in (4, 7):
+        yield f"slide-n-{n}", f"[scenario]\nname = slide\ntag = Slide\n[slide]\nn = {n}\n"
+    for name, taus in (("comma", ","), ("empty", "")):
+        yield (f"slide-taus-{name}",
+               f"[scenario]\nname = slide\ntag = Slide\n[slide]\nn = 16\ntaus = {taus}\n")
+    for count in ("0", "-3"):
+        yield (f"cor1-f0_count-{count}", "[scenario]\nname = cor1\ntag = Cor1\n"
+               f"[ode]\nc = 1\np = 0.5\nf0_count = {count}\n")
+    yield "grid-fraction", _B2_SECTIONS + "[grid]\nn_s = 64.5\nn_theta = 64\n"
+
+
+@pytest.mark.parametrize("text", [text for _, text in _parse_time_mistakes()],
+                         ids=[case for case, _ in _parse_time_mistakes()])
+def test_batch_with_a_parse_time_mistake_in_its_second_entry_writes_nothing(text, tmp_path):
+    good = (CONFIGS / "slide.ini").read_text().replace("name = slide", "name = good")
+    _write(tmp_path, "good.ini", good)
+    _write(tmp_path, "bad.ini", text)
+    cfg = _write(tmp_path, "batch.ini", "[batch]\nscenarios = good.ini, bad.ini\n")
+    out = tmp_path / "out"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
