@@ -24,7 +24,8 @@ theta diagonalises that part, and its eigenvalues come from the same term
 table (:func:`_periodic_symbol`).  GMRES aims at ||J delta + R||_2 <=
 KRYLOV_RTOL ||R||_2; a step that misses it within the iteration cap is
 still taken, recorded as not converged, and the damped line search
-rejects it if the residual does not decrease.
+rejects it if the residual does not decrease.  GMRES (:func:`_gmres`) sums
+in a fixed order, not in BLAS, so the bits do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import add
 import numpy as np
 from scipy.fft import dst, irfft, rfft
 # splu is unused here, but bench/spans.py TARGETS wraps elliptic.splu
-from scipy.sparse.linalg import LinearOperator, gmres, splu  # noqa: F401
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .domain import LogPolarGrid
 from .errors import NoConvergence, ParameterDomain
@@ -171,7 +172,7 @@ GSpec = ZeroG | ExpForm | PowerForm
 class SolveReport:
     """Newton outcome.  ``krylov_converged`` and ``krylov_iterations`` hold
     one entry per Newton step; a False step is GMRES's iterate at the cap,
-    which missed KRYLOV_RTOL."""
+    whose true residual missed KRYLOV_RTOL."""
 
     iterations: int
     final_residual: float
@@ -252,26 +253,63 @@ def _periodic_symbol(terms, n_s: int, n_t: int) -> np.ndarray:
                         for coef, denom, taps in terms))
 
 
+def _norm(a: np.ndarray) -> float:
+    """2-norm as a fixed-order numpy reduction, not a threaded BLAS dot."""
+    return float(np.sqrt(np.sum(a * a)))
+
+
+def _gmres(matvec, b: np.ndarray, precond):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+    for matvec(x) = b from x = 0, right-preconditioned (x = precond(u)), with
+    modified Gram-Schmidt, Givens rotations and only elementwise numpy passes.
+    KRYLOV_CYCLES cycles of up to KRYLOV_RESTART iterations aim at KRYLOV_RTOL.
+    Returns (x, Arnoldi iterations, ||b - matvec(x)||_2 <= KRYLOV_RTOL ||b||_2)."""
+    rnorm = _norm(b)
+    x, u, r, its, target = np.zeros_like(b), np.zeros_like(b), b, 0, KRYLOV_RTOL * rnorm
+    for _ in range(KRYLOV_CYCLES):
+        if rnorm <= target:
+            break
+        V, R, rot, g = [r / rnorm], [], [], [rnorm]
+        for j in range(KRYLOV_RESTART):
+            w, h = matvec(precond(V[j])), []
+            its += 1
+            for v in V:
+                h.append(float(np.sum(v * w)))
+                w = w - h[-1] * v
+            h.append(_norm(w))
+            for k, (c, sn) in enumerate(rot):
+                h[k], h[k + 1] = c * h[k] + sn * h[k + 1], c * h[k + 1] - sn * h[k]
+            d = np.hypot(h[j], h[j + 1])
+            rot.append((h[j] / d, h[j + 1] / d) if d else (1.0, 0.0))
+            R.append(h[:j] + [d])
+            g[j:] = [rot[j][0] * g[j], -rot[j][1] * g[j]]
+            # an exact breakdown, h[j + 1] = 0, zeroes g[j + 1] and stops here
+            if abs(g[j + 1]) <= target:
+                break
+            V.append(w / h[j + 1])
+        y = [0.0] * len(R)
+        for k in reversed(range(len(R))):  # back substitution
+            rest = g[k] - sum(R[i][k] * y[i] for i in range(k + 1, len(R)))
+            y[k] = rest / R[k][k] if R[k][k] else 0.0
+        for yk, v in zip(y, V):
+            u = u + yk * v
+        x = precond(u)
+        r = b - matvec(x)
+        rnorm = _norm(r)
+    return x, its, rnorm <= target
+
+
 def _krylov_step(jvp, rhs: np.ndarray, symbol: np.ndarray):
-    """GMRES on the Jacobian action ``jvp`` (step array to array, in the
-    shape of ``rhs``), right-preconditioned by the exact inverse of the
-    separable operator with eigenvalues ``symbol`` (:func:`_periodic_symbol`
-    shifted by the mean nonlinear diagonal).  Returns (step, iterations,
-    converged): the step is GMRES's last iterate, and converged says
-    whether it met KRYLOV_RTOL within the cap."""
-    shape = rhs.shape
+    """:func:`_gmres` on the Jacobian action ``jvp`` (step array to array,
+    in the shape of ``rhs``), right-preconditioned by the exact inverse of
+    the separable operator with eigenvalues ``symbol``
+    (:func:`_periodic_symbol` shifted by the mean nonlinear diagonal)."""
 
     def precond(v):
-        V = rfft(dst(v.reshape(shape), type=1, norm="ortho", axis=1), axis=0)
-        return dst(irfft(V / symbol, n=shape[0], axis=0), type=1, norm="ortho", axis=1)
+        V = rfft(dst(v, type=1, norm="ortho", axis=1), axis=0)
+        return dst(irfft(V / symbol, n=rhs.shape[0], axis=0), type=1, norm="ortho", axis=1)
 
-    its = []
-    y, info = gmres(
-        LinearOperator((rhs.size,) * 2, matvec=lambda v: jvp(precond(v)).ravel(), dtype=float),
-        rhs.ravel(), rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
-        callback=its.append, callback_type="pr_norm",
-    )
-    return precond(y), len(its), info == 0
+    return _gmres(jvp, rhs, precond)
 
 
 def solve_semilinear(
@@ -325,6 +363,7 @@ def solve_semilinear(
         return NoConvergence(message, field=best, report=SolveReport(
             iters, res_norm, s_variance(best), False, history, krylov_ok, krylov_its))
 
+    Q = np.zeros((n_s + 2, n_t + 1))
     history, krylov_ok, krylov_its = [], [], []
     R = residual(Psi)
     res_norm = float(np.max(np.abs(R)))
@@ -338,10 +377,10 @@ def solve_semilinear(
             raise no_convergence("non-finite residual or g' before a Newton step", Psi)
 
         def jvp(d):
-            # the stencil on the step, zero on the theta-edges and periodic
-            # in s, minus the nonlinearity's derivative
-            Q = np.pad(d, 1)
-            Q[0], Q[-1] = Q[-2], Q[1]
+            # the stencil on the step in Q, whose theta-edges stay zero and
+            # whose ghost rows make it periodic in s, minus g's derivative
+            Q[1:-1, 1:-1] = d
+            Q[0, 1:-1], Q[-1, 1:-1] = d[-1], d[0]
             return _apply_stencil(terms, Q) - nonlinear * d
 
         delta, its, ok = _krylov_step(jvp, -R, symbol - np.mean(nonlinear))

@@ -395,6 +395,64 @@ class TestKrylovStep:
         assert asdict(rep_a) == asdict(rep_b)
 
 
+def _dense_system(n=12, seed=0):
+    """A well-conditioned nonsymmetric (A, b): a diagonal from 1 to 3 plus a
+    small random part, so its eigenvalues are distinct and GMRES needs about
+    n iterations."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(np.linspace(1.0, 3.0, n)) + 0.1 * rng.standard_normal((n, n))
+    return A, rng.standard_normal(n)
+
+
+def _identity(v):
+    return v
+
+
+class TestGmres:
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "right-preconditioned"])
+    def test_dense_system_matches_direct_solve(self, scaled):
+        # x solves A x = b itself, also when Arnoldi runs on A M for a right
+        # preconditioner M
+        A, b = _dense_system()
+        precond = (lambda v: v / np.diag(A)) if scaled else _identity
+        x, its, ok = elliptic._gmres(lambda v: A @ v, b, precond)
+        assert ok and 1 <= its <= b.size
+        exact = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+        assert np.linalg.norm(b - A @ x) <= elliptic.KRYLOV_RTOL * np.linalg.norm(b)
+
+    def test_restart_runs_further_cycles(self, monkeypatch):
+        # a 12-unknown system cannot be solved in 4 iterations, so the later
+        # cycles restart from the true residual and finish the solve
+        monkeypatch.setattr(elliptic, "KRYLOV_RESTART", 4)
+        monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", 40)
+        A, b = _dense_system()
+        x, its, ok = elliptic._gmres(lambda v: A @ v, b, _identity)
+        assert ok and its > 4
+        exact = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_zero_rhs_is_a_zero_step(self):
+        def never(v):
+            raise AssertionError("no operator application for b = 0")
+
+        x, its, ok = elliptic._gmres(never, np.zeros((4, 3)), never)
+        assert ok and its == 0
+        assert x.shape == (4, 3) and not x.any()
+
+    @pytest.mark.parametrize("restart, cycles", [(1, 1), (2, 2), (3, 1)])
+    def test_capped_solve_is_the_last_iterate(self, restart, cycles, monkeypatch):
+        # a cap below the system size misses KRYLOV_RTOL: ok is False, and
+        # the iterate's true residual, a minimum over a space holding 0, is
+        # no larger than ||b||
+        monkeypatch.setattr(elliptic, "KRYLOV_RESTART", restart)
+        monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", cycles)
+        A, b = _dense_system()
+        x, its, ok = elliptic._gmres(lambda v: A @ v, b, _identity)
+        assert not ok and its == restart * cycles
+        assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b)
+
+
 class TestGridLadder:
     @pytest.mark.parametrize("n", [192, 256])
     @pytest.mark.parametrize("config", ["thm1i.ini", "thm1ii.ini"])

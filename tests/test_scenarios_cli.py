@@ -1,6 +1,10 @@
+import configparser
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from sectorflow.scenarios import parse_config, run_batch, run_scenario
 from sectorflow.scenarios import TAGS, _num
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def _write(tmp_path, name, text):
@@ -216,6 +221,34 @@ class TestDeterminism:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_solve_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # at 256² the solve's vectors are long enough for OpenBLAS to thread
+        # its dot products, so a BLAS reduction in GMRES would show here
+        cfg = configparser.ConfigParser()
+        cfg.read(CONFIGS / "thm2_a1.ini")
+        cfg["grid"] = {"n_s": "256", "n_theta": "256"}
+        with open(tmp_path / "thm2_a1.ini", "w") as fh:
+            cfg.write(fh)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        procs = {
+            threads: subprocess.Popen(
+                [sys.executable, "-m", "sectorflow.cli", "solve", "--config",
+                 str(tmp_path / "thm2_a1.ini"), "--out", str(tmp_path / threads)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            for threads in ("1", "2")
+        }
+        for proc in procs.values():
+            output, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0, output[-2000:]
+        trees = [sorted(p.relative_to(tmp_path / t) for p in (tmp_path / t).rglob("*"))
+                 for t in procs]
+        assert trees[0] == trees[1] and Path("solution.csv") in trees[0]
+        for rel in trees[0]:
+            assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
 
 
 class TestConfigExpressions:
