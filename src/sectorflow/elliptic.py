@@ -21,11 +21,14 @@ Jacobian-free Newton-Krylov pattern of Knoll & Keyes, J. Comput. Phys. 193,
 2004), right-preconditioned by the exact inverse of the stencil's constant
 part shifted by the mean nonlinear diagonal.  An rfft in s times a DST-I in
 theta diagonalises that part, and its eigenvalues come from the same term
-table (:func:`_periodic_symbol`).  GMRES aims at ||J delta + R||_2 <=
-KRYLOV_RTOL ||R||_2; a step that misses it within the iteration cap is
-still taken, recorded as not converged, and the damped line search
-rejects it if the residual does not decrease.  GMRES (:func:`_gmres`) sums
-in a fixed order, not in BLAS, so the bits do not depend on thread count.
+table (:func:`_periodic_symbol`).  Both transforms are ``numpy.fft``; the
+DST-I is the rfft of the odd extension (:func:`_dst1`; Press et al.,
+Numerical Recipes, 3rd ed., section 12.4), so no SciPy module is imported.
+GMRES aims at ||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses
+it within the iteration cap is still taken, recorded as not converged, and
+the damped line search rejects it if the residual does not decrease.  GMRES
+(:func:`_gmres`) sums in a fixed order, not in BLAS, so the bits do not
+depend on thread count.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.fft import dst, irfft, rfft
-# splu is unused here, but bench/spans.py TARGETS wraps elliptic.splu
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .domain import LogPolarGrid
 from .errors import NoConvergence, ParameterDomain
@@ -258,6 +258,18 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
+def _dst1(v: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of ``v`` (rows, n) along axis 1: the imaginary part
+    of the rfft of the odd extension [0, v, 0, -reversed v], which is
+    written into ``ext``, a zeroed (rows, 2(n + 1)) buffer whose columns 0
+    and n + 1 stay zero.  Bit-equal to scipy.fft.dst(v, type=1,
+    norm="ortho", axis=1), but only with the scale applied in this order."""
+    n = v.shape[1]
+    ext[:, 1:n + 1] = v
+    np.negative(v[:, ::-1], out=ext[:, n + 2:])
+    return np.fft.rfft(ext, axis=1).imag[:, 1:n + 1] * (-np.sqrt(2.0 / (n + 1)) / 2.0)
+
+
 def _gmres(matvec, b: np.ndarray, precond):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
     for matvec(x) = b from x = 0, right-preconditioned (x = precond(u)), with
@@ -305,11 +317,22 @@ def _krylov_step(jvp, rhs: np.ndarray, symbol: np.ndarray):
     the separable operator with eigenvalues ``symbol``
     (:func:`_periodic_symbol` shifted by the mean nonlinear diagonal)."""
 
+    ext = np.zeros((rhs.shape[0], 2 * (rhs.shape[1] + 1)))
+
     def precond(v):
-        V = rfft(dst(v, type=1, norm="ortho", axis=1), axis=0)
-        return dst(irfft(V / symbol, n=rhs.shape[0], axis=0), type=1, norm="ortho", axis=1)
+        V = np.fft.rfft(_dst1(v, ext), axis=0)
+        return _dst1(np.fft.irfft(V / symbol, n=rhs.shape[0], axis=0), ext)
 
     return _gmres(jvp, rhs, precond)
+
+
+def __getattr__(name):
+    # bench/spans.py TARGETS still wraps elliptic.splu, which no solve calls;
+    # SciPy is imported only when it is read.  ROADMAP item 1 deletes this.
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def solve_semilinear(

@@ -395,6 +395,36 @@ class TestKrylovStep:
         assert asdict(rep_a) == asdict(rep_b)
 
 
+def _dst1(v):
+    return elliptic._dst1(v, np.zeros((v.shape[0], 2 * (v.shape[1] + 1))))
+
+
+DST_LENGTHS = pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 255, 256, 383, 511])
+
+
+class TestDst1:
+    # the extension lengths 2(n + 1) include 2 * 257, whose large prime
+    # factor sends pocketfft to Bluestein's algorithm
+    @DST_LENGTHS
+    def test_bit_equal_to_scipy(self, n):
+        from scipy.fft import dst
+
+        v = np.random.default_rng(n).standard_normal((12, n))
+        assert np.array_equal(_dst1(v), dst(v, type=1, norm="ortho", axis=1))
+
+    @DST_LENGTHS
+    def test_is_an_involution(self, n):
+        v = np.random.default_rng(n).uniform(-1.0, 1.0, (8, n))
+        assert np.max(np.abs(_dst1(_dst1(v)) - v)) <= 1e-15
+
+    def test_shared_buffer_keeps_no_stale_data(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((2, 6, 31))
+        ext = np.zeros((6, 64))
+        assert np.array_equal(elliptic._dst1(a, ext), _dst1(a))
+        assert np.array_equal(elliptic._dst1(b, ext), _dst1(b))
+
+
 def _dense_system(n=12, seed=0):
     """A well-conditioned nonsymmetric (A, b): a diagonal from 1 to 3 plus a
     small random part, so its eigenvalues are distinct and GMRES needs about
