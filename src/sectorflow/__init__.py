@@ -38,11 +38,9 @@ from .fields import (
     sample_velocity,
 )
 from .elliptic import (
-    Alpha1Frame,
     ExpForm,
-    GeneralFrame,
+    Frame,
     PowerForm,
-    RawFrame,
     SolveReport,
     ZeroG,
     default_initial_guess,
@@ -51,8 +49,6 @@ from .elliptic import (
 from .rigidity import (
     BoundaryReport,
     GRecovery,
-    Thm1Relation,
-    Thm2Relation,
     boundary_report,
     g_functional_check,
     homogeneity_fit,

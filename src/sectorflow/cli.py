@@ -22,8 +22,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .scenarios import TAGS, parse_config, run_batch, run_scenario
 
-EXIT_PASS = 0
-EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL = 3
 

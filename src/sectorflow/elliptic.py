@@ -1,10 +1,10 @@
 """Damped-Newton solver for semilinear problems L Psi = F(s) g(arg) on
 log-polar rectangles, periodic in s.
 
-The working frame is the whole problem statement.  It fixes the constant-
-coefficient operator L = d_ss + d_thth + b1 d_s + c0, the forcing profile F
-and the nonlinearity's argument (Psi + c s, e^{(1-alpha)s} Psi, or Psi
-itself); :func:`_frame_problem` is the one place that maps a frame to them.
+The working frame :class:`Frame` is the whole problem statement.  It fixes
+the constant-coefficient operator L = d_ss + d_thth + b1 d_s + c0, the
+forcing profile F and the nonlinearity's argument (Psi + c s) e^{(1-alpha)s};
+:func:`_frame_problem` is the one place that maps a frame to them.
 Dirichlet data Psi = h(theta) is imposed on the theta-edges, and the two
 s-edges are identified, so the grid spans one period in s.
 
@@ -57,54 +57,37 @@ KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
 
 
 # --------------------------------------------------------------------------
-# working frames
+# working frame
 
 
 @dataclass(frozen=True)
-class Alpha1Frame:
-    """Working frame Psi = psi(e^s, theta) - c*s: L = d_ss + d_thth,
-    F = e^{2s}."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class GeneralFrame:
-    """Working frame Psi = psi(e^s, theta) * e^{s(alpha-1)}: L = d_ss +
+class Frame:
+    """Working frame Psi = psi(e^s, theta) e^{(alpha-1)s} - c s: L = d_ss +
     d_thth + 2(1-alpha) d_s + (1-alpha)^2, conjugate to the polar Laplacian,
-    and F = e^{(1+alpha)s}."""
+    and F = e^{(1+alpha)s}.  The c s term is the alpha = 1 stream's c ln r
+    part, so c != 0 needs alpha = 1."""
 
     alpha: float
+    c: float = 0.0
+
+    def __post_init__(self):
+        if self.c != 0.0 and self.alpha != 1.0:
+            raise ParameterDomain(f"a frame with c = {self.c} needs alpha = 1, "
+                                  f"got alpha = {self.alpha}")
 
 
-@dataclass(frozen=True)
-class RawFrame:
-    """Identity frame Psi = psi(e^s, theta): L = d_ss + d_thth, F = 1."""
+def from_working(s: np.ndarray, Psi: np.ndarray, frame: Frame) -> np.ndarray:
+    """Stream values psi = (Psi + c s) e^{(1-alpha)s} from working-frame
+    values Psi at log-radii ``s`` (``s`` broadcasts against ``Psi``).  This
+    is the nonlinearity's argument in the solver."""
+    return (Psi + frame.c * s) * np.exp((1.0 - frame.alpha) * s)
 
 
-FrameTag = Alpha1Frame | GeneralFrame | RawFrame
-
-
-def from_working(s: np.ndarray, Psi: np.ndarray, tag: FrameTag) -> np.ndarray:
-    """Stream values psi from working-frame values Psi at log-radii ``s``
-    (``s`` broadcasts against ``Psi``): Psi + c s, Psi e^{s(1-alpha)} or a
-    copy of Psi.  This is the nonlinearity's argument in the solver."""
-    if isinstance(tag, Alpha1Frame):
-        return Psi + tag.c * s
-    if isinstance(tag, GeneralFrame):
-        return Psi * np.exp(-s * (tag.alpha - 1.0))
-    return Psi.copy()
-
-
-def _frame_problem(frame: FrameTag, s: np.ndarray):
+def _frame_problem(frame: Frame, s: np.ndarray):
     """(b1, c0, F, d arg / d Psi) of the frame's problem at log-radii ``s``:
     L = d_ss + d_thth + b1 d_s + c0, and arg is :func:`from_working`."""
-    if isinstance(frame, GeneralFrame):
-        a = frame.alpha
-        return (2.0 * (1.0 - a), (1.0 - a) ** 2,
-                np.exp((1.0 + a) * s), np.exp((1.0 - a) * s))
-    F = np.exp(2.0 * s) if isinstance(frame, Alpha1Frame) else np.ones_like(s)
-    return 0.0, 0.0, F, np.ones_like(s)
+    a = frame.alpha
+    return 2.0 * (1.0 - a), (1.0 - a) ** 2, np.exp((1.0 + a) * s), np.exp((1.0 - a) * s)
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +321,7 @@ def __getattr__(name):
 def solve_semilinear(
     grid: LogPolarGrid,
     gspec: GSpec,
-    frame: FrameTag,
+    frame: Frame,
     boundary_h,
     init: ScalarField | None = None,
     tol: float = 1e-10,
@@ -347,15 +330,13 @@ def solve_semilinear(
     """Damped Newton on the 5-point (+ centered first-order in s)
     discretization of L Psi = F(s) g(arg(s, Psi)), periodic in s.
 
-    The frame fixes L, F and arg: L = d_ss + d_thth, F = e^{2s} and
-    arg = Psi + c s in the alpha = 1 frame; L = d_ss + d_thth +
-    2(1-alpha) d_s + (1-alpha)^2, F = e^{(1+alpha)s} and
-    arg = Psi e^{(1-alpha)s} in the general frame; L = d_ss + d_thth, F = 1
-    and arg = Psi in the raw frame.  ``boundary_h`` is a callable of theta
-    giving the Dirichlet trace Psi = h(theta).  Newton steps are halved
-    until the residual decreases, down to the 2^-10 floor; exhaustion, or a
-    non-finite residual or g' before a step, raises NoConvergence with the
-    best iterate attached.
+    The frame fixes L = d_ss + d_thth + 2(1-alpha) d_s + (1-alpha)^2,
+    F = e^{(1+alpha)s} and arg = (Psi + c s) e^{(1-alpha)s}; in Frame(1.0, c)
+    these are d_ss + d_thth, e^{2s} and Psi + c s.  ``boundary_h`` is a
+    callable of theta giving the Dirichlet trace Psi = h(theta).  Newton
+    steps are halved until the residual decreases, down to the 2^-10 floor;
+    exhaustion, or a non-finite residual or g' before a step, raises
+    NoConvergence with the best iterate attached.
     """
     n_s, n_t = grid.n_s, grid.n_theta
     hs, ht = grid.h_s, grid.h_theta

@@ -1,7 +1,7 @@
 """Grid-sampled fields on log-polar rectangles: closed-form stream and
 velocity samples, the polar Laplacian (e^{-2s} times the central stencil in
 (s, theta) = (ln r, theta), NaN on the edge nodes) and field I/O.  The
-working frames, which fix the elliptic problem, live in :mod:`.elliptic`."""
+working frame, which fixes the elliptic problem, lives in :mod:`.elliptic`."""
 
 from __future__ import annotations
 
@@ -161,15 +161,22 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
 def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
     """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
     whose JSON sidecar and array shape must describe ``grid``, or else CSV
-    text.  Raises GridMismatch for another grid's export and GridError for
-    a non-finite value."""
+    text.  Raises GridMismatch for another grid's export, and GridError
+    naming the path for a .npy that numpy cannot read or that does not hold
+    a real floating-point array, and for a non-finite value."""
     path = Path(path)
     if path.suffix != ".npy":
         return field_from_csv(path.read_text(), grid)
     sidecar = path.with_suffix(".json")
     if sidecar.read_text() != grid.to_json():
         raise GridMismatch(f"{sidecar} describes another grid than {grid.to_json()}")
-    vals = np.load(path)
+    try:
+        vals = np.load(path)
+    except (ValueError, EOFError) as exc:  # empty, truncated or pickled
+        raise GridError(f"{path} is not a readable .npy array: {exc}") from exc
+    if not isinstance(vals, np.ndarray) or vals.dtype.kind != "f":
+        raise GridError(f"{path} holds {getattr(vals, 'dtype', 'archive')} data, "
+                        "not a real floating-point array")
     if vals.shape != grid.shape:
         raise GridMismatch(f"{path} holds a {vals.shape} array, not the grid's {grid.shape}")
     if not np.isfinite(vals).all():

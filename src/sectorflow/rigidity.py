@@ -175,55 +175,28 @@ def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
 # functional equations for g
 
 
-@dataclass(frozen=True)
-class Thm1Relation:
-    """g(z) = 4 g(z + c ln 2)."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class Thm2Relation:
-    """g(z) = 2^{1+alpha} g(2^{1-alpha} z)."""
-
-    alpha: float
-
-
-def g_functional_check(rec, relation) -> float:
-    """Max defect of the scaling functional equation at 1000 overlap points.
+def g_functional_check(rec, alpha: float, c: float = 0.0) -> float:
+    """Max defect of g(z) = 2^{1+alpha} g(2^{1-alpha} z + c ln 2), the law
+    that the r -> 2r symmetry of the working frame Frame(alpha, c) gives g,
+    at 1000 points spanning the overlap where z and its image both lie in
+    the recovered range.
 
     ``rec`` may be a GRecovery (tabulated g, linear interpolation) or any
-    object with a vectorized ``g`` method.  Raises InsufficientOverlap
-    when the recovered range does not cover both sides of the argument
-    map.
+    object with a vectorized ``g`` method, taken on [-1, 1].  Raises
+    InsufficientOverlap when the overlap is empty.
     """
     if isinstance(rec, GRecovery):
         lo, hi = float(rec.z_samples[0]), float(rec.z_samples[-1])
     else:
         lo, hi = -1.0, 1.0
-    if isinstance(relation, Thm1Relation):
-        shift = relation.c * math.log(2.0)
-        a = max(lo, lo - shift)
-        b = min(hi, hi - shift)
-        if b <= a:
-            raise InsufficientOverlap(
-                "recovered z-range does not cover both g(z) and g(z + c ln 2)"
-            )
-        z = np.linspace(a, b, 1000)
-        return float(np.max(np.abs(rec.g(z) - 4.0 * rec.g(z + shift))))
-    if isinstance(relation, Thm2Relation):
-        lam = 2.0 ** (1.0 - relation.alpha)
-        cands = np.linspace(lo, hi, 1000)
-        ok = (cands * lam >= lo) & (cands * lam <= hi)
-        if np.count_nonzero(ok) < 2:
-            raise InsufficientOverlap(
-                "recovered z-range does not cover both g(z) and g(2^{1-alpha} z)"
-            )
-        z = cands[ok]
-        return float(
-            np.max(np.abs(rec.g(z) - 2.0 ** (1.0 + relation.alpha) * rec.g(lam * z)))
+    mu, nu = 2.0 ** (1.0 - alpha), c * math.log(2.0)
+    a, b = max(lo, (lo - nu) / mu), min(hi, (hi - nu) / mu)
+    if b <= a:
+        raise InsufficientOverlap(
+            "recovered z-range does not cover both g(z) and g(2^{1-alpha} z + c ln 2)"
         )
-    raise TypeError(f"unknown relation {relation!r}")
+    z = np.linspace(a, b, 1000)
+    return float(np.max(np.abs(rec.g(z) - 2.0 ** (1.0 + alpha) * rec.g(mu * z + nu))))
 
 
 # --------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def _profile_check(Psi, h):
 
 def _run_thm1i(scn, grid, out):
     h = lambda th: scn.solver["b"] * th / grid.theta0
-    psi, rep, tol = _solve(scn, grid, elliptic.ZeroG(), elliptic.RawFrame(), h)
+    psi, rep, tol = _solve(scn, grid, elliptic.ZeroG(), elliptic.Frame(1.0), h)
     checks = [
         _check("converged", 0 if rep.converged else 1, 0),
         _check("s_variance", rep.s_variance, max(tol, 1e-6)),
@@ -354,8 +354,7 @@ def _run_thm1i(scn, grid, out):
 
 
 def _exp_case(sol, fit, boundary):
-    """Thm1ii: g(z) = K exp(-2z/c) with K = -c3, solved in the alpha = 1
-    frame."""
+    """Thm1ii: g(z) = K exp(-2z/c) with K = -c3, solved in Frame(1, c)."""
     c = float(sol.v(np.zeros(1))[0])
     checks = [
         _check("g_form_is_exp", 0 if fit.get("form") == "exp" else 1, 0),
@@ -363,13 +362,12 @@ def _exp_case(sol, fit, boundary):
         _check("g_r_squared", fit.get("r_squared", 0.0), 0.999,
                ok=fit.get("r_squared", 0.0) >= 0.999),
     ]
-    return (rigidity.Thm1Relation(c), checks, elliptic.ExpForm(K=-boundary["c3_hat"], c=c),
-            elliptic.Alpha1Frame(c))
+    return checks, elliptic.ExpForm(K=-boundary["c3_hat"], c=c), elliptic.Frame(1.0, c)
 
 
 def _power_case(sol, fit, boundary):
-    """Thm2_A1: g(z) = C |z|^q with q = (alpha+1)/(alpha-1), solved in the
-    general frame; C comes from the edge relation (1-alpha)^2 C1 - c3 =
+    """Thm2_A1: g(z) = C |z|^q with q = (alpha+1)/(alpha-1), solved in
+    Frame(alpha); C comes from the edge relation (1-alpha)^2 C1 - c3 =
     C |C1|^q with C1 = h(0)."""
     alpha = sol.alpha
     q = (alpha + 1.0) / (alpha - 1.0)
@@ -379,8 +377,7 @@ def _power_case(sol, fit, boundary):
     ]
     C1 = float(sol.stream_h(np.zeros(1))[0])
     C = ((1.0 - alpha) ** 2 * C1 - boundary["c3_hat"]) / abs(C1) ** q
-    return (rigidity.Thm2Relation(alpha), checks, elliptic.PowerForm(C, q),
-            elliptic.GeneralFrame(alpha))
+    return checks, elliptic.PowerForm(C, q), elliptic.Frame(alpha)
 
 
 def _run_rigidity_solve(scn, grid, out, case):
@@ -392,13 +389,12 @@ def _run_rigidity_solve(scn, grid, out, case):
     lap_r = fields.laplacian_polar(psi_r)
     rec = rigidity.recover_g(psi_r, lap_r)
     scale = float(np.nanmax(np.abs(lap_r.vals)))
-    relation, form_checks, gspec, frame = case(
-        sol, rec.fit or {}, artifacts["boundary_report"]
-    )
+    form_checks, gspec, frame = case(sol, rec.fit or {}, artifacts["boundary_report"])
     checks += [
         _check("g_single_valued", rec.single_valued_defect, 1e-3 * scale),
         *form_checks,
-        _check("g_functional_equation", rigidity.g_functional_check(rec, relation), 1e-3),
+        _check("g_functional_equation",
+               rigidity.g_functional_check(rec, frame.alpha, frame.c), 1e-3),
     ]
     Psi, rep, tol = _solve(scn, grid, gspec, frame, sol.stream_h)
     # an s-free Psi passes solve_s_variance under a wrong K or C too

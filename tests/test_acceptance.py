@@ -11,16 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from sectorflow import (
-    Alpha1Frame,
     ExpForm,
     FamilyKind,
-    GeneralFrame,
+    Frame,
     OdeConfig,
     PowerForm,
-    RawFrame,
     ScalarField,
-    Thm1Relation,
-    Thm2Relation,
     VectorField,
     ZeroG,
     boundary_report,
@@ -128,7 +124,7 @@ def test_criterion_03_swirl_free_rigidity_demo():
     for n in (32, 64, 128):
         grid = LogPolarGrid(0.0, math.log(2), n, n, theta0)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
-        psi, rep = solve_semilinear(grid, ZeroG(), RawFrame(), h, init=init)
+        psi, rep = solve_semilinear(grid, ZeroG(), Frame(1.0), h, init=init)
         assert rep.converged
         _, TH = grid.mesh()
         errs.append(float(np.max(np.abs(psi.vals - B * TH / theta0))))
@@ -159,14 +155,14 @@ def test_criterion_04_exponential_pipeline():
     psi = sample_stream(sol, grid)
     rec = recover_g(psi, laplacian_polar(psi))
     fit = rec.fit or {}
-    func = g_functional_check(rec, Thm1Relation(c))
+    func = g_functional_check(rec, 1.0, c)
     slope_ok = fit.get("form") == "exp" and abs(fit.get("slope", 0) + 2.0) <= 0.02
     r2_ok = fit.get("r_squared", 0.0) >= 0.999
 
     sgrid = LogPolarGrid(0.0, math.log(2), 64, 64, THETA0)
     h = lambda th: np.log(np.cos(th))
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
-    Psi, rep = solve_semilinear(sgrid, ExpForm(-1.0, c), Alpha1Frame(c), h, init=init)
+    Psi, rep = solve_semilinear(sgrid, ExpForm(-1.0, c), Frame(1.0, c), h, init=init)
     sv = s_variance(Psi)
     ok = slope_ok and r2_ok and func <= 1e-3 and rep.converged and sv <= 1e-6
     _verdict(
@@ -186,7 +182,7 @@ def test_criterion_05_power_pipeline():
     psi = sample_stream(sol, grid)
     rec = recover_g(psi, laplacian_polar(psi))
     fit = rec.fit or {}
-    func = g_functional_check(rec, Thm2Relation(alpha))
+    func = g_functional_check(rec, alpha)
     q_ok = fit.get("form") == "power" and abs(fit.get("q", 0) - 3.0) <= 0.05
     coef_ok = abs(abs(fit.get("coefficient", 0.0)) - 2.0) <= 0.04
 
@@ -194,7 +190,7 @@ def test_criterion_05_power_pipeline():
     h = lambda th: -1.0 / np.cos(th)
     init = default_initial_guess(sgrid, h, amplitude=0.1, seed=0)
     Psi, rep = solve_semilinear(
-        sgrid, PowerForm(-2.0, 3.0), GeneralFrame(alpha), h, init=init,
+        sgrid, PowerForm(-2.0, 3.0), Frame(alpha), h, init=init,
     )
     sv = s_variance(Psi)
     ok = q_ok and coef_ok and func <= 1e-3 and rep.converged and sv <= 1e-6

@@ -9,12 +9,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from sectorflow import (
-    Alpha1Frame,
     ExpForm,
     FamilyKind,
-    GeneralFrame,
+    Frame,
     PowerForm,
-    RawFrame,
     ZeroG,
     construct_exact,
     default_initial_guess,
@@ -38,12 +36,12 @@ class TestOperators:
     # (b1, c0) of the operator d_ss + d_thth + b1 d_s + c0 each frame fixes
 
     def test_laplace_coefficients(self):
-        for frame in (RawFrame(), Alpha1Frame(1.5)):
+        for frame in (Frame(1.0), Frame(1.0, 1.5)):
             assert elliptic._frame_problem(frame, np.zeros(3))[:2] == (0.0, 0.0)
 
     def test_general_frame_coefficients(self):
-        assert elliptic._frame_problem(GeneralFrame(2.0), np.zeros(3))[:2] == (-2.0, 1.0)
-        assert elliptic._frame_problem(GeneralFrame(0.5), np.zeros(3))[:2] == (1.0, 0.25)
+        assert elliptic._frame_problem(Frame(2.0), np.zeros(3))[:2] == (-2.0, 1.0)
+        assert elliptic._frame_problem(Frame(0.5), np.zeros(3))[:2] == (1.0, 0.25)
 
 
 class TestWorkingFrames:
@@ -51,31 +49,30 @@ class TestWorkingFrames:
         grid = _grid()
         S, TH = grid.mesh()
         c = 1.5
-        psi = from_working(S, np.sin(TH), Alpha1Frame(c))
+        psi = from_working(S, np.sin(TH), Frame(1.0, c))
         np.testing.assert_allclose(psi, c * S + np.sin(TH), atol=1e-12)
 
     def test_general_frame_removes_power(self):
         grid = _grid()
         S, TH = grid.mesh()
         alpha = 2.0
-        psi = from_working(S, np.cos(TH), GeneralFrame(alpha))
+        psi = from_working(S, np.cos(TH), Frame(alpha))
         np.testing.assert_allclose(psi, np.cos(TH) * np.exp((1 - alpha) * S), atol=1e-12)
 
+    def test_log_term_needs_alpha_one(self):
+        with pytest.raises(ParameterDomain):
+            Frame(2.0, 1.0)
+
     @pytest.mark.parametrize(
-        "tag", [Alpha1Frame(0.7), GeneralFrame(2.5), RawFrame()]
+        "tag", [Frame(1.0, 0.7), Frame(2.5), Frame(1.0)]
     )
     def test_round_trip(self, tag):
-        # from_working inverts the frames' defining maps Psi = psi - c s,
-        # Psi = psi e^{s(alpha-1)} and Psi = psi; s broadcasts over theta
+        # from_working inverts the frame's defining map
+        # Psi = psi e^{s(alpha-1)} - c s; s broadcasts over theta
         grid = _grid()
         S, TH = grid.mesh()
         psi = np.sin(S) * np.cos(TH) + S
-        if isinstance(tag, Alpha1Frame):
-            Psi = psi - tag.c * S
-        elif isinstance(tag, GeneralFrame):
-            Psi = psi * np.exp(S * (tag.alpha - 1.0))
-        else:
-            Psi = psi
+        Psi = psi * np.exp(S * (tag.alpha - 1.0)) - tag.c * S
         back = from_working(grid.s_nodes[:, None], Psi, tag)
         np.testing.assert_allclose(back, psi, atol=1e-12)
 
@@ -89,8 +86,8 @@ class TestGSpecs:
     def test_thm1ii_exp_form(self):
         # tangent stream with v = c = 1 and edge constant c3 = A = 1
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
-        _, _, g, frame = _exp_case(sol, {}, {"c3_hat": 1.0})
-        assert isinstance(g, ExpForm) and frame == Alpha1Frame(1.0)
+        _, g, frame = _exp_case(sol, {}, {"c3_hat": 1.0})
+        assert isinstance(g, ExpForm) and frame == Frame(1.0, 1.0)
         z = np.linspace(-1, 1, 11)
         np.testing.assert_allclose(g.g(z), -np.exp(-2.0 * z), rtol=1e-12)
 
@@ -98,8 +95,8 @@ class TestGSpecs:
         # alpha=2 secant stream: C1 = h(0) = -1, c3 = f'(0) = 1 gives
         # g(z) = -2|z|^3, i.e. 2 z^3 on the z < 0 branch the stream occupies
         sol = construct_exact(FamilyKind.COS_POWER, {"alpha": 2.0, "C1": 1.0, "C2": 0.0}, 1.0)
-        _, _, g, frame = _power_case(sol, {}, {"c3_hat": 1.0})
-        assert isinstance(g, PowerForm) and frame == GeneralFrame(2.0)
+        _, g, frame = _power_case(sol, {}, {"c3_hat": 1.0})
+        assert isinstance(g, PowerForm) and frame == Frame(2.0)
         assert g.q == pytest.approx(3.0)
         z = np.linspace(-2.0, -0.1, 21)
         np.testing.assert_allclose(g.g(z), 2.0 * z**3, rtol=1e-12)
@@ -115,7 +112,7 @@ class TestLinearSolves:
         B, theta0 = 1.0, grid.theta0
         h = lambda th: B * th / theta0
         init = default_initial_guess(grid, h, amplitude=0.1, seed=3)
-        psi, rep = solve_semilinear(grid, ZeroG(), RawFrame(), h, init=init)
+        psi, rep = solve_semilinear(grid, ZeroG(), Frame(1.0), h, init=init)
         _, TH = grid.mesh()
         assert rep.converged
         assert s_variance(psi) <= 1e-6
@@ -128,7 +125,7 @@ class TestSemilinearSolves:
         c = 1.0
         h = lambda th: np.log(np.cos(th))
         init = default_initial_guess(grid, h, amplitude=0.1, seed=0)
-        Psi, rep = solve_semilinear(grid, ExpForm(-1.0, c), Alpha1Frame(c), h, init=init)
+        Psi, rep = solve_semilinear(grid, ExpForm(-1.0, c), Frame(1.0, c), h, init=init)
         _, TH = grid.mesh()
         assert rep.converged
         assert s_variance(Psi) <= 1e-6
@@ -140,7 +137,7 @@ class TestSemilinearSolves:
         h = lambda th: -1.0 / np.cos(th)
         init = default_initial_guess(grid, h, amplitude=0.1, seed=1)
         Psi, rep = solve_semilinear(
-            grid, PowerForm(-2.0, 3.0), GeneralFrame(alpha), h, init=init
+            grid, PowerForm(-2.0, 3.0), Frame(alpha), h, init=init
         )
         _, TH = grid.mesh()
         assert rep.converged
@@ -174,7 +171,7 @@ class TestFullStencil:
         grid = _grid(n, 1.0)
         h = lambda th: np.sin(2.0 * th) + th
         init = default_initial_guess(grid, h, amplitude=0.5, seed=n)
-        _, rep = solve_semilinear(grid, ZeroG(), GeneralFrame(0.5), h, init=init)
+        _, rep = solve_semilinear(grid, ZeroG(), Frame(0.5), h, init=init)
         assert rep.converged
         assert rep.iterations == 1
 
@@ -193,8 +190,8 @@ class TestFrameConsistency:
             return exc.report.final_residual
 
     @pytest.mark.parametrize("g, frame, h", [
-        (ExpForm(-1.0, 1.0), Alpha1Frame(1.0), lambda th: np.log(np.cos(th))),
-        (PowerForm(-2.0, 3.0), GeneralFrame(2.0), lambda th: -1.0 / np.cos(th)),
+        (ExpForm(-1.0, 1.0), Frame(1.0, 1.0), lambda th: np.log(np.cos(th))),
+        (PowerForm(-2.0, 3.0), Frame(2.0), lambda th: -1.0 / np.cos(th)),
     ], ids=["alpha1-tan", "general-frame-cos-power"])
     def test_exact_trace_residual_falls_at_second_order(self, g, frame, h):
         r64, r128 = (self._start_residual(g, frame, h, n) for n in (64, 128))
@@ -202,7 +199,7 @@ class TestFrameConsistency:
 
     def test_linear_trace_is_exact_in_the_raw_frame(self):
         # theta0 = 1 on 64 cells puts every node on a binary fraction
-        assert self._start_residual(ZeroG(), RawFrame(), lambda th: 2.0 * th - 1.0, 64) == 0.0
+        assert self._start_residual(ZeroG(), Frame(1.0), lambda th: 2.0 * th - 1.0, 64) == 0.0
 
 
 # the three (g, frame, b1, c0, trace) combinations the pipelines solve, on
@@ -210,19 +207,19 @@ class TestFrameConsistency:
 # frame's operator coefficients, written out here so that the oracle never
 # reads them from the solver
 PIPELINE_SOLVES = {
-    "thm1i": (ZeroG(), RawFrame(), 0.0, 0.0, lambda th: th),
-    "thm1ii": (ExpForm(-1.0, 1.0), Alpha1Frame(1.0), 0.0, 0.0,
+    "thm1i": (ZeroG(), Frame(1.0), 0.0, 0.0, lambda th: th),
+    "thm1ii": (ExpForm(-1.0, 1.0), Frame(1.0, 1.0), 0.0, 0.0,
                lambda th: np.log(np.cos(th))),
-    "thm2": (PowerForm(-2.0, 3.0), GeneralFrame(2.0), -2.0, 1.0,
+    "thm2": (PowerForm(-2.0, 3.0), Frame(2.0), -2.0, 1.0,
              lambda th: -1.0 / np.cos(th)),
 }
 
-# frames with their (b1, c0); the raw frame's operator is the plain Laplacian
+# frames with their (b1, c0); the alpha = 1 frames' operator is the plain Laplacian
 FRAMES = pytest.mark.parametrize("frame, b1, c0", [
-    (RawFrame(), 0.0, 0.0),
-    (Alpha1Frame(1.0), 0.0, 0.0),
-    (GeneralFrame(2.0), -2.0, 1.0),
-    (GeneralFrame(0.5), 1.0, 0.25),
+    (Frame(1.0), 0.0, 0.0),
+    (Frame(1.0, 1.0), 0.0, 0.0),
+    (Frame(2.0), -2.0, 1.0),
+    (Frame(0.5), 1.0, 0.25),
 ], ids=["laplace", "alpha1", "general-frame", "general-frame-0.5"])
 
 
@@ -286,9 +283,8 @@ def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, frame=None, exact=N
     step is that solve instead of GMRES."""
     g, frame, b1, c0, h, grid = _case(case, n_s, n_theta, frame)
     spec = _RecordingG(g)
-    # F d arg/d Psi: 1 in the raw frame, e^{2s} in the alpha = 1 and general frames
-    factor = (np.ones((n_s, 1)) if isinstance(frame, RawFrame)
-              else np.exp(2.0 * grid.s_nodes[:n_s, None]))
+    # F d arg/d Psi = e^{(1+alpha)s} e^{(1-alpha)s} = e^{2s} in every frame
+    factor = np.exp(2.0 * grid.s_nodes[:n_s, None])
     krylov_step = elliptic._krylov_step
     steps = []
 

@@ -10,11 +10,9 @@ import pytest
 
 from sectorflow import (
     ExpForm,
+    Frame,
     GRecovery,
-    RawFrame,
     ScalarField,
-    Thm1Relation,
-    Thm2Relation,
     VectorField,
     default_initial_guess,
     g_functional_check,
@@ -39,7 +37,7 @@ def _grid(n=16):
 def test_no_convergence_carries_best_iterate_and_report():
     grid = _grid()
     with pytest.raises(NoConvergence) as info:
-        solve_semilinear(grid, ExpForm(1.0, 1.0), RawFrame(), lambda th: th,
+        solve_semilinear(grid, ExpForm(1.0, 1.0), Frame(1.0), lambda th: th,
                          tol=0.0, max_iter=1)
     rep = info.value.report
     assert rep.iterations == 1 and not rep.converged
@@ -56,7 +54,7 @@ def test_non_finite_step_is_rejected_by_the_line_search(monkeypatch):
                         lambda jvp, rhs, symbol: (np.full_like(rhs, np.nan), 1, False))
     grid, h = _grid(), lambda th: th
     with pytest.raises(NoConvergence) as info:
-        solve_semilinear(grid, ExpForm(1.0, 1.0), RawFrame(), h)
+        solve_semilinear(grid, ExpForm(1.0, 1.0), Frame(1.0), h)
     rep = info.value.report
     assert rep.iterations == 0 and rep.krylov_converged == [False]
     np.testing.assert_array_equal(info.value.field.vals, default_initial_guess(grid, h).vals)
@@ -68,7 +66,7 @@ def test_non_finite_g_prime_fails_before_any_krylov_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence, match="non-finite") as info:
-            solve_semilinear(_grid(), ExpForm(1e307, 0.01), RawFrame(), np.zeros_like)
+            solve_semilinear(_grid(), ExpForm(1e307, 0.01), Frame(1.0), np.zeros_like)
     rep = info.value.report
     assert rep.iterations == 0 and rep.krylov_iterations == []
 
@@ -84,16 +82,16 @@ def test_degenerate_field(zero_row):
 
 
 @pytest.mark.parametrize(
-    "z, relation",
+    "z, frame",
     [
-        (np.linspace(0.0, 0.5, 11), Thm1Relation(1.0)),  # width < ln 2 shift
-        (np.linspace(0.5, 1.0, 11), Thm2Relation(3.0)),  # z/4 falls off the table
+        (np.linspace(0.0, 0.5, 11), Frame(1.0, 1.0)),  # width < ln 2 shift
+        (np.linspace(0.5, 1.0, 11), Frame(3.0)),  # z/4 falls off the table
     ],
 )
-def test_insufficient_overlap(z, relation):
+def test_insufficient_overlap(z, frame):
     rec = GRecovery(z, -np.exp(-2.0 * z), 0.0, {}, None)
     with pytest.raises(InsufficientOverlap):
-        g_functional_check(rec, relation)
+        g_functional_check(rec, frame.alpha, frame.c)
 
 
 def test_pipeline_value_error_is_pipeline_failure(tmp_path):

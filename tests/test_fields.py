@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,26 @@ class TestReadField:
         vals[3, 7] = value
         with pytest.raises(GridError, match=r"non-finite value at node \(3, 7\)"):
             read_field(self._dump(tmp_path, grid, vals), grid)
+
+    @staticmethod
+    def _npz(path, vals):
+        with open(path, "wb") as f:  # np.savez on a name would append .npz
+            np.savez(f, psi=vals)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda path, vals: path.write_bytes(b""), "is not a readable .npy array"),
+        (lambda path, vals: path.write_bytes(path.read_bytes()[:-8]),
+         "is not a readable .npy array"),
+        (lambda path, vals: np.save(path, vals + 0j), "holds complex128 data"),
+        (lambda path, vals: TestReadField._npz(path, vals), "holds archive data"),
+    ], ids=["empty", "truncated", "complex", "npz-archive"])
+    def test_unreadable_dump_rejected(self, tmp_path, spoil, message):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        vals = _theta_field(grid).vals
+        path = self._dump(tmp_path, grid, vals)
+        spoil(path, vals)
+        with pytest.raises(GridError, match=re.escape(f"psi.npy {message}")):
+            read_field(path, grid)
 
     def test_array_of_another_shape_rejected(self, tmp_path):
         grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sectorflow import (
     FamilyKind,
     ScalarField,
-    Thm1Relation,
-    Thm2Relation,
     VectorField,
     boundary_report,
     construct_exact,
@@ -23,7 +21,7 @@ from sectorflow import (
     sliding_check,
 )
 from sectorflow.domain import LogPolarGrid
-from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap, ParameterDomain
+from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap, InsufficientOverlap, ParameterDomain
 
 
 def _grid(n=64, theta0=1.0, s_max=math.log(2)):
@@ -127,21 +125,50 @@ class TestFunctionalEquation:
             def g(self, z):
                 return -np.exp(-2.0 * np.asarray(z))
 
-        assert g_functional_check(G(), Thm1Relation(1.0)) < 1e-12
+        assert g_functional_check(G(), 1.0, 1.0) < 1e-12
 
     def test_power_identity(self):
         class G:
             def g(self, z):
                 return 2.0 * np.asarray(z) ** 3
 
-        assert g_functional_check(G(), Thm2Relation(2.0)) < 1e-12
+        assert g_functional_check(G(), 2.0) < 1e-12
 
     def test_wrong_form_detected(self):
         class G:
             def g(self, z):
                 return np.asarray(z, dtype=float)
 
-        assert g_functional_check(G(), Thm2Relation(2.0)) > 0.5
+        assert g_functional_check(G(), 2.0) > 0.5
+
+    # (family, params, alpha, c): the alpha = 1 families carry c = v, the
+    # cos_power streams are (-alpha)-homogeneous with no log term
+    LAW_CASES = [
+        (FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0, 1.0),
+        (FamilyKind.TANH, {"v": 1.0, "p": -1.0, "C": 1.0}, 1.0, 1.0),
+        (FamilyKind.RATIONAL, {"v": 1.0, "C": 1.0}, 1.0, 1.0),
+        *((FamilyKind.COS_POWER, {"alpha": a, "C1": 1.0, "C2": 0.0}, a, 0.0)
+          for a in (1.5, 2.0, 3.0)),
+    ]
+
+    @pytest.mark.parametrize("kind, params, alpha, c", LAW_CASES,
+                             ids=lambda v: v.value if isinstance(v, FamilyKind) else None)
+    def test_scaling_law_of_closed_form_streams(self, kind, params, alpha, c):
+        # g recovered from 256^2 closed-form samples obeys the law of its
+        # own frame to 1e-3 of the Laplacian scale (1.1e-4 measured); the
+        # law of a wrong frame, c * 1.5 or alpha + 0.5, misses by more
+        # than 0.1 of it (0.29 measured) or has no overlap to test on
+        grid = _grid(256)
+        psi = sample_stream(construct_exact(kind, params, 1.0), grid)
+        lap = laplacian_polar(psi)
+        rec = recover_g(psi, lap)
+        scale = float(np.nanmax(np.abs(lap.vals)))
+        assert g_functional_check(rec, alpha, c) <= 1e-3 * scale
+        wrong = (alpha, 1.5 * c) if c else (alpha + 0.5, c)
+        try:
+            assert g_functional_check(rec, *wrong) > 0.1 * scale
+        except InsufficientOverlap:
+            pass
 
 
 class TestJacobian:

@@ -486,6 +486,16 @@ class TestConfigMistakes:
         assert code == 2 and not (out / "report.json").exists()
         assert "(10, 10) array" in captured.err
 
+    def test_verify_empty_npy_is_a_grid_error(self, tmp_path, capsys):
+        grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)  # the verify.ini grid
+        (tmp_path / "stream.npy").write_bytes(b"")
+        (tmp_path / "stream.json").write_text(grid.to_json())
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
+        report = json.loads((out / "report.json").read_text())
+        assert code == 3 and report["error"].startswith("GridError: ")
+        assert "stream.npy is not a readable .npy array" in report["error"]
+        assert "numerical failure: GridError: " in captured.out
+
     @pytest.mark.parametrize("section, key", [
         ("scenario", "nmae"), ("domain", "theta_0"), ("grid", "ns"), ("solver", "tolerance"),
         ("ode", "f0count"), ("slide", "tau"), ("verify", "psi_cvs"),
