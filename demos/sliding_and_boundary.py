@@ -37,11 +37,11 @@ for entry in out["per_tau"]:
 # boundary constants of the tangent family: c1 = c2 = 1, c3 = sec^2(0) = 1
 sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
 u = sample_velocity(sol, LogPolarGrid(0.0, math.log(2), 256, 256, 1.0))
-rep = boundary_report(u, 1.0, r0=1.0)
+rep = boundary_report(u, 1.0)
 print("\ntangent-family boundary report:")
 print(f"  c1 = {rep.c1_hat:.8f} (res {rep.c1_residual:.1e})"
       f"  c2 = {rep.c2_hat:.8f}")
-print(f"  c3 = {rep.c3_hat:.8f}  c4 = {rep.c4_hat:.8f}  A = {rep.A_hat:.8f}")
+print(f"  c3 = {rep.c3_hat:.8f}  c4 = {rep.c4_hat:.8f}")
 print(f"  mass identity defect = {rep.mass_identity_defect:.2e}")
 print(f"  inconsistent hypotheses flagged: {rep.inconsistent_hypotheses}")
 

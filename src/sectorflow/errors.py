@@ -70,10 +70,6 @@ class EmptyOverlap(SectorflowError):
     """Translation too large: shifted and original rectangles are disjoint."""
 
 
-class EdgeNotOnGrid(SectorflowError):
-    """Requested boundary edge is not resolved by the grid."""
-
-
 class ConfigError(SectorflowError):
     """Scenario configuration failed to parse or validate."""
 

@@ -66,6 +66,14 @@ class AngularProfile:
                         self.theta_nodes, self.v_vals, self.f_vals)
 
 
+def _profile_terms(alpha, p, v, f, vp, fp):
+    """Terms of the two profile equations, each in evaluation order: the
+    radial momentum v f' - alpha f^2 - v^2 - 2 alpha p and the continuity
+    (1 - alpha) f + v'.  The closed-form, discrete and Euler residuals all
+    read the system from here."""
+    return (v * fp, -alpha * f**2, -(v * v), -2.0 * alpha * p), ((1.0 - alpha) * f, vp)
+
+
 def profile_residual(prof: AngularProfile) -> tuple[float, float]:
     """Max-norm discrete residuals of the two profile equations.
 
@@ -78,16 +86,8 @@ def profile_residual(prof: AngularProfile) -> tuple[float, float]:
     h = prof.h_theta
     fp = np.gradient(prof.f_vals, h, edge_order=2)
     vp = np.gradient(prof.v_vals, h, edge_order=2)
-    res1 = np.max(
-        np.abs(
-            prof.v_vals * fp
-            - prof.alpha * prof.f_vals**2
-            - prof.v_vals**2
-            - 2.0 * prof.alpha * prof.p
-        )
-    )
-    res2 = np.max(np.abs((1.0 - prof.alpha) * prof.f_vals + vp))
-    return float(res1), float(res2)
+    terms = _profile_terms(prof.alpha, prof.p, prof.v_vals, prof.f_vals, vp, fp)
+    return tuple(float(np.max(np.abs(sum(eq)))) for eq in terms)
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,9 @@ class HomogeneousSolution:
     def closed_form_residual(self, theta) -> tuple[float, float]:
         """Profile-equation residuals with analytic derivatives (no grid)."""
         t = self._check(theta)
-        r1 = np.max(
-            np.abs(
-                self.v(t) * self.f_prime(t)
-                - self.alpha * self.f(t) ** 2
-                - self.v(t) ** 2
-                - 2.0 * self.alpha * self.p
-            )
-        )
-        r2 = np.max(np.abs((1.0 - self.alpha) * self.f(t) + self.v_prime(t)))
-        return float(r1), float(r2)
+        terms = _profile_terms(self.alpha, self.p, self.v(t), self.f(t),
+                               self.v_prime(t), self.f_prime(t))
+        return tuple(float(np.max(np.abs(sum(eq)))) for eq in terms)
 
 
 def _validity_from_poles(poles: list[float], theta0: float) -> tuple[float, float]:
@@ -475,11 +468,12 @@ def euler_residual_closed_form(
         return float(np.max(np.abs(sum(terms)))
                      / (np.max(sum(np.abs(t) for t in (*terms, *scale_only))) + 1e-300))
 
+    momentum, continuity = _profile_terms(a, sol.p, v, f, vp, fp)
     return (
         # radial momentum: u_r dr(u_r) + (u_t / r) dth(u_r) - u_t^2 / r + dr(P)
-        ratio((-a * f * f, v * fp, -(v * v), -2.0 * a * sol.p)),
+        ratio(momentum),
         # angular momentum: u_r dr(u_t) + (u_t / r) dth(u_t) + u_t u_r / r
         ratio((-a * f * v, v * vp, v * f)),
         # continuity scaled by r, dr(r u_r) + dth(u_t), against |u_r| + |u_t| too
-        ratio(((1.0 - a) * f, vp), scale_only=(f, v)),
+        ratio(continuity, scale_only=(f, v)),
     )

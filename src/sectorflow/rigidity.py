@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import repr_csv
-from .errors import (
-    DegenerateField,
-    EdgeNotOnGrid,
-    EmptyOverlap,
-    InsufficientOverlap,
-    ParameterDomain,
-)
+from .domain import TWO_PI, repr_csv
+from .errors import DegenerateField, EmptyOverlap, InsufficientOverlap, ParameterDomain
 from .fields import ScalarField, VectorField
-
-TWO_PI = 2.0 * math.pi
 
 
 # --------------------------------------------------------------------------
@@ -316,14 +308,11 @@ class BoundaryReport:
     c3_residual: float
     c4_hat: float
     c4_residual: float
-    A_hat: float
     radial_ratio_defect: float | None
     r0: float
     flux_value: float
-    flux_predicted: float | None
     mass_identity_defect: float
     rotation_margin: float | None
-    flux_consistency_defect: float
     inconsistent_hypotheses: bool
 
 
@@ -344,17 +333,15 @@ def _fit_constant(vals: np.ndarray) -> tuple[float, float]:
     return c, float(np.max(np.abs(trimmed - c)))
 
 
-def boundary_report(
-    u: VectorField, alpha: float, r0: float | None = None
-) -> BoundaryReport:
+def boundary_report(u: VectorField, alpha: float) -> BoundaryReport:
     """Fit the edge constants of the homogeneity hypotheses.
 
     c1, c2 come from r^alpha u_theta on the theta-edges; c3, c4 from the
     sixth-order one-sided theta-derivative of r^alpha u_r there.  The
-    flux integral runs along the grid row nearest r0 (default: the row
-    closest to r = 1); the mass identity c2 - c1 = (alpha - 1) * int f is
-    evaluated with the trapezoid rule on that row, which is also the
-    equality case of the sector flux formula.
+    flux integral runs along the grid row r0 closest to r = 1; the mass
+    identity c2 - c1 = (alpha - 1) * int f is evaluated with the
+    trapezoid rule on that row, which is also the equality case of the
+    sector flux formula.
     """
     g = u.grid
     ra = np.exp(alpha * g.s_nodes)[:, None]
@@ -376,22 +363,10 @@ def boundary_report(
         d_ut = u.utheta_vals[idx1, :] - 2.0**alpha * u.utheta_vals[idx2, :]
         radial_ratio = float(max(np.max(np.abs(d_ur)), np.max(np.abs(d_ut))))
 
-    if r0 is None:
-        i0 = int(np.argmin(np.abs(g.r_nodes - 1.0)))
-    else:
-        i0 = _nearest_row(g, r0)
-        if i0 is None:
-            raise EdgeNotOnGrid(f"no grid row at r = {r0}")
-    r0_used = float(g.r_nodes[i0])
+    i0 = int(np.argmin(np.abs(g.r_nodes - 1.0)))
+    r0 = float(g.r_nodes[i0])
     flux = float(np.trapezoid(u.ur_vals[i0, :], dx=g.h_theta))
-    int_f = r0_used**alpha * flux
-    mass_defect = abs((c2_hat - c1_hat) - (alpha - 1.0) * int_f)
-    if alpha != 1.0:
-        flux_pred = (c1_hat - c2_hat) / (1.0 - alpha) * r0_used**-alpha
-        flux_defect = abs(flux - flux_pred)
-    else:
-        flux_pred = None
-        flux_defect = abs(c2_hat - c1_hat)
+    mass_defect = abs((c2_hat - c1_hat) - (alpha - 1.0) * (r0**alpha * flux))
 
     margin = None
     if c1_hat != 0.0:
@@ -414,14 +389,11 @@ def boundary_report(
         c3_residual=c3_res,
         c4_hat=c4_hat,
         c4_residual=c4_res,
-        A_hat=c3_hat,
         radial_ratio_defect=radial_ratio,
-        r0=r0_used,
+        r0=r0,
         flux_value=flux,
-        flux_predicted=flux_pred,
         mass_identity_defect=mass_defect,
         rotation_margin=margin,
-        flux_consistency_defect=flux_defect,
         inconsistent_hypotheses=inconsistent,
     )
 

@@ -282,9 +282,8 @@ def _certify_exact(sol, grid):
     the sampled stream and profile: (checks, artifacts, psi, prof)."""
     u = fields.sample_velocity(sol, grid)
     e_r, e_t, e_d = exact.euler_residual_closed_form(sol, grid)
-    t = np.linspace(0.0, grid.theta0, 1001)
-    r1, r2 = sol.closed_form_residual(t)
     prof = sol.profile(grid.theta0, 1000)
+    r1, r2 = sol.closed_form_residual(prof.theta_nodes)
     d1, d2 = exact.profile_residual(prof)
     hom = rigidity.homogeneity_fit(u)
     br = rigidity.boundary_report(u, sol.alpha)
@@ -476,12 +475,11 @@ def _run_atlas(scn, grid, out):
     for kind_name, params in _ATLAS:
         sol = exact.construct_exact(FamilyKind(kind_name), params, theta0)
         e = exact.euler_residual_closed_form(sol, grid)
-        t = np.linspace(0.0, theta0, 1001)
-        r1, r2 = sol.closed_form_residual(t)
+        prof = sol.profile(theta0, 1000)
+        r1, r2 = sol.closed_form_residual(prof.theta_nodes)
         checks.append(_check(f"{kind_name}_euler", max(e), 1e-9))
         checks.append(_check(f"{kind_name}_profile", max(r1, r2), 1e-10))
         artifacts[kind_name] = {"euler_residual": list(e), "profile_residual": [r1, r2]}
-        prof = sol.profile(theta0, 1000)
         (out / f"profile_{kind_name}.csv").write_text(prof.to_csv(kind_name, sol.params))
     return checks, {"families": artifacts}
 

@@ -278,11 +278,11 @@ def test_criterion_08_periodic_classification():
 
 def test_criterion_09_boundary_hypothesis_ledger():
     grid = _grid256()
-    worst_const = worst_mass = worst_flux = 0.0
+    worst_const = worst_mass = 0.0
     for kind, params in FAMILIES:
         sol = construct_exact(kind, params, THETA0)
         u = sample_velocity(sol, grid)
-        rep = boundary_report(u, sol.alpha, r0=1.0)
+        rep = boundary_report(u, sol.alpha)
         zero = np.zeros(1)
         end = np.array([THETA0])
         expected = {
@@ -297,10 +297,8 @@ def test_criterion_09_boundary_hypothesis_ledger():
             abs(rep.c2_hat - expected["c2"]),
             abs(rep.c3_hat - expected["c3"]),
             abs(rep.c4_hat - expected["c4"]),
-            abs(rep.A_hat - expected["c3"]),
         )
         worst_mass = max(worst_mass, rep.mass_identity_defect)
-        worst_flux = max(worst_flux, rep.flux_consistency_defect)
         assert not rep.inconsistent_hypotheses
     h2 = grid.h_theta**2
     # full-angle, alpha != 1, nowhere-vanishing radial part: inconsistent
@@ -312,14 +310,12 @@ def test_criterion_09_boundary_hypothesis_ledger():
     ok = (
         worst_const <= 1e-6
         and worst_mass <= 100 * h2
-        and worst_flux <= 100 * h2
         and flagged
     )
     _verdict(
         "criterion 9: boundary hypothesis ledger",
         ok,
-        f"const={worst_const:.1e} mass={worst_mass:.1e} "
-        f"flux={worst_flux:.1e} flag={flagged}",
+        f"const={worst_const:.1e} mass={worst_mass:.1e} flag={flagged}",
     )
 
 

@@ -171,6 +171,23 @@ class TestProfileResidual:
         r1, r2 = sol.closed_form_residual(t)
         assert max(r1, r2) < 1e-10
 
+    @pytest.mark.parametrize("kind,params,theta0", ATLAS, ids=[k.value for k, _, _ in ATLAS])
+    def test_a_wrong_pressure_shows_alike_in_both_residuals(self, kind, params, theta0):
+        # p enters the radial equation alone, as the constant 2 alpha p
+        sol = construct_exact(kind, params, theta0)
+        bad = dataclasses.replace(sol, p=sol.p + 0.1)
+        t = np.linspace(0, theta0, 501)
+        r1, r2 = bad.closed_form_residual(t)
+        assert r1 == pytest.approx(0.2 * abs(sol.alpha), rel=0, abs=1e-10)
+        assert r2 == sol.closed_form_residual(t)[1]
+        prof = sol.profile(theta0, n=1000)
+        d1, d2 = profile_residual(dataclasses.replace(prof, p=prof.p + 0.1))
+        # the shift moves the max by at most the exact profile's own O(h^2) residual
+        e1, e2 = profile_residual(prof)
+        assert e1 <= 1e4 * prof.h_theta**2
+        assert d1 == pytest.approx(0.2 * abs(sol.alpha), rel=0, abs=e1 + 1e-12)
+        assert d2 == e2
+
 
 class TestEulerResidual:
     @pytest.mark.parametrize("kind,params,theta0", ATLAS, ids=[k.value for k, _, _ in ATLAS])

@@ -21,7 +21,7 @@ from sectorflow import (
     sliding_check,
 )
 from sectorflow.domain import LogPolarGrid
-from sectorflow.errors import EdgeNotOnGrid, EmptyOverlap, InsufficientOverlap, ParameterDomain
+from sectorflow.errors import EmptyOverlap, InsufficientOverlap, ParameterDomain
 
 
 def _grid(n=64, theta0=1.0, s_max=math.log(2)):
@@ -330,7 +330,6 @@ class TestBoundaryReport:
         assert rep.c1_hat == pytest.approx(1.0, abs=1e-8)
         assert rep.c2_hat == pytest.approx(1.0, abs=1e-8)
         assert rep.c3_hat == pytest.approx(1.0, abs=1e-8)
-        assert rep.A_hat == pytest.approx(1.0, abs=1e-8)
         assert max(rep.c1_residual, rep.c2_residual) < 1e-8
 
     def test_pure_rotation_margin(self):
@@ -348,12 +347,27 @@ class TestBoundaryReport:
         )
         grid = LogPolarGrid(0.0, math.log(2), 256, 256, theta0)
         u = sample_velocity(sol, grid)
-        rep = boundary_report(u, 2.0, r0=1.0)
+        rep = boundary_report(u, 2.0)
         assert rep.c1_hat == pytest.approx(1.0, abs=1e-6)
         assert rep.c2_hat == pytest.approx(0.5, abs=1e-6)
-        assert rep.flux_predicted == pytest.approx(-0.5, abs=1e-6)
+        assert rep.flux_value == pytest.approx(-0.5, abs=1e-6)
         assert rep.mass_identity_defect < 1e-6
-        assert rep.flux_consistency_defect < 1e-6
+
+    @pytest.mark.parametrize("kind, params", [
+        (FamilyKind.COS_POWER, {"alpha": 3.0, "C1": 1.0, "C2": -0.2}),
+        (FamilyKind.SIN, {"alpha": 0.5, "p": -1.0, "C": 0.3}),
+    ], ids=["thm2_a3", "thm2_a4"])
+    def test_mass_identity_at_alpha_off_powers_of_2(self, kind, params):
+        sol = construct_exact(kind, params, 1.0)
+        grid = _grid(256)
+        rep = boundary_report(sample_velocity(sol, grid), sol.alpha)
+        # the mass_identity bound of scenarios._certify_exact
+        h2 = grid.h_theta**2
+        assert rep.mass_identity_defect <= 100.0 * h2 * max(1.0, abs(rep.c1_hat) + abs(rep.c2_hat))
+        # int f by 64-point Gauss-Legendre, not the report's trapezoid row
+        x, w = np.polynomial.legendre.leggauss(64)
+        int_f = 0.5 * float(np.sum(w * sol.f(0.5 * (x + 1.0))))
+        assert rep.flux_value == pytest.approx(rep.r0 ** -sol.alpha * int_f, rel=0, abs=h2)
 
     @pytest.mark.parametrize("kind, params, alpha", [
         (FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0),
@@ -372,12 +386,6 @@ class TestBoundaryReport:
         assert boundary_report(bent, alpha).radial_ratio_defect > 0.05
         u3 = sample_velocity(sol, _grid(s_max=math.log(3)))
         assert boundary_report(u3, alpha).radial_ratio_defect is None
-
-    def test_missing_row_rejected(self):
-        sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
-        u = sample_velocity(sol, _grid())
-        with pytest.raises(EdgeNotOnGrid):
-            boundary_report(u, 1.0, r0=1.3)
 
     def test_inconsistent_hypotheses_flagged(self):
         # alpha != 1, full angle, radial part bounded away from zero

@@ -107,6 +107,17 @@ class TestRunScenario:
         assert saved == report
         assert all(c["passed"] for c in report["checks"])
 
+    def test_thm3_boundary_report_keys(self, tmp_path):
+        code, _ = run_scenario(parse_config(CONFIGS / "thm3.ini"), tmp_path)
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert code == 0
+        assert set(saved["boundary_report"]) == {
+            "alpha", "c1_hat", "c1_residual", "c2_hat", "c2_residual",
+            "c3_hat", "c3_residual", "c4_hat", "c4_residual",
+            "radial_ratio_defect", "r0", "flux_value", "mass_identity_defect",
+            "rotation_margin", "inconsistent_hypotheses",
+        }
+
 
 class TestCli:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
