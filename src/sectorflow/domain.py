@@ -158,19 +158,13 @@ def cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) * (h / 2.0))])
 
 
-#: rows formatted per block by :func:`repr_csv`; bounds its transient memory
-_CSV_BLOCK_ROWS = 4096
-
-
 def repr_csv(header_rows, *columns) -> str:
     """CSV text of ``header_rows`` (through ``csv.writer``, minimal quoting)
     followed by one row per index of the equal-length ``columns``, each
     value written as ``repr(float)`` so a reread gives back the same bits."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(header_rows)
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    line = ",".join(["{!r}"] * len(cols)) + "\n"
-    for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
-        buf.write((line * len(block)).format(*block.ravel().tolist()))
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["{!r}"] * len(columns)) + "\n"
+    buf.write((line * len(rows)).format(*rows.ravel().tolist()))
     return buf.getvalue()

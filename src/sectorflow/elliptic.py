@@ -6,7 +6,9 @@ the constant-coefficient operator L = d_ss + d_thth + b1 d_s + c0, the
 forcing profile F and the nonlinearity's argument (Psi + c s) e^{(1-alpha)s};
 :func:`_frame_problem` is the one place that maps a frame to them.
 Dirichlet data Psi = h(theta) is imposed on the theta-edges, and the two
-s-edges are identified, so the grid spans one period in s.
+s-edges are identified, so the grid spans one period in s.  Newton carries
+only the unknowns, s-rows 0 .. n_s - 1 by theta-columns 1 .. n_t - 1; one
+ghost fill in :func:`solve_semilinear` is where periodicity and the edges live.
 
 The discrete operator is written once, as the term table of
 :func:`_stencil_terms`, and evaluated by :func:`_apply_stencil`; the Newton
@@ -333,82 +335,83 @@ def solve_semilinear(
     The frame fixes L = d_ss + d_thth + 2(1-alpha) d_s + (1-alpha)^2,
     F = e^{(1+alpha)s} and arg = (Psi + c s) e^{(1-alpha)s}; in Frame(1.0, c)
     these are d_ss + d_thth, e^{2s} and Psi + c s.  ``boundary_h`` is a
-    callable of theta giving the Dirichlet trace Psi = h(theta).  Newton
-    steps are halved until the residual decreases, down to the 2^-10 floor;
-    exhaustion, or a non-finite residual or g' before a step, raises
+    callable of theta giving the Dirichlet trace Psi = h(theta).
+
+    Newton iterates U = Psi[:n_s, 1:n_t] (``init``'s edges and row n_s are
+    not read).  The residual and the Jacobian action fill an (n_s + 2,
+    n_t + 1) buffer with U or the step, ghost rows U[-1] before and U[0]
+    after, and theta-edges h or 0; the field is the filled rows 1 .. n_s + 1.
+    Newton steps are halved until the residual decreases, down to the 2^-10
+    floor; exhaustion, or a non-finite residual or g' before a step, raises
     NoConvergence with the best iterate attached.
     """
     n_s, n_t = grid.n_s, grid.n_theta
-    hs, ht = grid.h_s, grid.h_theta
-    s = grid.s_nodes
-    th = grid.theta_nodes
-    h_vals = np.asarray(boundary_h(th), dtype=float)
-
-    Psi = (init if init is not None else default_initial_guess(grid, boundary_h)).vals.copy()
-    # impose the Dirichlet trace exactly and identify the s-edges
-    Psi[:, 0] = h_vals[0]
-    Psi[:, -1] = h_vals[-1]
-    Psi[-1, :] = Psi[0, :]
-
-    # the unknowns are s-rows 0 .. n_s - 1 and theta-columns 1 .. n_t - 1;
-    # row n_s repeats row 0
-    s_col = s[:n_s, None]
+    s_col = grid.s_nodes[:n_s, None]
+    h_vals = np.asarray(boundary_h(grid.theta_nodes), dtype=float)
     b1, c0, F_col, darg = _frame_problem(frame, s_col)
-    terms = _stencil_terms(b1, c0, hs, ht)
+    terms = _stencil_terms(b1, c0, grid.h_s, grid.h_theta)
     symbol = _periodic_symbol(terms, n_s, n_t)
 
-    def residual(P):
-        lap = _apply_stencil(terms, np.concatenate([P[n_s - 1:n_s], P]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return lap - F_col * gspec.g(from_working(s_col, P[:n_s, 1:n_t], frame))
+    U = (init if init is not None else default_initial_guess(grid, boundary_h)).vals[:n_s, 1:n_t]
+    Q = np.zeros((n_s + 2, n_t + 1))  # the action's buffer: theta-edges 0
 
-    def no_convergence(message, P):
-        best = ScalarField(grid, P)
+    def fill(buf, d):
+        # d into buf's interior, and its ghost rows, which make it periodic in s
+        buf[1:-1, 1:-1] = d
+        buf[0, 1:-1], buf[-1, 1:-1] = d[-1], d[0]
+        return buf
+
+    def with_h(d):
+        # theta-edges h; fresh per call, since a kept buffer would sit idle through GMRES
+        return fill(np.tile(h_vals, (n_s + 2, 1)), d)
+
+    def residual(d):
+        lap = _apply_stencil(terms, with_h(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lap - F_col * gspec.g(from_working(s_col, d, frame))
+
+    def psi_field(d):
+        return ScalarField(grid, with_h(d)[1:])
+
+    def no_convergence(message):
+        best = psi_field(U)
         return NoConvergence(message, field=best, report=SolveReport(
             iters, res_norm, s_variance(best), False, history, krylov_ok, krylov_its))
 
-    Q = np.zeros((n_s + 2, n_t + 1))
     history, krylov_ok, krylov_its = [], [], []
-    R = residual(Psi)
+    R = residual(U)
     res_norm = float(np.max(np.abs(R)))
     history.append(res_norm)
     iters = 0
     while res_norm > tol and iters < max_iter:
         with np.errstate(over="ignore", invalid="ignore"):
-            gp = gspec.g_prime(from_working(s_col, Psi[:n_s, 1:n_t], frame))
+            gp = gspec.g_prime(from_working(s_col, U, frame))
             nonlinear = F_col * gp * darg
         if not (np.isfinite(R).all() and np.isfinite(nonlinear).all()):
-            raise no_convergence("non-finite residual or g' before a Newton step", Psi)
+            raise no_convergence("non-finite residual or g' before a Newton step")
 
         def jvp(d):
-            # the stencil on the step in Q, whose theta-edges stay zero and
-            # whose ghost rows make it periodic in s, minus g's derivative
-            Q[1:-1, 1:-1] = d
-            Q[0, 1:-1], Q[-1, 1:-1] = d[-1], d[0]
-            return _apply_stencil(terms, Q) - nonlinear * d
+            return _apply_stencil(terms, fill(Q, d)) - nonlinear * d
 
         delta, its, ok = _krylov_step(jvp, -R, symbol - np.mean(nonlinear))
         krylov_its.append(its)
         krylov_ok.append(ok)
         lam = 1.0
         while True:
-            trial = Psi.copy()
-            trial[:n_s, 1:n_t] += lam * delta
-            trial[-1, :] = trial[0, :]
+            trial = U + lam * delta
             R_trial = residual(trial)
             trial_norm = float(np.max(np.abs(R_trial)))
             if trial_norm < res_norm or trial_norm <= tol:
-                Psi, R, res_norm = trial, R_trial, trial_norm
+                U, R, res_norm = trial, R_trial, trial_norm
                 break
             lam *= 0.5
             if lam < DAMPING_FLOOR:
-                raise no_convergence("damping floor reached without residual decrease", Psi)
+                raise no_convergence("damping floor reached without residual decrease")
         iters += 1
         history.append(res_norm)
 
     if not res_norm <= tol:
-        raise no_convergence(
-            f"residual {res_norm:.3e} above tolerance after {iters} iterations", Psi)
-    out = ScalarField(grid, Psi)
+        raise no_convergence(f"residual {res_norm:.3e} above tolerance after {iters} iterations")
+    out = psi_field(U)
     return out, SolveReport(iters, res_norm, s_variance(out), True, history,
                             krylov_ok, krylov_its)

@@ -162,11 +162,16 @@ def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
     """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
     whose JSON sidecar and array shape must describe ``grid``, or else CSV
     text.  Raises GridMismatch for another grid's export, and GridError
-    naming the path for a .npy that numpy cannot read or that does not hold
-    a real floating-point array, and for a non-finite value."""
+    naming the path for a CSV file that is not UTF-8 text, for a .npy that
+    numpy cannot read or that does not hold a real floating-point array,
+    and for a non-finite value."""
     path = Path(path)
     if path.suffix != ".npy":
-        return field_from_csv(path.read_text(), grid)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise GridError(f"{path} is not UTF-8 text: {exc}") from exc
+        return field_from_csv(text, grid)
     sidecar = path.with_suffix(".json")
     if sidecar.read_text() != grid.to_json():
         raise GridMismatch(f"{sidecar} describes another grid than {grid.to_json()}")

@@ -187,6 +187,19 @@ class TagSpec:
     requires: tuple = ()
 
 
+def _read_ini(path: str | Path, overrides: dict | None = None) -> dict:
+    """The INI file's sections as {section: {key: text}}, with ``overrides``
+    laid over them; a file that cannot be read or is not INI (a bare ``%``
+    included, which raises on reading the section) is a ConfigError."""
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(Path(path).read_text(encoding="utf-8"))
+        cp.read_dict(overrides or {})
+        return {name: dict(cp[name]) for name in cp.sections()}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"invalid config {path}: {exc}")
+
+
 def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
     """Read an INI scenario file, with ``overrides`` ({section: {key:
     value}}, as the CLI's --seed and --tol) laid over it, into a Scenario:
@@ -195,14 +208,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
     here, and the domain and grid are built.  A file that cannot be read
     or is not INI, any other section or key, or a value, domain or grid
     that the checks rule out, is a ConfigError."""
-    path = Path(path)
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(path.read_text(encoding="utf-8"))
-        cp.read_dict(overrides or {})
-        text = {name: dict(cp[name]) for name in cp.sections()}
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}")
+    text = _read_ini(path, overrides)
     for name in text:
         if name not in _KEYS:
             raise ConfigError(f"unknown config section [{name}]")
@@ -230,30 +236,9 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
     return Scenario(meta.get("name", tag), tag, domain, grid, **values)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
-def _recovery_summary(rec: rigidity.GRecovery) -> dict:
-    return {"single_valued_defect": rec.single_valued_defect, "fits": rec.fits,
-            "fit": rec.fit, "n_bins": len(rec.z_samples)}
-
-
 def _check(name, value, threshold, ok=None):
-    if ok is None:
-        ok = bool(value <= threshold)
-    return {"name": name, "value": _jsonable(value), "threshold": _jsonable(threshold),
-            "passed": bool(ok)}
+    return {"name": name, "value": value, "threshold": threshold,
+            "passed": bool(value <= threshold if ok is None else ok)}
 
 
 def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
@@ -305,7 +290,7 @@ def _certify_exact(sol, grid):
     ]
     artifacts = {
         "boundary_report": asdict(br),
-        "homogeneity": _jsonable(hom),
+        "homogeneity": hom,
         "euler_residual": [e_r, e_t, e_d],
     }
     return checks, artifacts, psi, prof
@@ -323,32 +308,36 @@ def _recovery_grid(grid):
     return LogPolarGrid(grid.s_min, grid.s_max, n_s, n_t, grid.theta0)
 
 
-def _solve(scn, grid, gspec, frame, h):
+def _solve(scn, grid, gspec, frame, h, out, variance_name):
     """Newton solve, periodic in s, from the seeded perturbed start, under
-    the [solver] settings; returns (Psi, report, tol)."""
+    the [solver] settings, written to solution.csv; returns the report and
+    two checks: its s-variance, named ``variance_name``, and max |Psi -
+    h(theta)| over the mesh against 5 h^2 (h the larger step)."""
     solver = scn.solver
     init = elliptic.default_initial_guess(grid, h, amplitude=solver["perturbation"],
                                           seed=solver["seed"])
     Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=solver["tol"])
-    return Psi, rep, solver["tol"]
-
-
-def _profile_check(Psi, h):
-    """max |Psi - h(theta)| over the mesh, against 5 h^2 (h the larger step)."""
-    grid = Psi.grid
+    fields.write_field(Psi, out / "solution.csv")
     err = float(np.max(np.abs(Psi.vals - h(grid.theta_nodes))))
-    return _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)
+    return rep, [_check(variance_name, rep.s_variance, max(solver["tol"], 1e-6)),
+                 _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)]
+
+
+def _recover_g(psi, lap, bound):
+    """g recovered from the stream ``psi`` and its Laplacian ``lap``: (the
+    recovery, its g_single_valued check against ``bound`` times max |lap|,
+    its report summary)."""
+    rec = rigidity.recover_g(psi, lap)
+    scale = float(np.nanmax(np.abs(lap.vals))) + 1e-300
+    summary = {"single_valued_defect": rec.single_valued_defect, "fits": rec.fits,
+               "fit": rec.fit, "n_bins": len(rec.z_samples)}
+    return rec, _check("g_single_valued", rec.single_valued_defect, bound * scale), summary
 
 
 def _run_thm1i(scn, grid, out):
     h = lambda th: scn.solver["b"] * th / grid.theta0
-    psi, rep, tol = _solve(scn, grid, elliptic.ZeroG(), elliptic.Frame(1.0), h)
-    checks = [
-        _check("converged", 0 if rep.converged else 1, 0),
-        _check("s_variance", rep.s_variance, max(tol, 1e-6)),
-        _profile_check(psi, h),
-    ]
-    fields.write_field(psi, out / "solution.csv")
+    rep, checks = _solve(scn, grid, elliptic.ZeroG(), elliptic.Frame(1.0), h, out, "s_variance")
+    checks.insert(0, _check("converged", 0 if rep.converged else 1, 0))
     return checks, {"solve_report": asdict(rep)}
 
 
@@ -385,25 +374,21 @@ def _run_rigidity_solve(scn, grid, out, case):
     sol = _build_family(scn.family, grid.theta0)
     checks, artifacts, _, _ = _certify_exact(sol, grid)
     psi_r = fields.sample_stream(sol, _recovery_grid(grid))
-    lap_r = fields.laplacian_polar(psi_r)
-    rec = rigidity.recover_g(psi_r, lap_r)
-    scale = float(np.nanmax(np.abs(lap_r.vals)))
+    rec, single_valued, artifacts["g_recovery"] = _recover_g(
+        psi_r, fields.laplacian_polar(psi_r), 1e-3)
     form_checks, gspec, frame = case(sol, rec.fit or {}, artifacts["boundary_report"])
     checks += [
-        _check("g_single_valued", rec.single_valued_defect, 1e-3 * scale),
+        single_valued,
         *form_checks,
         _check("g_functional_equation",
                rigidity.g_functional_check(rec, frame.alpha, frame.c), 1e-3),
     ]
-    Psi, rep, tol = _solve(scn, grid, gspec, frame, sol.stream_h)
     # an s-free Psi passes solve_s_variance under a wrong K or C too
-    checks += [_check("solve_s_variance", rep.s_variance, max(tol, 1e-6)),
-               _profile_check(Psi, sol.stream_h)]
-    artifacts["g_recovery"] = _recovery_summary(rec)
+    rep, solve_checks = _solve(scn, grid, gspec, frame, sol.stream_h, out, "solve_s_variance")
     artifacts["solve_report"] = asdict(rep)
+    # written only once the solve returns: a failed solve leaves no scatter
     (out / "g_scatter.csv").write_text(rec.to_csv())
-    fields.write_field(Psi, out / "solution.csv")
-    return checks, artifacts
+    return checks + solve_checks, artifacts
 
 
 def _rotation_checks(psi, artifacts):
@@ -506,20 +491,11 @@ def _run_verify(scn, grid, out):
     except (OSError, GridMismatch) as exc:  # a missing file or another grid's export
         raise ConfigError(f"cannot read psi_csv: {exc}")
     lap = fields.laplacian_polar(psi)
-    rec = rigidity.recover_g(psi, lap)
+    rec, single_valued, summary = _recover_g(psi, lap, 0.05)
     jac = rigidity.jacobian_check(lap, psi)
-    scale = float(np.nanmax(np.abs(lap.vals))) + 1e-300
-    checks = [
-        _check("g_single_valued", rec.single_valued_defect, 0.05 * scale),
-        _check("jacobian_identity", jac, 1e-2),
-    ]
     (out / "g_scatter.csv").write_text(rec.to_csv())
-    artifacts = {
-        "g_recovery": _recovery_summary(rec),
-        "jacobian": jac,
-        "s_variance": rigidity.s_variance(psi),
-    }
-    return checks, artifacts
+    artifacts = {"g_recovery": summary, "jacobian": jac, "s_variance": rigidity.s_variance(psi)}
+    return [single_valued, _check("jacobian_identity", jac, 1e-2)], artifacts
 
 
 _KIND = (("family", "kind"),)
@@ -585,36 +561,34 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
         return 3, report
     report["checks"] = checks
     report["passed"] = all(c["passed"] for c in checks)
-    report.update(_jsonable(artifacts))
+    report.update(artifacts)
     _write_json(out / "report.json", report)
     return (0 if report["passed"] else 1), report
 
 
 def _write_json(path: Path, obj: dict):
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    """``obj`` as sorted-key JSON; a numpy scalar or array is written as its
+    Python value or list."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2,
+                               default=lambda o: o.tolist()) + "\n")
 
 
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     """Run every scenario listed in a batch config into isolated subdirs.
 
     Every config is parsed, which checks its values and builds its domain
-    and grid, before any runs; a mistake there, or a scenario name that is
-    not one plain path component or is taken, is a ConfigError.  Scenarios execute
-    sequentially in listed order so that repeated runs are byte-identical.
-    The summary records each scenario's exit code; the batch exits 0 only
-    if all scenarios do.
+    and grid, before any runs; a mistake there, an empty scenario list, or
+    a scenario name that is not one plain path component or is taken, is
+    a ConfigError.  Scenarios execute sequentially in listed order so that
+    repeated runs are byte-identical.  The summary records each scenario's
+    exit code; the batch exits 0 only if all scenarios do.
     """
     config_path = Path(config_path)
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(config_path.read_text(encoding="utf-8"))
-        listed = cp.get("batch", "scenarios")
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        raise ConfigError("batch config needs [batch] scenarios = path, path, ...")
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"invalid batch config: {exc}")
+    listed = _read_ini(config_path).get("batch", {}).get("scenarios", "")
     scenarios = [parse_config((config_path.parent / rel.strip()).resolve())
                  for rel in listed.split(",") if rel.strip()]
+    if not scenarios:
+        raise ConfigError("batch config needs [batch] scenarios = path, path, ...")
     taken = {"summary.json"}
     for scn in scenarios:
         if scn.name in ("", ".", "..") or Path(scn.name).name != scn.name:
@@ -625,14 +599,10 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"scenarios": []}
-    worst = 0
     for scn in scenarios:
         code, report = run_scenario(scn, out / scn.name)
-        summary["scenarios"].append(
-            {"name": scn.name, "tag": scn.tag, "exit_code": code,
-             "passed": report.get("passed", False)}
-        )
-        worst = max(worst, code)
-    summary["exit_code"] = worst
+        summary["scenarios"].append({"name": scn.name, "tag": scn.tag, "exit_code": code,
+                                     "passed": report.get("passed", False)})
+    summary["exit_code"] = worst = max(item["exit_code"] for item in summary["scenarios"])
     _write_json(out / "summary.json", summary)
     return worst, summary

@@ -13,6 +13,7 @@ from sectorflow import (
     FamilyKind,
     Frame,
     PowerForm,
+    ScalarField,
     ZeroG,
     construct_exact,
     default_initial_guess,
@@ -234,6 +235,25 @@ def _periodic_solve(case, n_s, n_theta=None, frame=None):
     g, frame, _, _, h, grid = _case(case, n_s, n_theta, frame)
     init = default_initial_guess(grid, h, amplitude=0.1, seed=n_s)
     return solve_semilinear(grid, g, frame, h, init=init)
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_SOLVES))
+def test_solve_reads_only_the_unknowns_of_init(case):
+    """Newton carries the unknowns only: garbage on init's theta-edges and
+    in its row n_s changes neither the solved field's bytes nor the report,
+    and init itself is left as it was."""
+    g, frame, _, _, h, grid = _case(case, 32, None, None)
+    init = default_initial_guess(grid, h, amplitude=0.1, seed=32)
+    vals = init.vals.copy()
+    rng = np.random.default_rng(7)
+    vals[:, [0, -1]] = 1e3 * rng.standard_normal((grid.n_s + 1, 2))
+    vals[-1, :] = 1e3 * rng.standard_normal(grid.n_theta + 1)
+    dirty = ScalarField(grid, vals.copy())
+    psi, rep = solve_semilinear(grid, g, frame, h, init=init)
+    dirty_psi, dirty_rep = solve_semilinear(grid, g, frame, h, init=dirty)
+    assert rep.converged and dirty_psi.vals.tobytes() == psi.vals.tobytes()
+    assert asdict(dirty_rep) == asdict(rep)
+    assert dirty.vals.tobytes() == vals.tobytes()
 
 
 def _oracle_jacobian(b1, c0, grid, nonlinear):

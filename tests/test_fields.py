@@ -186,6 +186,13 @@ class TestReadField:
         with pytest.raises(GridError, match=re.escape(f"psi.npy {message}")):
             read_field(path, grid)
 
+    def test_non_utf8_csv_names_the_file(self, tmp_path):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        path = tmp_path / "psi.csv"
+        path.write_bytes(field_to_csv(_theta_field(grid)).encode() + b"\xff\n")
+        with pytest.raises(GridError, match=re.escape(f"{path} is not UTF-8 text")):
+            read_field(path, grid)
+
     def test_array_of_another_shape_rejected(self, tmp_path):
         grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
         path = self._dump(tmp_path, grid, np.ones((10, 10)))

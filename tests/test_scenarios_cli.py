@@ -15,7 +15,7 @@ from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import ConfigError
 from sectorflow.scenarios import parse_config, run_batch, run_scenario
-from sectorflow.scenarios import TAGS, _num
+from sectorflow.scenarios import TAGS, _num, _write_json
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = CONFIGS.parent / "src"
@@ -520,6 +520,14 @@ class TestConfigMistakes:
         assert main(["slide", "--config", str(tmp_path / "bad.ini"), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_verify_non_utf8_csv_is_a_grid_error_naming_the_file(self, tmp_path, capsys):
+        (tmp_path / "stream.csv").write_bytes(b"s,theta,value\n0.0,0.0,1.0\xff\n")
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.csv", capsys)
+        report = json.loads((out / "report.json").read_text())
+        assert code == 3 and report["error"].startswith("GridError: ")
+        assert "stream.csv is not UTF-8 text" in report["error"]
+        assert "numerical failure: GridError: " in captured.out
+
     def test_verify_nan_value_stays_a_numerical_failure(self, tmp_path, capsys):
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
         vals = np.ones(grid.shape)
@@ -614,6 +622,29 @@ def test_solve_with_a_wrong_g_fails_on_profile_error(cfg, form, key, tmp_path, m
     assert main(["solve", "--config", str(CONFIGS / f"{cfg}.ini"), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["profile_error"]
+
+
+@pytest.mark.parametrize("text", [
+    "[batch]\nscenarios = ,\n", "[batch]\nscenarios =\n", "[batch]\nscenarios = , ,\n",
+    "[batch]\n", "",
+], ids=["comma", "empty", "commas", "no-key", "no-section"])
+def test_batch_without_scenarios_exits_2(text, tmp_path, capsys):
+    """A batch that lists no scenario is a mistake, not a pass."""
+    cfg = _write(tmp_path, "batch.ini", text)
+    out = tmp_path / "out"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "batch config needs [batch] scenarios" in capsys.readouterr().err
+
+
+def test_report_writer_takes_numpy_values(tmp_path):
+    """The report writer writes a numpy scalar or array as its Python value."""
+    _write_json(tmp_path / "r.json", {"f": np.float64(0.1), "g": np.float32(0.5),
+                                      "i": np.int64(3), "b": np.bool_(True),
+                                      "a": np.arange(2.0), "m": np.eye(2, dtype=int)})
+    assert (tmp_path / "r.json").read_text() == json.dumps(
+        {"a": [0.0, 1.0], "b": True, "f": 0.1, "g": 0.5, "i": 3, "m": [[1, 0], [0, 1]]},
+        sort_keys=True, indent=2) + "\n"
 
 
 def test_batch_with_a_bad_domain_later_writes_nothing(tmp_path, capsys):
