@@ -5,7 +5,6 @@ working frame, which fixes the elliptic problem, lives in :mod:`.elliptic`."""
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,11 +53,16 @@ def laplacian_polar(psi: ScalarField) -> ScalarField:
     """Delta psi = e^{-2s} (psi_ss + psi_thth), interior nodes only (NaN edges)."""
     g = psi.grid
     out = np.full(g.shape, np.nan)
-    v = psi.vals
-    core = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / g.h_s**2 + (
-        v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]
-    ) / g.h_theta**2
-    out[1:-1, 1:-1] = np.exp(-2.0 * g.s_nodes[1:-1])[:, None] * core
+    v, core = psi.vals, out[1:-1, 1:-1]
+    tt = np.multiply(v[1:-1, 1:-1], 2.0)  # the one temporary: 2 psi, then psi_thth's numerator
+    np.subtract(v[2:, 1:-1], tt, out=core)
+    core += v[:-2, 1:-1]
+    core /= g.h_s**2
+    np.subtract(v[1:-1, 2:], tt, out=tt)
+    tt += v[1:-1, :-2]
+    tt /= g.h_theta**2
+    core += tt
+    core *= np.exp(-2.0 * g.s_nodes[1:-1])[:, None]
     return ScalarField(g, out)
 
 
@@ -74,11 +78,18 @@ def sample_velocity(sol: HomogeneousSolution, grid: LogPolarGrid) -> VectorField
 
 
 def field_to_csv(field: ScalarField) -> str:
-    """(s, theta, value) rows of repr floats; one row template holds each theta's repr."""
+    """(s, theta, value) rows of repr floats: the text :func:`write_field` writes."""
+    return "".join(_csv_lines(field))
+
+
+def _csv_lines(field: ScalarField):
+    """The CSV header, then the lines of one s-row at a time; one row
+    template holds each theta's repr."""
     g = field.grid
     row = "".join(f"{{0}},{th!r},{{{j}!r}}\n" for j, th in enumerate(g.theta_nodes.tolist(), 1))
-    return "s,theta,value\n" + "".join(
-        row.format(repr(s), *vals) for s, vals in zip(g.s_nodes.tolist(), field.vals.tolist()))
+    yield "s,theta,value\n"
+    for s, vals in zip(g.s_nodes.tolist(), field.vals):
+        yield row.format(repr(s), *vals.tolist())
 
 
 #: largest distance, in cells, of a CSV row's (s, theta) from its grid node
@@ -95,7 +106,7 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a text without rows: checked below
-            rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
+            rows = np.loadtxt(_lines(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
         # loadtxt skips a blank line, which would shift every later line number
         if len(rows) != n_rows or rows.size and rows.shape[1] != 3:
             raise ValueError("a blank line or a row not of three numbers")
@@ -105,8 +116,11 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
     x = (s - grid.s_min) / grid.h_s
     y = th / grid.h_theta
     i, j = np.rint(x), np.rint(y)
-    off = ~((np.abs(x - i) <= _NODE_TOL) & (np.abs(y - j) <= _NODE_TOL)
+    x -= i  # x and y become the offsets from the nearest node
+    y -= j
+    off = ~((np.abs(x, out=x) <= _NODE_TOL) & (np.abs(y, out=y) <= _NODE_TOL)
             & (i >= 0) & (i <= grid.n_s) & (j >= 0) & (j <= grid.n_theta))
+    del x, y
     if off.any():
         k = int(np.argmax(off))
         raise GridMismatch(f"CSV line {k + 2} (s={float(s[k])!r}, theta={float(th[k])!r}) "
@@ -123,6 +137,16 @@ def field_from_csv(text: str, grid: LogPolarGrid) -> ScalarField:
         raise GridMismatch(f"{vals.size - node.size} of {vals.size} grid nodes have no CSV row")
     vals.flat[node] = v
     return ScalarField(grid, vals)
+
+
+def _lines(text: str):
+    """The lines of ``text.split("\n")``, split about 64 K characters at a time
+    (every line held at once would take twice the text's memory)."""
+    start = 0
+    while (end := text.find("\n", start + 65536)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
 
 
 def _malformed(text: str, exc: ValueError) -> GridError:
@@ -150,7 +174,8 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
     path = Path(path)
     n_nodes = field.grid.shape[0] * field.grid.shape[1]
     if n_nodes < BINARY_EXPORT_NODES:
-        path.write_text(field_to_csv(field))
+        with path.open("w") as file:
+            file.writelines(_csv_lines(field))
         return path
     bin_path = path.with_suffix(".npy")
     np.save(bin_path, np.ascontiguousarray(field.vals))
@@ -162,18 +187,14 @@ def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
     """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
     whose JSON sidecar and array shape must describe ``grid``, or else CSV
     text.  Raises GridMismatch for another grid's export, and GridError
-    naming the path for a CSV file that is not UTF-8 text, for a .npy that
-    numpy cannot read or that does not hold a real floating-point array,
-    and for a non-finite value."""
+    naming the path for a CSV file or .npy sidecar that is not UTF-8 text,
+    for a .npy that numpy cannot read or that does not hold a real
+    floating-point array, and for a non-finite value."""
     path = Path(path)
     if path.suffix != ".npy":
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise GridError(f"{path} is not UTF-8 text: {exc}") from exc
-        return field_from_csv(text, grid)
+        return field_from_csv(_utf8(path), grid)
     sidecar = path.with_suffix(".json")
-    if sidecar.read_text() != grid.to_json():
+    if _utf8(sidecar) != grid.to_json():
         raise GridMismatch(f"{sidecar} describes another grid than {grid.to_json()}")
     try:
         vals = np.load(path)
@@ -188,3 +209,11 @@ def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
         node = np.unravel_index(np.argmax(~np.isfinite(vals)), vals.shape)
         raise GridError(f"{path} holds a non-finite value at node {tuple(map(int, node))}")
     return ScalarField(grid, vals)
+
+
+def _utf8(path: Path) -> str:
+    """The text of ``path``; GridError naming it if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridError(f"{path} is not UTF-8 text: {exc}") from exc

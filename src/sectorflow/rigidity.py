@@ -43,14 +43,19 @@ def homogeneity_fit(u: VectorField) -> dict:
     if rays.size == 0:
         raise DegenerateField("no ray stays bounded away from zero")
     s = g.s_nodes
-    # one least-squares line per ray, all rays at once: slope = sum d*Yc / sum d^2
+    # one least-squares line per ray, all rays at once: slope = sum d*Yc / sum d^2;
+    # past the copy of M, Yc and one scratch array T are the whole working set
     d = (s - np.mean(s))[:, None]
-    Yc = np.log(M[:, rays])
+    Yc = M[:, rays]  # column-major, as the fancy index lays it out: that fixes the sums' order
+    del M
+    np.log(Yc, out=Yc)
     Yc -= np.mean(Yc, axis=0)
-    slopes = np.sum(d * Yc, axis=0) / np.sum(d * d)
-    fit_resid = float(np.max(np.abs(Yc - slopes * d)))
+    T = np.multiply(d, Yc)
+    slopes = np.sum(T, axis=0) / np.sum(d * d)
+    np.subtract(Yc, np.multiply(slopes, d, out=T), out=T)
+    fit_resid = float(np.max(np.abs(T, out=T)))
     alpha_hat = -float(np.mean(slopes))
-    W = np.exp(alpha_hat * s)[:, None] * u.ur_vals[:, rays]
+    W = np.multiply(np.exp(alpha_hat * s)[:, None], u.ur_vals[:, rays], out=T)
     cross = float(np.max(W.max(axis=0) - W.min(axis=0))) / peak
     return {"alpha_hat": alpha_hat, "deviation": fit_resid + cross}
 
@@ -209,29 +214,38 @@ def jacobian_check(lap: ScalarField, psi: ScalarField) -> float:
     g = psi.grid
     hs, ht = g.h_s, g.h_theta
     P, L = psi.vals, lap.vals
-    Lf = L[np.isfinite(L)]
+    # its copies are freed before the gradients exist; a stream with no finite value raises
     psi_scale = float(np.max(np.abs(P[np.isfinite(P)]))) + 1e-300
     # a Laplacian below the truncation-error scale of the stream is
     # indistinguishable from a constant: dependence holds trivially
     trunc = 50.0 * (hs**2 + ht**2) * psi_scale
-    if Lf.size and float(np.max(Lf) - np.min(Lf)) < max(trunc, 1e-8 * psi_scale):
+    finite = np.isfinite(L)
+    spread = np.max(L, where=finite, initial=-np.inf) - np.min(L, where=finite, initial=np.inf)
+    if finite.any() and float(spread) < max(trunc, 1e-8 * psi_scale):
         return 0.0
 
     def grads(a):
-        ds = (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * hs)
-        dt = (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * ht)
-        return ds, dt
+        ds, dt = np.subtract(a[2:, 1:-1], a[:-2, 1:-1]), np.subtract(a[1:-1, 2:], a[1:-1, :-2])
+        return np.divide(ds, 2.0 * hs, out=ds), np.divide(dt, 2.0 * ht, out=dt)
 
+    # six interior-sized arrays at most: the four gradients and two products
     Ps, Pt = grads(P)
     Ls, Lt = grads(L)
     mask = np.isfinite(Ls) & np.isfinite(Lt)
-    det = Ls * Pt - Lt * Ps
-    gradP, gradL = np.hypot(Ps, Pt), np.hypot(Ls, Lt)
-    scaleP = np.max(gradP[np.isfinite(Ps)]) if np.any(np.isfinite(Ps)) else 0.0
-    scaleL = np.max(gradL[mask]) if np.any(mask) else 0.0
+    p_finite = np.isfinite(Ps)
+    det, tmp = np.multiply(Ls, Pt), np.multiply(Lt, Ps)
+    det -= tmp
+    gradP, gradL = np.hypot(Ps, Pt, out=tmp), np.hypot(Ls, Lt, out=Ps)
+    scaleP = np.max(gradP, where=p_finite, initial=0.0)
+    scaleL = np.max(gradL, where=mask, initial=0.0)
     floor = 1e-12 * (scaleP * scaleL + 1e-300)
-    vals = np.abs(det[mask]) / ((gradL * gradP)[mask] + floor)
-    return float(np.max(vals)) if vals.size else 0.0
+    denom = np.add(np.multiply(gradL, gradP, out=Pt), floor, out=Pt)
+    vals = np.divide(np.abs(det, out=det), denom, out=det, where=mask)
+    return float(np.max(vals, where=mask, initial=0.0))
+
+
+#: rows of the overlap that the sliding check shifts at a time
+_SLIDE_ROWS = 64
 
 
 def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
@@ -242,7 +256,8 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
     (tau = 0 gives w = 0); ParameterDomain is raised otherwise and for an
     empty ``tau_list``.  The overlap shrinks with tau, and EmptyOverlap is
     raised when the theta-shift reaches the opening angle (or the s-shift
-    the s-extent)."""
+    the s-extent).  w is formed _SLIDE_ROWS rows at a time in two reused
+    buffers, so the working set does not grow with the number of s-rows."""
     g = Psi.grid
     xi1, xi2 = float(xi[0]), float(xi[1])
     taus = [float(tau) for tau in tau_list]
@@ -258,14 +273,25 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
         tj = g.theta_nodes[g.theta_nodes + dt <= g.theta0 + 1e-12]
         i, y0 = _cells(g.s_nodes, np.minimum(si + ds, g.s_max))
         j, y1 = _cells(g.theta_nodes, np.minimum(tj + dt, g.theta0))
-        lo, hi, y0 = Psi.vals[_run(i)], Psi.vals[_run(i + 1)], y0[:, None]
-        j0, j1 = _run(j), _run(j + 1)
-        # corner order and products of scipy's evaluate_linear_2d
-        shifted = (lo[:, j0] * (1 - y0) * (1 - y1) + lo[:, j1] * (1 - y0) * y1
-                   + hi[:, j0] * y0 * (1 - y1) + hi[:, j1] * y0 * y1)
-        w = shifted - Psi.vals[: len(si), : len(tj)]
-        k = np.unravel_index(np.argmin(w), w.shape)
-        per_tau.append({"tau": tau, "min_w": float(w[k]),
+        j0, j1, z1, m = _run(j), _run(j + 1), 1 - y1, len(tj)
+        base, picks = Psi.vals[: len(si), :m], []
+        w, t = np.empty((2, min(_SLIDE_ROWS, len(si)), m))
+        for r in range(0, len(si), _SLIDE_ROWS):
+            rows = slice(r, r + _SLIDE_ROWS)
+            lo, hi = Psi.vals[_run(i[rows])], Psi.vals[_run(i[rows] + 1)]
+            a, b, wr, tr = 1 - y0[rows, None], y0[rows, None], w[: len(lo)], t[: len(lo)]
+            # corner order and products of scipy's evaluate_linear_2d
+            np.multiply(np.multiply(lo[:, j0], a, out=wr), z1, out=wr)
+            wr += np.multiply(np.multiply(lo[:, j1], a, out=tr), y1, out=tr)
+            wr += np.multiply(np.multiply(hi[:, j0], b, out=tr), z1, out=tr)
+            wr += np.multiply(np.multiply(hi[:, j1], b, out=tr), y1, out=tr)
+            wr -= base[rows]
+            k = int(np.argmin(wr))
+            picks.append((float(wr.flat[k]), r * m + k))
+        # np.argmin's pick over the whole overlap: the first NaN, else the first least value
+        min_w, k = next((pick for pick in picks if math.isnan(pick[0])), min(picks))
+        k = divmod(k, m)
+        per_tau.append({"tau": tau, "min_w": min_w,
                         "location": {"s": float(si[k[0]]), "theta": float(tj[k[1]])}})
     best = min(per_tau, key=lambda entry: entry["min_w"])
     return {"min_w": best["min_w"], "location": best["location"],

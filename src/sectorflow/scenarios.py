@@ -187,17 +187,22 @@ class TagSpec:
     requires: tuple = ()
 
 
-def _read_ini(path: str | Path, overrides: dict | None = None) -> dict:
+def _read_ini(path: str | Path, overrides: dict | None = None, known=_KEYS) -> dict:
     """The INI file's sections as {section: {key: text}}, with ``overrides``
     laid over them; a file that cannot be read or is not INI (a bare ``%``
-    included, which raises on reading the section) is a ConfigError."""
+    included, which raises on reading the section), or a section not in
+    ``known``, is a ConfigError."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(Path(path).read_text(encoding="utf-8"))
         cp.read_dict(overrides or {})
-        return {name: dict(cp[name]) for name in cp.sections()}
+        text = {name: dict(cp[name]) for name in cp.sections()}
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"invalid config {path}: {exc}")
+    for name in text:
+        if name not in known:
+            raise ConfigError(f"unknown config section [{name}]")
+    return text
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
@@ -209,9 +214,6 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> Scenario:
     or is not INI, any other section or key, or a value, domain or grid
     that the checks rule out, is a ConfigError."""
     text = _read_ini(path, overrides)
-    for name in text:
-        if name not in _KEYS:
-            raise ConfigError(f"unknown config section [{name}]")
     meta = _section("scenario", text.get("scenario", {}))
     tag = meta.get("tag")
     if tag not in TAGS:
@@ -263,8 +265,9 @@ def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
 
 
 def _certify_exact(sol, grid):
-    """Checks common to every exact-family scenario, their artifacts, and
-    the sampled stream and profile: (checks, artifacts, psi, prof)."""
+    """Checks common to every exact-family scenario, their artifacts, the
+    sampled stream and its Laplacian, and the profile: (checks, artifacts,
+    psi, lap, prof)."""
     u = fields.sample_velocity(sol, grid)
     e_r, e_t, e_d = exact.euler_residual_closed_form(sol, grid)
     prof = sol.profile(grid.theta0, 1000)
@@ -293,7 +296,7 @@ def _certify_exact(sol, grid):
         "homogeneity": hom,
         "euler_residual": [e_r, e_t, e_d],
     }
-    return checks, artifacts, psi, prof
+    return checks, artifacts, psi, lap, prof
 
 
 # --------------------------------------------------------------------------
@@ -372,10 +375,12 @@ def _run_rigidity_solve(scn, grid, out, case):
     """Certify the family, recover g from its stream, then re-solve the
     semilinear problem from a perturbed start with the case's g-spec."""
     sol = _build_family(scn.family, grid.theta0)
-    checks, artifacts, _, _ = _certify_exact(sol, grid)
-    psi_r = fields.sample_stream(sol, _recovery_grid(grid))
-    rec, single_valued, artifacts["g_recovery"] = _recover_g(
-        psi_r, fields.laplacian_polar(psi_r), 1e-3)
+    checks, artifacts, psi, lap, _ = _certify_exact(sol, grid)
+    if _recovery_grid(grid) is not grid:
+        psi = fields.sample_stream(sol, _recovery_grid(grid))
+        lap = fields.laplacian_polar(psi)
+    rec, single_valued, artifacts["g_recovery"] = _recover_g(psi, lap, 1e-3)
+    del psi, lap  # not held through the solve
     form_checks, gspec, frame = case(sol, rec.fit or {}, artifacts["boundary_report"])
     checks += [
         single_valued,
@@ -411,7 +416,7 @@ def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
     """Generic pipeline: construct the configured family and certify it.
     ``extra`` returns the tag's own checks and may add artifacts."""
     sol = _build_family(scn.family, grid.theta0)
-    checks, artifacts, psi, prof = _certify_exact(sol, grid)
+    checks, artifacts, psi, _, prof = _certify_exact(sol, grid)
     checks += extra(psi, artifacts)
     (out / "profile.csv").write_text(prof.to_csv(sol.kind.value, sol.params))
     fields.write_field(psi, out / "stream.csv")
@@ -577,14 +582,16 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
     """Run every scenario listed in a batch config into isolated subdirs.
 
     Every config is parsed, which checks its values and builds its domain
-    and grid, before any runs; a mistake there, an empty scenario list, or
-    a scenario name that is not one plain path component or is taken, is
-    a ConfigError.  Scenarios execute sequentially in listed order so that
+    and grid, before any runs; a mistake there, a batch file section other
+    than [batch] or key other than ``scenarios``, an empty scenario list,
+    or a scenario name that is not one plain path component or is taken,
+    is a ConfigError.  Scenarios execute sequentially in listed order so that
     repeated runs are byte-identical.  The summary records each scenario's
     exit code; the batch exits 0 only if all scenarios do.
     """
     config_path = Path(config_path)
-    listed = _read_ini(config_path).get("batch", {}).get("scenarios", "")
+    batch = _read_ini(config_path, known=("batch",)).get("batch", {})
+    listed = _section("batch", batch, {"scenarios": (str, None)}).get("scenarios", "")
     scenarios = [parse_config((config_path.parent / rel.strip()).resolve())
                  for rel in listed.split(",") if rel.strip()]
     if not scenarios:

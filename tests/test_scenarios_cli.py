@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sectorflow import FamilyKind, ScalarField, construct_exact, field_to_csv, sample_stream
+from sectorflow import fields
 from sectorflow.cli import main
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import ConfigError
@@ -528,6 +529,16 @@ class TestConfigMistakes:
         assert "stream.csv is not UTF-8 text" in report["error"]
         assert "numerical failure: GridError: " in captured.out
 
+    def test_verify_non_utf8_sidecar_is_a_grid_error_naming_it(self, tmp_path, capsys):
+        grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)  # the verify.ini grid
+        np.save(tmp_path / "stream.npy", np.ones(grid.shape))
+        (tmp_path / "stream.json").write_bytes(b'{"\xff": 1}')
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
+        report = json.loads((out / "report.json").read_text())
+        assert code == 3 and report["error"].startswith("GridError: ")
+        assert "stream.json is not UTF-8 text" in report["error"]
+        assert "numerical failure: GridError: " in captured.out
+
     def test_verify_nan_value_stays_a_numerical_failure(self, tmp_path, capsys):
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
         vals = np.ones(grid.shape)
@@ -635,6 +646,35 @@ def test_batch_without_scenarios_exits_2(text, tmp_path, capsys):
     assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert "batch config needs [batch] scenarios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[batch]\nscenarios = good.ini\nscenarois = x.ini\n", r"unknown config key \[batch\] scenarois"),
+    ("[batch]\nscenarios = good.ini\n[extra]\nkey = 1\n", r"unknown config section \[extra\]"),
+], ids=["misspelt-key", "extra-section"])
+def test_batch_file_with_an_unknown_key_or_section_exits_2(text, message, tmp_path, capsys):
+    """A batch file is checked as a scenario file is: nothing is run or written."""
+    _write(tmp_path, "good.ini", (CONFIGS / "slide.ini").read_text())
+    cfg = _write(tmp_path, "batch.ini", text)
+    out = tmp_path / "out"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=message):
+        run_batch(cfg, out)
+
+
+def test_rigidity_solve_samples_the_stream_once_from_256_cells(tmp_path, monkeypatch):
+    """From n = 256 on, g is recovered on the certified grid itself, from the
+    stream and Laplacian that certification already sampled."""
+    calls = []
+    sample = fields.sample_stream
+    monkeypatch.setattr(fields, "sample_stream", lambda sol, grid: calls.append(grid.n_s)
+                        or sample(sol, grid))
+    for n in (64, 256):
+        text = (CONFIGS / "thm1ii.ini").read_text().replace("n_s = 64", f"n_s = {n}")
+        cfg = _write(tmp_path, f"thm1ii-{n}.ini", text.replace("n_theta = 64", f"n_theta = {n}"))
+        assert run_scenario(parse_config(cfg), tmp_path / f"out-{n}")[0] == 0
+    assert calls == [64, 256, 256]
 
 
 def test_report_writer_takes_numpy_values(tmp_path):
