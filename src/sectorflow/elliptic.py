@@ -11,26 +11,24 @@ only the unknowns, s-rows 0 .. n_s - 1 by theta-columns 1 .. n_t - 1; one
 ghost fill in :func:`solve_semilinear` is where periodicity and the edges live.
 
 The discrete operator is written once, as the term table of
-:func:`_stencil_terms`, and evaluated by :func:`_apply_stencil`; the Newton
-residual and the Jacobian's action both call it, so no matrix is assembled.
-The table's order is the residual's floating-point evaluation order, and it
-is fixed: converged residuals sit near the roundoff floor, so another order
-changes which solves meet their tolerance.
+:func:`_stencil_terms`, and evaluated in place by :func:`_apply_stencil` for
+both the Newton residual and the Jacobian's action, so no matrix is
+assembled.  The table's order is the residual's floating-point evaluation
+order, and it is fixed: converged residuals sit near the roundoff floor, so
+another order changes which solves meet their tolerance.
 
-Each Newton step solves J delta = -R by GMRES on the Jacobian's action (the
-stencil on delta minus the nonlinearity's derivative times delta; the
-Jacobian-free Newton-Krylov pattern of Knoll & Keyes, J. Comput. Phys. 193,
-2004), right-preconditioned by the exact inverse of the stencil's constant
-part shifted by the mean nonlinear diagonal.  An rfft in s times a DST-I in
-theta diagonalises that part, and its eigenvalues come from the same term
-table (:func:`_periodic_symbol`).  Both transforms are ``numpy.fft``; the
-DST-I is the rfft of the odd extension (:func:`_dst1`; Press et al.,
-Numerical Recipes, 3rd ed., section 12.4), so no SciPy module is imported.
-GMRES aims at ||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses
-it within the iteration cap is still taken, recorded as not converged, and
-the damped line search rejects it if the residual does not decrease.  GMRES
-(:func:`_gmres`) sums in a fixed order, not in BLAS, so the bits do not
-depend on thread count.
+Each Newton step solves J delta = -R by GMRES (:func:`_krylov_step`) on the
+Jacobian's action, the Jacobian-free Newton-Krylov pattern of Knoll & Keyes,
+J. Comput. Phys. 193, 2004.  It is right-preconditioned by the exact inverse
+of L - diag(Nbar(theta)), Nbar the s-mean of the nonlinearity's derivative:
+an rfft in s, then one Thomas sweep over the theta-columns for the
+tridiagonal system of every mode at once (:func:`_preconditioner`).  At an
+s-free state the derivative depends on theta alone for both laws the
+pipelines solve, so there this is the exact Jacobian.  GMRES aims at
+||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses it within the
+cap is still taken, recorded as not converged, and the damped line search
+rejects it if the residual does not decrease.  GMRES sums in a fixed order,
+not in BLAS, so the bits do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -103,8 +101,7 @@ class ZeroG:
     def g(self, z):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def g_prime(self, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
+    g_prime = g
 
 
 @dataclass(frozen=True)
@@ -168,12 +165,8 @@ class SolveReport:
     krylov_iterations: list = field(default_factory=list)
 
 
-def default_initial_guess(
-    grid: LogPolarGrid,
-    boundary_h,
-    amplitude: float = 0.0,
-    seed: int = 0,
-) -> ScalarField:
+def default_initial_guess(grid: LogPolarGrid, boundary_h, amplitude: float = 0.0,
+                          seed: int = 0) -> ScalarField:
     """h(theta) replicated over s plus a seeded interior perturbation.
 
     The perturbation vanishes on the boundary so Dirichlet data stays
@@ -185,9 +178,7 @@ def default_initial_guess(
     if amplitude != 0.0:
         rng = np.random.default_rng(seed)
         bump = rng.standard_normal(grid.shape)
-        win_s = np.sin(
-            np.pi * (grid.s_nodes - grid.s_min) / (grid.s_max - grid.s_min)
-        )[:, None]
+        win_s = np.sin(np.pi * (grid.s_nodes - grid.s_min) / (grid.s_max - grid.s_min))[:, None]
         win_t = np.sin(np.pi * th / grid.theta0)[None, :]
         vals = vals + amplitude * bump * win_s * win_t
     return ScalarField(grid, vals)
@@ -212,30 +203,64 @@ def _stencil_terms(b1: float, c0: float, h_s: float, h_theta: float):
 def _apply_stencil(terms, Q: np.ndarray) -> np.ndarray:
     """The stencil at the interior nodes of ``Q``, whose first and last rows
     are ghost copies of the s-rows before the first and after the last
-    interior row, and whose first and last columns are the theta-edges."""
+    interior row, and whose first and last columns are the theta-edges.
+    Evaluated in place, in the table's order, into a fresh output and two
+    scratch buffers; a unit weight or coefficient is skipped (it moves no bit)."""
     n, m = Q.shape[0] - 2, Q.shape[1] - 2
-    return reduce(add, (
-        coef * reduce(add, (w * Q[1 + di:1 + di + n, 1 + dj:1 + dj + m] for di, dj, w in taps))
-        / denom
-        for coef, denom, taps in terms
-    ))
+    out, acc, tap = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+    for t, (coef, denom, taps) in enumerate(terms):
+        part = acc if t else out
+        for i, (di, dj, w) in enumerate(taps):
+            q = Q[1 + di:1 + di + n, 1 + dj:1 + dj + m]
+            if i == 0:
+                np.multiply(w, q, out=part)
+            else:
+                part += q if w == 1.0 else np.multiply(w, q, out=tap)
+        if coef != 1.0:
+            part *= coef
+        part /= denom
+        if t:
+            out += part
+    return out
 
 
-def _periodic_symbol(terms, n_s: int, n_t: int) -> np.ndarray:
-    """Eigenvalues of the stencil's constant part, periodic in s and
-    Dirichlet in theta, on the modes of rfft (k, over s) times DST-I (m,
-    over theta): a tap (di, dj, w) contributes
-    w e^{2 pi i k di / n_s} cos(pi m dj / n_t), a cosine because every dj
-    tap has a -dj twin."""
-    k = np.arange(n_s // 2 + 1)[:, None]
-    m = np.arange(1, n_t)[None, :]
+def _preconditioner(terms, n_s: int, shift: np.ndarray):
+    """The inverse of the stencil minus diag(``shift``), one entry per
+    interior theta-column, periodic in s and Dirichlet in theta.  On rfft
+    mode k a tap (di, dj, w) couples theta-column j to j + dj with weight
+    w e^{2 pi i k di / n_s}, so each mode is tridiagonal in theta: the dj = 0
+    taps minus ``shift`` on the diagonal, the dj = -1 and +1 taps off it.
+    Thomas elimination, without pivoting, is factored here for every mode at
+    once; a zero or non-finite pivot raises NoConvergence."""
+    k = np.arange(n_s // 2 + 1)
 
-    def tap(di, dj, w):
-        kd = k * di % n_s
-        return w * np.exp(2j * np.pi * kd / n_s) * np.cos(np.pi * m * dj / n_t)
+    def band(dj):
+        return reduce(add, (coef * sum(w * np.exp(2j * np.pi * (k * di % n_s) / n_s)
+                                       for di, tap_dj, w in taps if tap_dj == dj) / denom
+                            for coef, denom, taps in terms))
 
-    return reduce(add, (coef * reduce(add, (tap(*t) for t in taps)) / denom
-                        for coef, denom, taps in terms))
+    diag, lower, upper = band(0), band(-1), band(1)
+    inv = diag - shift[:, None]  # the pivots, then their inverses, by (column, mode)
+    rows, lu = list(inv), lower * upper
+    with np.errstate(all="ignore"):
+        np.reciprocal(rows[0], out=rows[0])
+        for prev, row in zip(rows, rows[1:]):
+            np.reciprocal(np.subtract(row, lu * prev, out=row), out=row)
+    if not (np.isfinite(inv).all() and inv.all()):
+        raise NoConvergence("zero or non-finite pivot in the preconditioner's Thomas sweep")
+
+    def solve(v):
+        X, t = np.fft.rfft(v, axis=0), np.empty(k.size, complex)
+        cols = list(X.T)  # views: the sweeps update X in place
+        cols[0] *= rows[0]
+        for prev, col, iv in zip(cols, cols[1:], rows[1:]):
+            col -= np.multiply(lower, prev, out=t)
+            col *= iv
+        for nxt, col, iv in zip(cols[::-1], cols[-2::-1], rows[-2::-1]):
+            col -= np.multiply(np.multiply(upper, iv, out=t), nxt, out=t)
+        return np.fft.irfft(X, n=n_s, axis=0)
+
+    return solve
 
 
 def _norm(a: np.ndarray) -> float:
@@ -243,36 +268,26 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def _dst1(v: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of ``v`` (rows, n) along axis 1: the imaginary part
-    of the rfft of the odd extension [0, v, 0, -reversed v], which is
-    written into ``ext``, a zeroed (rows, 2(n + 1)) buffer whose columns 0
-    and n + 1 stay zero.  Bit-equal to scipy.fft.dst(v, type=1,
-    norm="ortho", axis=1), but only with the scale applied in this order."""
-    n = v.shape[1]
-    ext[:, 1:n + 1] = v
-    np.negative(v[:, ::-1], out=ext[:, n + 2:])
-    return np.fft.rfft(ext, axis=1).imag[:, 1:n + 1] * (-np.sqrt(2.0 / (n + 1)) / 2.0)
-
-
-def _gmres(matvec, b: np.ndarray, precond):
+def _krylov_step(matvec, b: np.ndarray, precond):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
     for matvec(x) = b from x = 0, right-preconditioned (x = precond(u)), with
     modified Gram-Schmidt, Givens rotations and only elementwise numpy passes.
     KRYLOV_CYCLES cycles of up to KRYLOV_RESTART iterations aim at KRYLOV_RTOL.
     Returns (x, Arnoldi iterations, ||b - matvec(x)||_2 <= KRYLOV_RTOL ||b||_2)."""
     rnorm = _norm(b)
-    x, u, r, its, target = np.zeros_like(b), np.zeros_like(b), b, 0, KRYLOV_RTOL * rnorm
+    x = u = np.zeros_like(b)  # x is u, zero, until a cycle ends
+    r, its, target = b, 0, KRYLOV_RTOL * rnorm
     for _ in range(KRYLOV_CYCLES):
         if rnorm <= target:
             break
+        x = None  # not held through a restart cycle
         V, R, rot, g = [r / rnorm], [], [], [rnorm]
         for j in range(KRYLOV_RESTART):
             w, h = matvec(precond(V[j])), []
             its += 1
             for v in V:
                 h.append(float(np.sum(v * w)))
-                w = w - h[-1] * v
+                w -= h[-1] * v
             h.append(_norm(w))
             for k, (c, sn) in enumerate(rot):
                 h[k], h[k + 1] = c * h[k] + sn * h[k + 1], c * h[k + 1] - sn * h[k]
@@ -283,32 +298,19 @@ def _gmres(matvec, b: np.ndarray, precond):
             # an exact breakdown, h[j + 1] = 0, zeroes g[j + 1] and stops here
             if abs(g[j + 1]) <= target:
                 break
-            V.append(w / h[j + 1])
+            w /= h[j + 1]
+            V.append(w)
         y = [0.0] * len(R)
         for k in reversed(range(len(R))):  # back substitution
             rest = g[k] - sum(R[i][k] * y[i] for i in range(k + 1, len(R)))
             y[k] = rest / R[k][k] if R[k][k] else 0.0
         for yk, v in zip(y, V):
-            u = u + yk * v
+            u += yk * v
+        del V, v, w  # not held through x and its residual
         x = precond(u)
         r = b - matvec(x)
         rnorm = _norm(r)
     return x, its, rnorm <= target
-
-
-def _krylov_step(jvp, rhs: np.ndarray, symbol: np.ndarray):
-    """:func:`_gmres` on the Jacobian action ``jvp`` (step array to array,
-    in the shape of ``rhs``), right-preconditioned by the exact inverse of
-    the separable operator with eigenvalues ``symbol``
-    (:func:`_periodic_symbol` shifted by the mean nonlinear diagonal)."""
-
-    ext = np.zeros((rhs.shape[0], 2 * (rhs.shape[1] + 1)))
-
-    def precond(v):
-        V = np.fft.rfft(_dst1(v, ext), axis=0)
-        return _dst1(np.fft.irfft(V / symbol, n=rhs.shape[0], axis=0), ext)
-
-    return _gmres(jvp, rhs, precond)
 
 
 def __getattr__(name):
@@ -320,15 +322,9 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def solve_semilinear(
-    grid: LogPolarGrid,
-    gspec: GSpec,
-    frame: Frame,
-    boundary_h,
-    init: ScalarField | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> tuple[ScalarField, SolveReport]:
+def solve_semilinear(grid: LogPolarGrid, gspec: GSpec, frame: Frame, boundary_h,
+                     init: ScalarField | None = None, tol: float = 1e-10,
+                     max_iter: int = 50) -> tuple[ScalarField, SolveReport]:
     """Damped Newton on the 5-point (+ centered first-order in s)
     discretization of L Psi = F(s) g(arg(s, Psi)), periodic in s.
 
@@ -343,14 +339,14 @@ def solve_semilinear(
     after, and theta-edges h or 0; the field is the filled rows 1 .. n_s + 1.
     Newton steps are halved until the residual decreases, down to the 2^-10
     floor; exhaustion, or a non-finite residual or g' before a step, raises
-    NoConvergence with the best iterate attached.
+    NoConvergence with the best iterate attached (a preconditioner pivot that
+    is zero or not finite raises it bare).
     """
     n_s, n_t = grid.n_s, grid.n_theta
     s_col = grid.s_nodes[:n_s, None]
     h_vals = np.asarray(boundary_h(grid.theta_nodes), dtype=float)
     b1, c0, F_col, darg = _frame_problem(frame, s_col)
     terms = _stencil_terms(b1, c0, grid.h_s, grid.h_theta)
-    symbol = _periodic_symbol(terms, n_s, n_t)
 
     U = (init if init is not None else default_initial_guess(grid, boundary_h)).vals[:n_s, 1:n_t]
     Q = np.zeros((n_s + 2, n_t + 1))  # the action's buffer: theta-edges 0
@@ -368,7 +364,7 @@ def solve_semilinear(
     def residual(d):
         lap = _apply_stencil(terms, with_h(d))
         with np.errstate(over="ignore", invalid="ignore"):
-            return lap - F_col * gspec.g(from_working(s_col, d, frame))
+            return np.subtract(lap, F_col * gspec.g(from_working(s_col, d, frame)), out=lap)
 
     def psi_field(d):
         return ScalarField(grid, with_h(d)[1:])
@@ -385,15 +381,17 @@ def solve_semilinear(
     iters = 0
     while res_norm > tol and iters < max_iter:
         with np.errstate(over="ignore", invalid="ignore"):
-            gp = gspec.g_prime(from_working(s_col, U, frame))
-            nonlinear = F_col * gp * darg
+            nonlinear = F_col * gspec.g_prime(from_working(s_col, U, frame)) * darg
         if not (np.isfinite(R).all() and np.isfinite(nonlinear).all()):
             raise no_convergence("non-finite residual or g' before a Newton step")
+        precond = _preconditioner(terms, n_s, np.mean(nonlinear, axis=0))
 
         def jvp(d):
-            return _apply_stencil(terms, fill(Q, d)) - nonlinear * d
+            out = _apply_stencil(terms, fill(Q, d))
+            return np.subtract(out, nonlinear * d, out=out)
 
-        delta, its, ok = _krylov_step(jvp, -R, symbol - np.mean(nonlinear))
+        # R is negated in place: the step's right-hand side, not read after it
+        delta, its, ok = _krylov_step(jvp, np.negative(R, out=R), precond)
         krylov_its.append(its)
         krylov_ok.append(ok)
         lam = 1.0
@@ -407,6 +405,7 @@ def solve_semilinear(
             lam *= 0.5
             if lam < DAMPING_FLOOR:
                 raise no_convergence("damping floor reached without residual decrease")
+        del delta  # not held through the next step's GMRES
         iters += 1
         history.append(res_norm)
 

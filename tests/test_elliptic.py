@@ -308,10 +308,10 @@ def _solve_with_oracle(monkeypatch, case, n_s, n_theta=None, frame=None, exact=N
     krylov_step = elliptic._krylov_step
     steps = []
 
-    def recording(jvp, rhs, symbol):
+    def recording(jvp, rhs, precond):
         A = _oracle_jacobian(b1, c0, grid, factor * spec.g_primes[-1])
         if exact is None:
-            step, its, ok = krylov_step(jvp, rhs, symbol)
+            step, its, ok = krylov_step(jvp, rhs, precond)
         else:
             step, its, ok = exact(A, rhs.ravel()).reshape(rhs.shape), 0, True
         action = None
@@ -352,9 +352,10 @@ class TestKrylovStep:
         # exact one by more, since the forcing bounds the residual
         psi, rep, steps = _solve_with_oracle(monkeypatch, case, n)
         assert rep.krylov_converged == [True] * rep.iterations
-        # the mean-diagonal shift keeps Thm2 steps at <= 7 iterations; a
-        # mis-signed shift takes 10
-        assert max(rep.krylov_iterations) <= 8
+        # the preconditioner is the exact Jacobian at an s-free state: each
+        # step after the first takes at most three iterations, and the first,
+        # from the perturbed start, at most four (four at n <= 64)
+        assert rep.krylov_iterations[0] <= 4 and max(rep.krylov_iterations[1:], default=0) <= 3
         for A, rhs, step, _ in steps:
             exact = _lu_solve(A, rhs)
             _assert_meets_forcing(A, rhs, step, exact)
@@ -387,7 +388,7 @@ class TestKrylovStep:
     @FRAMES
     def test_linear_solve_takes_one_krylov_iteration(self, frame, b1, c0, n_s, n_theta):
         # with g = 0 the preconditioner is the Jacobian's exact inverse, so a
-        # mis-signed or mis-scaled symbol term costs extra iterations
+        # mis-signed or mis-scaled band term costs extra iterations
         _, rep = _periodic_solve("thm1i", n_s, n_theta, (frame, b1, c0))
         assert rep.converged
         assert rep.krylov_converged == [True] * rep.iterations
@@ -411,34 +412,31 @@ class TestKrylovStep:
         assert asdict(rep_a) == asdict(rep_b)
 
 
-def _dst1(v):
-    return elliptic._dst1(v, np.zeros((v.shape[0], 2 * (v.shape[1] + 1))))
+class TestPreconditioner:
+    @pytest.mark.parametrize("n_s, n_theta", [(16, 16), (24, 17), (33, 20)])
+    @FRAMES
+    def test_inverts_the_dense_shifted_operator(self, frame, b1, c0, n_s, n_theta):
+        # the oracle Jacobian with a theta-varying diagonal in place of the
+        # nonlinearity's is L - diag(shift(theta)); the preconditioner is its
+        # inverse, across the periodic wrap and the zero theta-edges
+        grid = LogPolarGrid(0.0, math.log(2), n_s, n_theta, 1.0)
+        shift = 2.0 + np.cos(3.0 * grid.theta_nodes[1:-1])
+        A = _oracle_jacobian(b1, c0, grid, np.tile(shift, (n_s, 1))).toarray()
+        terms = elliptic._stencil_terms(*elliptic._frame_problem(frame, np.zeros(1))[:2],
+                                        grid.h_s, grid.h_theta)
+        x = np.random.default_rng(n_s).standard_normal((n_s, n_theta - 1))
+        back = elliptic._preconditioner(terms, n_s, shift)((A @ x.ravel()).reshape(x.shape))
+        assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
 
-
-DST_LENGTHS = pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 255, 256, 383, 511])
-
-
-class TestDst1:
-    # the extension lengths 2(n + 1) include 2 * 257, whose large prime
-    # factor sends pocketfft to Bluestein's algorithm
-    @DST_LENGTHS
-    def test_bit_equal_to_scipy(self, n):
-        from scipy.fft import dst
-
-        v = np.random.default_rng(n).standard_normal((12, n))
-        assert np.array_equal(_dst1(v), dst(v, type=1, norm="ortho", axis=1))
-
-    @DST_LENGTHS
-    def test_is_an_involution(self, n):
-        v = np.random.default_rng(n).uniform(-1.0, 1.0, (8, n))
-        assert np.max(np.abs(_dst1(_dst1(v)) - v)) <= 1e-15
-
-    def test_shared_buffer_keeps_no_stale_data(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal((2, 6, 31))
-        ext = np.zeros((6, 64))
-        assert np.array_equal(elliptic._dst1(a, ext), _dst1(a))
-        assert np.array_equal(elliptic._dst1(b, ext), _dst1(b))
+    @pytest.mark.parametrize("column, value", [(0, -8.0), (3, np.nan)], ids=["zero", "nan"])
+    def test_zero_or_nan_pivot_raises(self, column, value):
+        # with both steps 1/2, mode 0's diagonal is -2 / (1/2)^2 = -8 exactly,
+        # so a shift of -8 in the first column makes its first pivot zero
+        terms = elliptic._stencil_terms(0.0, 0.0, 0.5, 0.5)
+        shift = np.zeros(6)
+        shift[column] = value
+        with pytest.raises(NoConvergence, match="pivot"):
+            elliptic._preconditioner(terms, 8, shift)
 
 
 def _dense_system(n=12, seed=0):
@@ -461,7 +459,7 @@ class TestGmres:
         # preconditioner M
         A, b = _dense_system()
         precond = (lambda v: v / np.diag(A)) if scaled else _identity
-        x, its, ok = elliptic._gmres(lambda v: A @ v, b, precond)
+        x, its, ok = elliptic._krylov_step(lambda v: A @ v, b, precond)
         assert ok and 1 <= its <= b.size
         exact = np.linalg.solve(A, b)
         assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
@@ -473,7 +471,7 @@ class TestGmres:
         monkeypatch.setattr(elliptic, "KRYLOV_RESTART", 4)
         monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", 40)
         A, b = _dense_system()
-        x, its, ok = elliptic._gmres(lambda v: A @ v, b, _identity)
+        x, its, ok = elliptic._krylov_step(lambda v: A @ v, b, _identity)
         assert ok and its > 4
         exact = np.linalg.solve(A, b)
         assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
@@ -482,7 +480,7 @@ class TestGmres:
         def never(v):
             raise AssertionError("no operator application for b = 0")
 
-        x, its, ok = elliptic._gmres(never, np.zeros((4, 3)), never)
+        x, its, ok = elliptic._krylov_step(never, np.zeros((4, 3)), never)
         assert ok and its == 0
         assert x.shape == (4, 3) and not x.any()
 
@@ -494,7 +492,7 @@ class TestGmres:
         monkeypatch.setattr(elliptic, "KRYLOV_RESTART", restart)
         monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", cycles)
         A, b = _dense_system()
-        x, its, ok = elliptic._gmres(lambda v: A @ v, b, _identity)
+        x, its, ok = elliptic._krylov_step(lambda v: A @ v, b, _identity)
         assert not ok and its == restart * cycles
         assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b)
 
@@ -508,6 +506,18 @@ class TestGridLadder:
         assert code == 0, report
         rep = report["solve_report"]
         assert rep["krylov_converged"] == [True] * rep["iterations"]
+
+    @pytest.mark.parametrize("config, newton", [("thm1i.ini", 1), ("thm1ii.ini", 3),
+                                                ("thm2_a1.ini", 3)])
+    def test_shipped_solve_takes_at_most_three_krylov_iterations_a_step(self, config, newton,
+                                                                         tmp_path):
+        code, report = run_scenario(parse_config(CONFIGS / config), tmp_path)
+        assert code == 0, report
+        rep = report["solve_report"]
+        assert rep["iterations"] == newton and rep["krylov_converged"] == [True] * newton
+        assert max(rep["krylov_iterations"]) <= 3
+        if config == "thm1i.ini":  # with g = 0 the preconditioner is the Jacobian's inverse
+            assert rep["krylov_iterations"] == [1] * newton
 
     def test_shipped_thm2_a1_takes_the_krylov_path(self, tmp_path):
         code, report = run_scenario(parse_config(CONFIGS / "thm2_a1.ini"), tmp_path)

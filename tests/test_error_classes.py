@@ -51,7 +51,7 @@ def test_non_finite_step_is_rejected_by_the_line_search(monkeypatch):
     # no step is checked for finiteness: a NaN step never lowers the
     # residual, so damping runs to its floor and the start is kept
     monkeypatch.setattr(elliptic, "_krylov_step",
-                        lambda jvp, rhs, symbol: (np.full_like(rhs, np.nan), 1, False))
+                        lambda jvp, rhs, precond: (np.full_like(rhs, np.nan), 1, False))
     grid, h = _grid(), lambda th: th
     with pytest.raises(NoConvergence) as info:
         solve_semilinear(grid, ExpForm(1.0, 1.0), Frame(1.0), h)

@@ -1,10 +1,11 @@
-"""The certification and field-I/O kernels in a bounded working set.
+"""The certification, field-I/O and Newton-Krylov kernels in a bounded
+working set.
 
-Each kernel is compared with ``==`` against its whole-array form, copied
-below as the oracle: the bounded forms run the same floating-point
-operations in the same order, so every output bit agrees.  The memory
-guards take tracemalloc's peak above the call's entry (numpy reports its
-allocations to tracemalloc); each bound is derived in its test."""
+Each certification kernel is compared with ``==`` against its whole-array
+form, copied below as the oracle: the bounded forms run the same
+floating-point operations in the same order, so every output bit agrees.
+The memory guards take tracemalloc's peak above the call's entry (numpy
+reports its allocations to tracemalloc); each bound is derived in its test."""
 
 import math
 import tracemalloc
@@ -13,16 +14,20 @@ import numpy as np
 import pytest
 
 from sectorflow import (
+    ExpForm,
     FamilyKind,
+    Frame,
     ScalarField,
     VectorField,
     construct_exact,
+    default_initial_guess,
     homogeneity_fit,
     jacobian_check,
     laplacian_polar,
     sample_stream,
     sample_velocity,
     sliding_check,
+    solve_semilinear,
 )
 from sectorflow.domain import LogPolarGrid
 from sectorflow.fields import field_to_csv, read_field, write_field
@@ -281,3 +286,20 @@ def test_read_field_holds_at_most_two_and_a_half_file_sizes(tmp_path):
     path = write_field(sample_stream(construct_exact(*_FAMILIES[2], 1.0), grid),
                        tmp_path / "f.csv")
     assert _peak_above_entry(read_field, path, grid) <= 2.5 * path.stat().st_size
+
+
+def test_newton_krylov_solve_holds_at_most_thirteen_grids():
+    """Thm1ii's solve, from the shipped config's start, at 257^2.  Through
+    GMRES it holds the residual, the nonlinear diagonal, the action's
+    ghost-filled buffer and the preconditioner's inverse pivots (half the
+    modes, complex: one grid), 4 grids; u and at most three Krylov vectors
+    (three iterations a step), 4; the preconditioned vector under the action,
+    1; and the stencil's output and two scratch buffers, 3.  That is 12
+    grids and a few rows; the FFT x DST-I preconditioner, with a temporary
+    per stencil tap, held about 25 grids."""
+    n = 256
+    grid = LogPolarGrid(0.0, math.log(2.0), n, n, 1.0)
+    h = lambda th: np.log(np.cos(th))
+    init = default_initial_guess(grid, h, amplitude=0.05, seed=0)
+    peak = _peak_above_entry(solve_semilinear, grid, ExpForm(-1.0, 1.0), Frame(1.0, 1.0), h, init)
+    assert peak <= 13 * init.vals.nbytes
