@@ -49,20 +49,31 @@ class VectorField:
         return np.hypot(self.ur_vals, self.utheta_vals)
 
 
+#: rows (in homogeneity_fit, rays) that a blocked kernel takes at a time, so
+#: that its scratch is one block, not one grid
+BLOCK_ROWS = 64
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of BLOCK_ROWS indices covering range(n) (on an axis of n, the last ends at n)."""
+    return [slice(r, r + BLOCK_ROWS) for r in range(0, n, BLOCK_ROWS)]
+
+
 def laplacian_polar(psi: ScalarField) -> ScalarField:
     """Delta psi = e^{-2s} (psi_ss + psi_thth), interior nodes only (NaN edges)."""
     g = psi.grid
     out = np.full(g.shape, np.nan)
-    v, core = psi.vals, out[1:-1, 1:-1]
-    tt = np.multiply(v[1:-1, 1:-1], 2.0)  # the one temporary: 2 psi, then psi_thth's numerator
-    np.subtract(v[2:, 1:-1], tt, out=core)
-    core += v[:-2, 1:-1]
-    core /= g.h_s**2
-    np.subtract(v[1:-1, 2:], tt, out=tt)
-    tt += v[1:-1, :-2]
-    tt /= g.h_theta**2
-    core += tt
-    core *= np.exp(-2.0 * g.s_nodes[1:-1])[:, None]
+    v, core, decay = psi.vals, out[1:-1, 1:-1], np.exp(-2.0 * g.s_nodes[1:-1])[:, None]
+    for b in row_blocks(g.n_s - 1):
+        c, tt = core[b], np.multiply(v[1:-1, 1:-1][b], 2.0)  # tt: 2 psi, then psi_thth's numerator
+        np.subtract(v[2:, 1:-1][b], tt, out=c)
+        c += v[:-2, 1:-1][b]
+        c /= g.h_s**2
+        np.subtract(v[1:-1, 2:][b], tt, out=tt)
+        tt += v[1:-1, :-2][b]
+        tt /= g.h_theta**2
+        c += tt
+        c *= decay[b]
     return ScalarField(g, out)
 
 

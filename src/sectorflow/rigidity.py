@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import TWO_PI, repr_csv
 from .errors import DegenerateField, EmptyOverlap, InsufficientOverlap, ParameterDomain
-from .fields import ScalarField, VectorField
+from .fields import BLOCK_ROWS, ScalarField, VectorField, row_blocks
 
 
 # --------------------------------------------------------------------------
@@ -34,30 +34,34 @@ def homogeneity_fit(u: VectorField) -> dict:
     of r^alpha_hat * u_r (which must be a function of theta alone for a
     homogeneous field).
     """
-    g = u.grid
-    M = u.magnitude()
-    peak = float(np.max(M))
+    g, ur, s = u.grid, u.ur_vals, u.grid.s_nodes
+    d = (s - np.mean(s))[:, None]
+    # one least-squares line per ray, BLOCK_ROWS rays at a time, each fitted before
+    # the peak tells whether |u| dips too low on it (|u| = 0 gives NaN, no warning)
+    per_ray = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in row_blocks(g.n_theta + 1):
+            # column-major, as the order of each ray's sums over s needs
+            Yc = np.hypot(ur[:, b], u.utheta_vals[:, b], order="F")
+            tops, floors = np.max(Yc, axis=0), np.min(Yc, axis=0)
+            np.log(Yc, out=Yc)
+            Yc -= np.mean(Yc, axis=0)
+            T = np.multiply(d, Yc)
+            slopes = np.sum(T, axis=0) / np.sum(d * d)  # sum d*Yc / sum d^2
+            np.subtract(Yc, np.multiply(slopes, d, out=T), out=T)
+            per_ray.append((tops, floors, slopes, np.max(np.abs(T, out=T), axis=0)))
+    tops, floors, slopes, resids = np.concatenate(per_ray, axis=1)
+    peak = float(np.max(tops))
     if peak == 0.0 or not np.isfinite(peak):
         raise DegenerateField("velocity magnitude vanishes everywhere")
-    rays = np.where(np.min(M, axis=0) > 1e-13 * peak)[0]
-    if rays.size == 0:
+    rays = floors > 1e-13 * peak
+    if not rays.any():
         raise DegenerateField("no ray stays bounded away from zero")
-    s = g.s_nodes
-    # one least-squares line per ray, all rays at once: slope = sum d*Yc / sum d^2;
-    # past the copy of M, Yc and one scratch array T are the whole working set
-    d = (s - np.mean(s))[:, None]
-    Yc = M[:, rays]  # column-major, as the fancy index lays it out: that fixes the sums' order
-    del M
-    np.log(Yc, out=Yc)
-    Yc -= np.mean(Yc, axis=0)
-    T = np.multiply(d, Yc)
-    slopes = np.sum(T, axis=0) / np.sum(d * d)
-    np.subtract(Yc, np.multiply(slopes, d, out=T), out=T)
-    fit_resid = float(np.max(np.abs(T, out=T)))
-    alpha_hat = -float(np.mean(slopes))
-    W = np.multiply(np.exp(alpha_hat * s)[:, None], u.ur_vals[:, rays], out=T)
-    cross = float(np.max(W.max(axis=0) - W.min(axis=0))) / peak
-    return {"alpha_hat": alpha_hat, "deviation": fit_resid + cross}
+    alpha_hat = -float(np.mean(slopes[rays]))
+    ra = np.exp(alpha_hat * s)[:, None]
+    spans = np.concatenate([np.ptp(ra * ur[:, b], axis=0) for b in row_blocks(g.n_theta + 1)])
+    cross = float(np.max(spans[rays])) / peak
+    return {"alpha_hat": alpha_hat, "deviation": float(np.max(resids[rays])) + cross}
 
 
 # --------------------------------------------------------------------------
@@ -214,38 +218,47 @@ def jacobian_check(lap: ScalarField, psi: ScalarField) -> float:
     g = psi.grid
     hs, ht = g.h_s, g.h_theta
     P, L = psi.vals, lap.vals
-    # its copies are freed before the gradients exist; a stream with no finite value raises
-    psi_scale = float(np.max(np.abs(P[np.isfinite(P)]))) + 1e-300
+    # per row block, over its finite nodes: max |P|, max L and min L
+    ends = np.array([(np.max(np.abs(P[b]), where=np.isfinite(P[b]), initial=-np.inf),
+                      np.max(L[b], where=np.isfinite(L[b]), initial=-np.inf),
+                      np.min(L[b], where=np.isfinite(L[b]), initial=np.inf))
+                     for b in row_blocks(g.n_s + 1)])
+    if np.max(ends[:, 0]) == -np.inf:
+        raise ValueError("the stream has no finite value")
+    psi_scale = float(np.max(ends[:, 0])) + 1e-300
     # a Laplacian below the truncation-error scale of the stream is
     # indistinguishable from a constant: dependence holds trivially
     trunc = 50.0 * (hs**2 + ht**2) * psi_scale
-    finite = np.isfinite(L)
-    spread = np.max(L, where=finite, initial=-np.inf) - np.min(L, where=finite, initial=np.inf)
-    if finite.any() and float(spread) < max(trunc, 1e-8 * psi_scale):
+    spread = np.max(ends[:, 1]) - np.min(ends[:, 2])  # -inf if no node of L is finite
+    if spread > -np.inf and float(spread) < max(trunc, 1e-8 * psi_scale):
         return 0.0
 
-    def grads(a):
-        ds, dt = np.subtract(a[2:, 1:-1], a[:-2, 1:-1]), np.subtract(a[1:-1, 2:], a[1:-1, :-2])
+    def grads(a, b):
+        ds = np.subtract(a[2:, 1:-1][b], a[:-2, 1:-1][b])
+        dt = np.subtract(a[1:-1, 2:][b], a[1:-1, :-2][b])
         return np.divide(ds, 2.0 * hs, out=ds), np.divide(dt, 2.0 * ht, out=dt)
 
-    # six interior-sized arrays at most: the four gradients and two products
-    Ps, Pt = grads(P)
-    Ls, Lt = grads(L)
-    mask = np.isfinite(Ls) & np.isfinite(Lt)
-    p_finite = np.isfinite(Ps)
-    det, tmp = np.multiply(Ls, Pt), np.multiply(Lt, Ps)
-    det -= tmp
-    gradP, gradL = np.hypot(Ps, Pt, out=tmp), np.hypot(Ls, Lt, out=Ps)
-    scaleP = np.max(gradP, where=p_finite, initial=0.0)
-    scaleL = np.max(gradL, where=mask, initial=0.0)
+    def gradients():
+        """Ps, Pt, Ls, Lt and where L's are finite, a row block of interior nodes at a time."""
+        for b in row_blocks(g.n_s - 1):
+            (Ps, Pt), (Ls, Lt) = grads(P, b), grads(L, b)
+            yield Ps, Pt, Ls, Lt, np.isfinite(Ls) & np.isfinite(Lt)
+
+    # pass 1 takes the gradient-norm maxima, pass 2 the determinant ratio:
+    # six arrays of one block at most, the four gradients and two products
+    scaleP, scaleL = np.max([(np.max(np.hypot(Ps, Pt), where=np.isfinite(Ps), initial=0.0),
+                              np.max(np.hypot(Ls, Lt), where=mask, initial=0.0))
+                             for Ps, Pt, Ls, Lt, mask in gradients()], axis=0)
     floor = 1e-12 * (scaleP * scaleL + 1e-300)
-    denom = np.add(np.multiply(gradL, gradP, out=Pt), floor, out=Pt)
-    vals = np.divide(np.abs(det, out=det), denom, out=det, where=mask)
-    return float(np.max(vals, where=mask, initial=0.0))
-
-
-#: rows of the overlap that the sliding check shifts at a time
-_SLIDE_ROWS = 64
+    ratios = []
+    for Ps, Pt, Ls, Lt, mask in gradients():
+        det, tmp = np.multiply(Ls, Pt), np.multiply(Lt, Ps)
+        det -= tmp
+        gradP, gradL = np.hypot(Ps, Pt, out=tmp), np.hypot(Ls, Lt, out=Ps)
+        denom = np.add(np.multiply(gradL, gradP, out=Pt), floor, out=Pt)
+        vals = np.divide(np.abs(det, out=det), denom, out=det, where=mask)
+        ratios.append(np.max(vals, where=mask, initial=0.0))
+    return float(np.max(ratios))
 
 
 def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
@@ -256,7 +269,7 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
     (tau = 0 gives w = 0); ParameterDomain is raised otherwise and for an
     empty ``tau_list``.  The overlap shrinks with tau, and EmptyOverlap is
     raised when the theta-shift reaches the opening angle (or the s-shift
-    the s-extent).  w is formed _SLIDE_ROWS rows at a time in two reused
+    the s-extent).  w is formed BLOCK_ROWS rows at a time in two reused
     buffers, so the working set does not grow with the number of s-rows."""
     g = Psi.grid
     xi1, xi2 = float(xi[0]), float(xi[1])
@@ -275,9 +288,8 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
         j, y1 = _cells(g.theta_nodes, np.minimum(tj + dt, g.theta0))
         j0, j1, z1, m = _run(j), _run(j + 1), 1 - y1, len(tj)
         base, picks = Psi.vals[: len(si), :m], []
-        w, t = np.empty((2, min(_SLIDE_ROWS, len(si)), m))
-        for r in range(0, len(si), _SLIDE_ROWS):
-            rows = slice(r, r + _SLIDE_ROWS)
+        w, t = np.empty((2, min(BLOCK_ROWS, len(si)), m))
+        for rows in row_blocks(len(si)):
             lo, hi = Psi.vals[_run(i[rows])], Psi.vals[_run(i[rows] + 1)]
             a, b, wr, tr = 1 - y0[rows, None], y0[rows, None], w[: len(lo)], t[: len(lo)]
             # corner order and products of scipy's evaluate_linear_2d
@@ -287,7 +299,7 @@ def sliding_check(Psi: ScalarField, xi: tuple[float, float], tau_list) -> dict:
             wr += np.multiply(np.multiply(hi[:, j1], b, out=tr), y1, out=tr)
             wr -= base[rows]
             k = int(np.argmin(wr))
-            picks.append((float(wr.flat[k]), r * m + k))
+            picks.append((float(wr.flat[k]), rows.start * m + k))
         # np.argmin's pick over the whole overlap: the first NaN, else the first least value
         min_w, k = next((pick for pick in picks if math.isnan(pick[0])), min(picks))
         k = divmod(k, m)
@@ -346,13 +358,6 @@ class BoundaryReport:
 _EDGE_WEIGHTS = np.array([-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0]) / 60.0
 
 
-def _edge_theta_derivative(V: np.ndarray, h: float, at_start: bool) -> np.ndarray:
-    """Sixth-order one-sided d/dtheta at the first or last theta-node."""
-    if at_start:
-        return V[:, 0:7] @ _EDGE_WEIGHTS / h
-    return V[:, -7:] @ -_EDGE_WEIGHTS[::-1] / h
-
-
 def _fit_constant(vals: np.ndarray) -> tuple[float, float]:
     trimmed = vals[EDGE_TRIM:-EDGE_TRIM] if len(vals) > 2 * EDGE_TRIM else vals
     c = float(np.mean(trimmed))
@@ -369,16 +374,13 @@ def boundary_report(u: VectorField, alpha: float) -> BoundaryReport:
     trapezoid rule on that row, which is also the equality case of the
     sector flux formula.
     """
-    g = u.grid
+    g, ur, ut = u.grid, u.ur_vals, u.utheta_vals
     ra = np.exp(alpha * g.s_nodes)[:, None]
-    W = ra * u.utheta_vals
-    V = ra * u.ur_vals
-    c1_hat, c1_res = _fit_constant(W[:, 0])
-    c2_hat, c2_res = _fit_constant(W[:, -1])
-    c3_vals = _edge_theta_derivative(V, g.h_theta, at_start=True)
-    c4_vals = _edge_theta_derivative(V, g.h_theta, at_start=False)
-    c3_hat, c3_res = _fit_constant(c3_vals)
-    c4_hat, c4_res = _fit_constant(c4_vals)
+    # r^alpha u_theta (W) and r^alpha u_r (V) only where they are read
+    c1_hat, c1_res = _fit_constant(ra[:, 0] * ut[:, 0])
+    c2_hat, c2_res = _fit_constant(ra[:, 0] * ut[:, -1])
+    c3_hat, c3_res = _fit_constant(ra * ur[:, :7] @ _EDGE_WEIGHTS / g.h_theta)
+    c4_hat, c4_res = _fit_constant(ra * ur[:, -7:] @ -_EDGE_WEIGHTS[::-1] / g.h_theta)
 
     # radial ratio u|_{r=1} = 2^alpha u|_{r=2}, when both rows exist
     radial_ratio = None
@@ -398,8 +400,8 @@ def boundary_report(u: VectorField, alpha: float) -> BoundaryReport:
     if c1_hat != 0.0:
         margin = c3_hat / c1_hat - (1.0 - alpha)
 
-    f_edge_min = float(np.min(np.abs(V[i0, :])))
-    f_scale = float(np.max(np.abs(V))) + 1e-300
+    f_edge_min = float(np.min(np.abs(ra[i0] * ur[i0, :])))
+    f_scale = float(np.max([np.max(np.abs(ra[b] * ur[b])) for b in row_blocks(g.n_s + 1)])) + 1e-300
     inconsistent = (
         math.isclose(g.theta0, TWO_PI, rel_tol=1e-12)
         and alpha != 1.0

@@ -269,12 +269,13 @@ def _certify_exact(sol, grid):
     sampled stream and its Laplacian, and the profile: (checks, artifacts,
     psi, lap, prof)."""
     u = fields.sample_velocity(sol, grid)
+    hom = rigidity.homogeneity_fit(u)
+    br = rigidity.boundary_report(u, sol.alpha)
+    del u  # the velocity is released before the stream and its Laplacian exist
     e_r, e_t, e_d = exact.euler_residual_closed_form(sol, grid)
     prof = sol.profile(grid.theta0, 1000)
     r1, r2 = sol.closed_form_residual(prof.theta_nodes)
     d1, d2 = exact.profile_residual(prof)
-    hom = rigidity.homogeneity_fit(u)
-    br = rigidity.boundary_report(u, sol.alpha)
     psi = fields.sample_stream(sol, grid)
     lap = fields.laplacian_polar(psi)
     jac = rigidity.jacobian_check(lap, psi)
@@ -477,7 +478,8 @@ def _run_atlas(scn, grid, out):
 def _run_slide(scn, grid, out):
     profile, n, taus = scn.slide["profile"], scn.slide["n"], scn.slide["taus"]
     g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
-    Psi = fields.ScalarField(g, np.tile(_SLIDE_PROFILES[profile](g.theta_nodes), (n + 1, 1)))
+    # every s-row is the profile: one row as a read-only view, which sliding_check only reads
+    Psi = fields.ScalarField(g, np.broadcast_to(_SLIDE_PROFILES[profile](g.theta_nodes), g.shape))
     try:
         rep = rigidity.sliding_check(Psi, (scn.slide["xi1"], scn.slide["xi2"]), taus)
     except EmptyOverlap as exc:  # a shift that leaves the rectangle

@@ -9,6 +9,7 @@ reports its allocations to tracemalloc); each bound is derived in its test."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,19 +20,26 @@ from sectorflow import (
     Frame,
     ScalarField,
     VectorField,
+    boundary_report,
     construct_exact,
     default_initial_guess,
     homogeneity_fit,
     jacobian_check,
     laplacian_polar,
+    recover_g,
+    s_variance,
     sample_stream,
     sample_velocity,
     sliding_check,
     solve_semilinear,
 )
-from sectorflow.domain import LogPolarGrid
-from sectorflow.fields import field_to_csv, read_field, write_field
-from sectorflow.rigidity import _SLIDE_ROWS, _cells
+from sectorflow.domain import TWO_PI, LogPolarGrid
+from sectorflow.errors import DegenerateField
+from sectorflow.fields import BLOCK_ROWS, field_to_csv, read_field, write_field
+from sectorflow.rigidity import _EDGE_WEIGHTS, _cells, _fit_constant
+from sectorflow.scenarios import _SLIDE_PROFILES, _certify_exact, parse_config, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --------------------------------------------------------------------------
@@ -93,6 +101,32 @@ def _homogeneity_oracle(u):
     return {"alpha_hat": alpha_hat, "deviation": fit_resid + cross}
 
 
+def _boundary_oracle(u, alpha):
+    """The fields of boundary_report that W = r^alpha u_theta and V = r^alpha u_r
+    give, with W and V formed on every node."""
+    g = u.grid
+    ra = np.exp(alpha * g.s_nodes)[:, None]
+    W, V = ra * u.utheta_vals, ra * u.ur_vals
+    fits = [_fit_constant(W[:, 0]), _fit_constant(W[:, -1]),
+            _fit_constant(V[:, 0:7] @ _EDGE_WEIGHTS / g.h_theta),
+            _fit_constant(V[:, -7:] @ -_EDGE_WEIGHTS[::-1] / g.h_theta)]
+    out = {f"c{k}_{part}": value for k, fit in enumerate(fits, 1)
+           for part, value in zip(("hat", "residual"), fit)}
+    i0 = int(np.argmin(np.abs(g.r_nodes - 1.0)))
+    out["inconsistent_hypotheses"] = (
+        math.isclose(g.theta0, TWO_PI, rel_tol=1e-12) and alpha != 1.0
+        and float(np.min(np.abs(V[i0, :]))) > 1e-9 * (float(np.max(np.abs(V))) + 1e-300))
+    return out
+
+
+def _boundary_pair(u, alpha):
+    """Those fields of boundary_report and of the oracle, as reprs (equal reprs,
+    equal bits)."""
+    oracle, rep = _boundary_oracle(u, alpha), boundary_report(u, alpha)
+    return ({key: repr(getattr(rep, key)) for key in oracle},
+            {key: repr(value) for key, value in oracle.items()})
+
+
 def _sliding_oracle(Psi, xi, taus):
     """The per-tau entries, with the whole overlap's w in one array."""
     g = Psi.grid
@@ -122,7 +156,7 @@ def _same(a, b):
 # exact equality
 
 
-_SIZES = [48, 97, 257]
+_SIZES = [48, 97, 257, 513]
 _FAMILIES = [(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}),
              (FamilyKind.COS_POWER, {"alpha": 3.0, "C1": 1.0, "C2": -0.2}),
              (FamilyKind.SIN, {"alpha": 0.5, "p": -1.0, "C": 0.3})]
@@ -183,6 +217,68 @@ def test_jacobian_with_a_nan_in_the_stream_stays_nan():
     assert math.isnan(_jacobian_oracle(lap, psi))
 
 
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("kind, params", _FAMILIES, ids=lambda v: getattr(v, "value", ""))
+def test_boundary_report_equals_its_whole_array_form(n, kind, params):
+    sol = construct_exact(kind, params, 1.0)
+    got, want = _boundary_pair(sample_velocity(sol, _family_grid(n)), sol.alpha)
+    assert got == want
+
+
+def _full_circle_field(n):
+    """A random field on the full circle whose r^0.7 u_r stays off zero on the
+    row nearest r = 1, so that boundary_report flags the hypotheses inconsistent."""
+    grid = LogPolarGrid(-0.3, 0.9, n, n + 3, TWO_PI)
+    rng = np.random.default_rng(n)
+    return VectorField(grid, 1.0 + rng.random(grid.shape), rng.standard_normal(grid.shape))
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_boundary_report_equals_its_whole_array_form_on_random_fields(n):
+    got, want = _boundary_pair(_full_circle_field(n), 0.7)
+    assert got == want and got["inconsistent_hypotheses"] == "True"
+
+
+@pytest.mark.parametrize("n", [97, 257])
+def test_a_nan_in_a_later_block_of_u_gives_what_the_whole_array_forms_give(n):
+    """A NaN in u_r past the first row block, off the edge columns: max |V| is
+    NaN, so the inconsistency flag drops to False as in the whole-array form
+    (a Python max() over the blocks would drop the NaN instead); homogeneity_fit
+    sees a NaN peak and raises, as the whole-array form did."""
+    u = _full_circle_field(n)
+    u.ur_vals[BLOCK_ROWS + 5, n // 2] = np.nan
+    got, want = _boundary_pair(u, 0.7)
+    assert got == want and got["inconsistent_hypotheses"] == "False"
+    assert got["c3_hat"] != "nan"
+    with pytest.raises(DegenerateField, match="vanishes everywhere"):
+        homogeneity_fit(u)
+
+
+def test_jacobian_with_a_nan_in_a_later_block_stays_nan():
+    grid = _family_grid(257)
+    psi = sample_stream(construct_exact(*_FAMILIES[0], 1.0), grid)
+    lap = laplacian_polar(psi)
+    psi.vals[3 * BLOCK_ROWS + 7, 50] = np.nan
+    assert math.isnan(jacobian_check(lap, psi))
+    assert math.isnan(_jacobian_oracle(lap, psi))
+
+
+def test_homogeneity_drops_rays_in_the_middle_of_a_block():
+    """201 rays (three full blocks and one ray): a ray through a zero of |u|
+    and one that dips to 1e-15 of the peak, both inside the second block, are
+    fitted with the rest and then dropped, as the whole-array form skips them."""
+    grid = LogPolarGrid(0.0, 1.0, 150, 200, 1.0)
+    rng = np.random.default_rng(7)
+    u = VectorField(grid, 1.0 + rng.random(grid.shape), rng.standard_normal(grid.shape))
+    assert (grid.n_theta + 1) % BLOCK_ROWS != 0
+    u.ur_vals[:, 70] = u.utheta_vals[:, 70] = 0.0
+    u.ur_vals[40, 90], u.utheta_vals[40, 90] = 1e-15, 0.0
+    M = u.magnitude()
+    assert np.flatnonzero(np.min(M, axis=0) <= 1e-13 * np.max(M)).tolist() == [70, 90]
+    with np.errstate(divide="raise", invalid="raise"):  # the fit gives no warning
+        assert homogeneity_fit(u) == _homogeneity_oracle(u)
+
+
 # the overlap of each tau below: 201 - 10 = 191 s-rows at n_s = 200, xi1 = 1
 _SLIDE_GRID = LogPolarGrid(0.0, 1.0, 200, 120, 1.0)
 _SLIDE_TAUS = [0.05, 0.0123, 0.3]
@@ -190,7 +286,7 @@ _SLIDE_TAUS = [0.05, 0.0123, 0.3]
 
 def test_sliding_overlap_spans_three_blocks_with_a_ragged_last():
     rows = np.sum(_SLIDE_GRID.s_nodes + 0.05 <= _SLIDE_GRID.s_max + 1e-12)
-    assert rows > 2 * _SLIDE_ROWS and rows % _SLIDE_ROWS != 0
+    assert rows > 2 * BLOCK_ROWS and rows % BLOCK_ROWS != 0
 
 
 @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.37, 0.61), (0.0, 0.5)], ids=str)
@@ -225,6 +321,41 @@ def test_sliding_first_nan_wins(rows):
     assert out["location"] == oracle["location"]
 
 
+@pytest.mark.parametrize("profile", sorted(_SLIDE_PROFILES))
+def test_sliding_on_the_broadcast_row_equals_the_tiled_field(profile):
+    """Slide's field is one theta-profile broadcast to every s-row, a read-only
+    view; the check gives what it gives on the tiled copy."""
+    row = _SLIDE_PROFILES[profile](_SLIDE_GRID.theta_nodes)
+    view = np.broadcast_to(row, _SLIDE_GRID.shape)
+    assert not view.flags.writeable
+    taus = _SLIDE_TAUS + [0.45]
+    assert sliding_check(ScalarField(_SLIDE_GRID, view), (1.0, 1.0), taus) == sliding_check(
+        ScalarField(_SLIDE_GRID, np.tile(row, (_SLIDE_GRID.n_s + 1, 1))), (1.0, 1.0), taus)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def test_certification_kernels_never_write_their_inputs():
+    """Every certification kernel and the sliding check run on inputs marked
+    read-only: a write into an input view, an easy slip in a blocked kernel
+    that works in place, raises ValueError."""
+    grid = _family_grid(257)
+    sol = construct_exact(*_FAMILIES[1], 1.0)
+    u, psi = sample_velocity(sol, grid), sample_stream(sol, grid)
+    _read_only(u.ur_vals, u.utheta_vals, psi.vals)
+    lap = laplacian_polar(psi)
+    _read_only(lap.vals)
+    homogeneity_fit(u)
+    boundary_report(u, sol.alpha)
+    assert jacobian_check(lap, psi) > 0.0  # past the constant-Laplacian exit
+    recover_g(psi, lap)
+    s_variance(psi)
+    sliding_check(psi, (1.0, 1.0), [0.05, 0.2])
+
+
 def test_csv_export_streams_the_same_text(tmp_path):
     """511^2 nodes: the largest field written as CSV (512^2 and up go to .npy)."""
     grid = LogPolarGrid(-0.3, 1.7, 510, 510, 2.0)
@@ -249,7 +380,7 @@ def _peak_above_entry(fn, *args):
 
 
 def test_sliding_check_holds_less_than_one_grid():
-    """Two buffers of _SLIDE_ROWS x 1025 floats (1 MB) and the per-tau node
+    """Two buffers of BLOCK_ROWS x 1025 floats (1 MB) and the per-tau node
     vectors, where the whole-array form held w, its product terms and the
     row gathers: 36 MB at 1025^2, over four grids."""
     n = 1024
@@ -259,14 +390,73 @@ def test_sliding_check_holds_less_than_one_grid():
     assert _peak_above_entry(sliding_check, Psi, (1.0, 1.0), taus) <= Psi.vals.nbytes
 
 
-def test_jacobian_check_holds_at_most_seven_grids():
-    """Four gradients, the determinant and one product buffer (six interior
-    arrays), plus three boolean masks at an eighth of a grid each; the
-    whole-array form reached 22 MB, over ten grids, at 513^2."""
+def test_jacobian_check_holds_at_most_two_grids():
+    """At 513^2 a row block is 64 x 511 floats, 1/8 of a grid.  Pass 2 holds
+    four gradients, the determinant and one product buffer (six blocks), the
+    mask of finite L-gradients (a bool block, 1/64 grid), and, while the next
+    block's gradients form, the last block's four gradients and mask: about
+    1.3 grids, under 2.  Pass 1 holds less.  The interior-sized form held six
+    interior arrays and three masks, 6.3 grids; the whole-array form, over ten."""
     grid = _family_grid(512)
     psi = sample_stream(construct_exact(*_FAMILIES[0], 1.0), grid)
     lap = laplacian_polar(psi)
-    assert _peak_above_entry(jacobian_check, lap, psi) <= 7 * psi.vals.nbytes
+    assert _peak_above_entry(jacobian_check, lap, psi) <= 2 * psi.vals.nbytes
+
+
+def _velocity_513():
+    sol = construct_exact(*_FAMILIES[1], 1.0)
+    return sol, sample_velocity(sol, _family_grid(512))
+
+
+def test_homogeneity_fit_holds_at_most_one_grid():
+    """A block of 64 rays is 513 x 64 floats, 1/8 of a 513^2 grid: |u| (then
+    ln|u|) and T, two blocks, and the last block's two while the next |u|
+    forms, plus four per-ray vectors per block; the cross pass holds
+    r^alpha_hat u_r of one block.  That is under half a grid (0.44 measured).
+    The whole-array form held |u|, its copy on the kept rays and T: 3 grids."""
+    sol, u = _velocity_513()
+    assert _peak_above_entry(homogeneity_fit, u) <= u.ur_vals.nbytes
+
+
+def test_boundary_report_holds_at_most_half_a_grid():
+    """r^alpha u_r and its absolute value on one row block, 2 x 1/8 of a 513^2
+    grid, and the 513 x 7 edge products; W and V on every node were 2 grids
+    and their absolute value a third."""
+    sol, u = _velocity_513()
+    assert _peak_above_entry(boundary_report, u, sol.alpha) <= 0.5 * u.ur_vals.nbytes
+
+
+def test_laplacian_polar_holds_its_output_and_half_a_grid():
+    """The output grid, and 2 psi (then psi_thth's numerator) on one row block,
+    64 x 511 floats, 1/8 of a 513^2 grid, of which the next block's forms
+    before the last one is freed: 1.28 grids measured.  The whole-array form
+    held one interior array beside the output, over 2 grids."""
+    grid = _family_grid(512)
+    psi = sample_stream(construct_exact(*_FAMILIES[0], 1.0), grid)
+    assert _peak_above_entry(laplacian_polar, psi) <= 1.5 * psi.vals.nbytes
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_certify_exact_holds_at_most_four_grids(n):
+    """The velocity (two grids) is released after homogeneity_fit and
+    boundary_report, under 1/4 grid each above it; then the stream and its
+    Laplacian (two grids, both returned) stay, and jacobian_check adds at
+    most 2 grids at 513^2 and less at 1025^2 (its blocks are fewer rows of
+    the grid).  The parent held u through the Jacobian: 10 grids."""
+    grid = _family_grid(n)
+    sol = construct_exact(*_FAMILIES[1], 1.0)
+    nbytes = 8 * (n + 1) ** 2
+    assert _peak_above_entry(_certify_exact, sol, grid) <= 4 * nbytes
+
+
+def test_slide_run_holds_less_than_half_a_grid(tmp_path):
+    """Slide at n = 1024: the field is one theta-row broadcast to 1025 rows
+    (8 kB), and sliding_check's two buffers of 64 x 1025 floats with a row
+    gather take 1/8 to 1/4 of a 1025^2 grid; np.tile copied the row into a
+    whole grid (1.2 grids at the peak)."""
+    scn = parse_config(CONFIGS / "slide.ini", {"slide": {"n": "1024"}})
+    peak = _peak_above_entry(run_scenario, scn, tmp_path / "out")
+    assert peak < 0.5 * 8 * 1025**2
 
 
 def test_write_field_holds_one_row(tmp_path):
