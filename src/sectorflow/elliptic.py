@@ -10,12 +10,12 @@ s-edges are identified, so the grid spans one period in s.  Newton carries
 only the unknowns, s-rows 0 .. n_s - 1 by theta-columns 1 .. n_t - 1; one
 ghost fill in :func:`solve_semilinear` is where periodicity and the edges live.
 
-The discrete operator is written once, as the term table of
-:func:`_stencil_terms`, and evaluated in place by :func:`_apply_stencil` for
-both the Newton residual and the Jacobian's action, so no matrix is
-assembled.  The table's order is the residual's floating-point evaluation
-order, and it is fixed: converged residuals sit near the roundoff floor, so
-another order changes which solves meet their tolerance.
+The discrete operator is the term table of :func:`.fields._stencil_terms`
+(the polar Laplacian's, with the frame's b1 and c0), evaluated in place for
+the Newton residual and the Jacobian's action; no matrix is assembled.  The
+table's order is the residual's floating-point evaluation order, and it is
+fixed: converged residuals sit near the roundoff floor, so another order
+changes which solves meet their tolerance.
 
 Each Newton step solves J delta = -R by GMRES (:func:`_krylov_step`) on the
 Jacobian's action, the Jacobian-free Newton-Krylov pattern of Knoll & Keyes,
@@ -25,10 +25,11 @@ an rfft in s, then one Thomas sweep over the theta-columns for the
 tridiagonal system of every mode at once (:func:`_preconditioner`).  At an
 s-free state the derivative depends on theta alone for both laws the
 pipelines solve, so there this is the exact Jacobian.  GMRES aims at
-||J delta + R||_2 <= KRYLOV_RTOL ||R||_2; a step that misses it within the
-cap is still taken, recorded as not converged, and the damped line search
-rejects it if the residual does not decrease.  GMRES sums in a fixed order,
-not in BLAS, so the bits do not depend on thread count.
+||J delta + R||_2 <= KRYLOV_RTOL ||R||_2 in one Arnoldi cycle; a step that
+misses it within KRYLOV_MAX_ITER iterations is still taken, recorded as not
+converged, and the damped line search rejects it if the residual does not
+decrease.  GMRES sums in a fixed order, not in BLAS, so the bits do not
+depend on thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .domain import LogPolarGrid
 from .errors import NoConvergence, ParameterDomain
-from .fields import ScalarField
+from .fields import ScalarField, _apply_stencil, _stencil_terms
 from .rigidity import s_variance
 
 #: Newton damping floor: step fraction never drops below 2**-10
@@ -51,9 +52,9 @@ DAMPING_FLOOR = 2.0**-10
 #: 1e-13 sits below the roundoff floor of the 1/h^2-scaled Jacobian, and
 #: GMRES misses it on the late Newton steps
 KRYLOV_RTOL = 1e-10
-#: GMRES restart length and restart cycles; a step not solved within them
-#: is GMRES's last iterate, recorded in SolveReport.krylov_converged
-KRYLOV_RESTART, KRYLOV_CYCLES = 30, 2
+#: GMRES iteration cap, and so the most Krylov vectors held; a step not
+#: solved within it is GMRES's last iterate, recorded in SolveReport.krylov_converged
+KRYLOV_MAX_ITER = 30
 
 
 # --------------------------------------------------------------------------
@@ -184,46 +185,6 @@ def default_initial_guess(grid: LogPolarGrid, boundary_h, amplitude: float = 0.0
     return ScalarField(grid, vals)
 
 
-def _stencil_terms(b1: float, c0: float, h_s: float, h_theta: float):
-    """d_ss + d_thth + b1 d_s + c0 as (coefficient, denominator, taps)
-    terms, in evaluation order.  A tap (di, dj, w) weights Psi at the node
-    di s-rows and dj theta-columns away.  A term is coefficient * (sum of
-    w * Psi[tap]) / denominator, and the b1 term is left out when b1 is
-    zero."""
-    terms = [
-        (1.0, h_s**2, [(1, 0, 1.0), (0, 0, -2.0), (-1, 0, 1.0)]),
-        (1.0, h_theta**2, [(0, 1, 1.0), (0, 0, -2.0), (0, -1, 1.0)]),
-    ]
-    if b1 != 0.0:
-        terms.append((b1, 2.0 * h_s, [(1, 0, 1.0), (-1, 0, -1.0)]))
-    terms.append((c0, 1.0, [(0, 0, 1.0)]))
-    return terms
-
-
-def _apply_stencil(terms, Q: np.ndarray) -> np.ndarray:
-    """The stencil at the interior nodes of ``Q``, whose first and last rows
-    are ghost copies of the s-rows before the first and after the last
-    interior row, and whose first and last columns are the theta-edges.
-    Evaluated in place, in the table's order, into a fresh output and two
-    scratch buffers; a unit weight or coefficient is skipped (it moves no bit)."""
-    n, m = Q.shape[0] - 2, Q.shape[1] - 2
-    out, acc, tap = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
-    for t, (coef, denom, taps) in enumerate(terms):
-        part = acc if t else out
-        for i, (di, dj, w) in enumerate(taps):
-            q = Q[1 + di:1 + di + n, 1 + dj:1 + dj + m]
-            if i == 0:
-                np.multiply(w, q, out=part)
-            else:
-                part += q if w == 1.0 else np.multiply(w, q, out=tap)
-        if coef != 1.0:
-            part *= coef
-        part /= denom
-        if t:
-            out += part
-    return out
-
-
 def _preconditioner(terms, n_s: int, shift: np.ndarray):
     """The inverse of the stencil minus diag(``shift``), one entry per
     interior theta-column, periodic in s and Dirichlet in theta.  On rfft
@@ -269,48 +230,43 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _krylov_step(matvec, b: np.ndarray, precond):
-    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
-    for matvec(x) = b from x = 0, right-preconditioned (x = precond(u)), with
-    modified Gram-Schmidt, Givens rotations and only elementwise numpy passes.
-    KRYLOV_CYCLES cycles of up to KRYLOV_RESTART iterations aim at KRYLOV_RTOL.
+    """GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for
+    matvec(x) = b from x = 0, right-preconditioned (x = precond(u)), with
+    modified Gram-Schmidt, Givens rotations and only elementwise numpy passes:
+    one Arnoldi cycle of at most KRYLOV_MAX_ITER iterations aims at KRYLOV_RTOL.
     Returns (x, Arnoldi iterations, ||b - matvec(x)||_2 <= KRYLOV_RTOL ||b||_2)."""
     rnorm = _norm(b)
-    x = u = np.zeros_like(b)  # x is u, zero, until a cycle ends
-    r, its, target = b, 0, KRYLOV_RTOL * rnorm
-    for _ in range(KRYLOV_CYCLES):
-        if rnorm <= target:
+    if not rnorm:
+        return np.zeros_like(b), 0, True
+    target = KRYLOV_RTOL * rnorm
+    V, R, rot, g = [b / rnorm], [], [], [rnorm]
+    for j in range(KRYLOV_MAX_ITER):
+        w, h = matvec(precond(V[j])), []
+        for v in V:
+            h.append(float(np.sum(v * w)))
+            w -= h[-1] * v
+        h.append(_norm(w))
+        for k, (c, sn) in enumerate(rot):
+            h[k], h[k + 1] = c * h[k] + sn * h[k + 1], c * h[k + 1] - sn * h[k]
+        d = np.hypot(h[j], h[j + 1])
+        rot.append((h[j] / d, h[j + 1] / d) if d else (1.0, 0.0))
+        R.append(h[:j] + [d])
+        g[j:] = [rot[j][0] * g[j], -rot[j][1] * g[j]]
+        # an exact breakdown, h[j + 1] = 0, zeroes g[j + 1] and stops here
+        if abs(g[j + 1]) <= target:
             break
-        x = None  # not held through a restart cycle
-        V, R, rot, g = [r / rnorm], [], [], [rnorm]
-        for j in range(KRYLOV_RESTART):
-            w, h = matvec(precond(V[j])), []
-            its += 1
-            for v in V:
-                h.append(float(np.sum(v * w)))
-                w -= h[-1] * v
-            h.append(_norm(w))
-            for k, (c, sn) in enumerate(rot):
-                h[k], h[k + 1] = c * h[k] + sn * h[k + 1], c * h[k + 1] - sn * h[k]
-            d = np.hypot(h[j], h[j + 1])
-            rot.append((h[j] / d, h[j + 1] / d) if d else (1.0, 0.0))
-            R.append(h[:j] + [d])
-            g[j:] = [rot[j][0] * g[j], -rot[j][1] * g[j]]
-            # an exact breakdown, h[j + 1] = 0, zeroes g[j + 1] and stops here
-            if abs(g[j + 1]) <= target:
-                break
-            w /= h[j + 1]
-            V.append(w)
-        y = [0.0] * len(R)
-        for k in reversed(range(len(R))):  # back substitution
-            rest = g[k] - sum(R[i][k] * y[i] for i in range(k + 1, len(R)))
-            y[k] = rest / R[k][k] if R[k][k] else 0.0
-        for yk, v in zip(y, V):
-            u += yk * v
-        del V, v, w  # not held through x and its residual
-        x = precond(u)
-        r = b - matvec(x)
-        rnorm = _norm(r)
-    return x, its, rnorm <= target
+        w /= h[j + 1]
+        V.append(w)
+    y = [0.0] * len(R)
+    for k in reversed(range(len(R))):  # back substitution
+        rest = g[k] - sum(R[i][k] * y[i] for i in range(k + 1, len(R)))
+        y[k] = rest / R[k][k] if R[k][k] else 0.0
+    u = np.zeros_like(b)
+    for yk, v in zip(y, V):
+        u += yk * v
+    del V, v, w  # not held through x and its residual
+    x = precond(u)
+    return x, len(R), _norm(b - matvec(x)) <= target
 
 
 def __getattr__(name):

@@ -1,7 +1,8 @@
 """Grid-sampled fields on log-polar rectangles: closed-form stream and
-velocity samples, the polar Laplacian (e^{-2s} times the central stencil in
-(s, theta) = (ln r, theta), NaN on the edge nodes) and field I/O.  The
-working frame, which fixes the elliptic problem, lives in :mod:`.elliptic`."""
+velocity samples, the 5-point stencil (one term table and its interpreter,
+which :mod:`.elliptic`'s Newton solver evaluates too), the polar Laplacian
+(e^{-2s} times that stencil in (s, theta) = (ln r, theta), NaN on the edge
+nodes) and field I/O."""
 
 from __future__ import annotations
 
@@ -59,21 +60,57 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(r, r + BLOCK_ROWS) for r in range(0, n, BLOCK_ROWS)]
 
 
+def _stencil_terms(b1: float, c0: float, h_s: float, h_theta: float):
+    """d_ss + d_thth + b1 d_s + c0 as (coefficient, denominator, taps)
+    terms, in evaluation order.  A tap (di, dj, w) weights Psi at the node
+    di s-rows and dj theta-columns away.  A term is coefficient * (sum of
+    w * Psi[tap]) / denominator; only a term's first tap has a weight other
+    than 1, and the b1 and c0 terms are left out when zero."""
+    terms = [
+        (1.0, h_s**2, [(0, 0, -2.0), (1, 0, 1.0), (-1, 0, 1.0)]),
+        (1.0, h_theta**2, [(0, 0, -2.0), (0, 1, 1.0), (0, -1, 1.0)]),
+    ]
+    if b1 != 0.0:
+        terms.append((b1, 2.0 * h_s, [(-1, 0, -1.0), (1, 0, 1.0)]))
+    if c0 != 0.0:
+        terms.append((1.0, 1.0, [(0, 0, c0)]))
+    return terms
+
+
+def _apply_stencil(terms, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The stencil at the interior nodes of ``Q``, whose first and last rows
+    are the s-rows before the first and after the last interior row, and
+    whose first and last columns are the theta-edges.  Evaluated in place,
+    in the table's order, into ``out`` (fresh if None) and one scratch
+    buffer: a term's first tap is weighted, its later (unit) taps are added,
+    and a unit coefficient or denominator is skipped (it moves no bit)."""
+    n, m = Q.shape[0] - 2, Q.shape[1] - 2
+    out = np.empty((n, m)) if out is None else out
+    acc = np.empty((n, m))
+    for t, (coef, denom, taps) in enumerate(terms):
+        part = acc if t else out
+        (di, dj, w), *rest = taps
+        np.multiply(w, Q[1 + di:1 + di + n, 1 + dj:1 + dj + m], out=part)
+        for di, dj, _ in rest:
+            part += Q[1 + di:1 + di + n, 1 + dj:1 + dj + m]
+        if coef != 1.0:
+            part *= coef
+        if denom != 1.0:
+            part /= denom
+        if t:
+            out += part
+    return out
+
+
 def laplacian_polar(psi: ScalarField) -> ScalarField:
     """Delta psi = e^{-2s} (psi_ss + psi_thth), interior nodes only (NaN edges)."""
     g = psi.grid
     out = np.full(g.shape, np.nan)
-    v, core, decay = psi.vals, out[1:-1, 1:-1], np.exp(-2.0 * g.s_nodes[1:-1])[:, None]
+    core, decay = out[1:-1, 1:-1], np.exp(-2.0 * g.s_nodes[1:-1])[:, None]
+    terms = _stencil_terms(0.0, 0.0, g.h_s, g.h_theta)
     for b in row_blocks(g.n_s - 1):
-        c, tt = core[b], np.multiply(v[1:-1, 1:-1][b], 2.0)  # tt: 2 psi, then psi_thth's numerator
-        np.subtract(v[2:, 1:-1][b], tt, out=c)
-        c += v[:-2, 1:-1][b]
-        c /= g.h_s**2
-        np.subtract(v[1:-1, 2:][b], tt, out=tt)
-        tt += v[1:-1, :-2][b]
-        tt /= g.h_theta**2
-        c += tt
-        c *= decay[b]
+        _apply_stencil(terms, psi.vals[b.start:b.stop + 2], out=core[b])
+        core[b] *= decay[b]
     return ScalarField(g, out)
 
 

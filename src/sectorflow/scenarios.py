@@ -487,7 +487,7 @@ def _run_slide(scn, grid, out):
     checks = [_check("min_w_nonnegative", 0 if rep["min_w"] >= 0 else 1, 0)]
     if profile == "sec" and any(abs(t - 0.1) < 1e-12 for t in taus):
         spot = [e for e in rep["per_tau"] if abs(e["tau"] - 0.1) < 1e-12][0]
-        oracle = 1.0 / math.cos(0.1) - 1.0
+        oracle = 1.0 / math.cos(0.1 * scn.slide["xi2"]) - 1.0  # the gap at theta = 0, its least
         checks.append(_check("sec_spot_value", abs(spot["min_w"] - oracle), 1e-6))
     return checks, {"sliding": rep}
 

@@ -19,7 +19,7 @@ from sectorflow import (
     default_initial_guess,
     solve_semilinear,
 )
-from sectorflow import elliptic
+from sectorflow import elliptic, fields
 from sectorflow.domain import LogPolarGrid
 from sectorflow.elliptic import from_working
 from sectorflow.errors import NoConvergence, ParameterDomain
@@ -398,8 +398,7 @@ class TestKrylovStep:
         # GMRES capped at two iterations misses the forcing on the first
         # steps; each is taken as GMRES left it, recorded as not converged,
         # and the damped line search still brings the residual to tol
-        monkeypatch.setattr(elliptic, "KRYLOV_RESTART", 1)
-        monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", 2)
+        monkeypatch.setattr(elliptic, "KRYLOV_MAX_ITER", 2)
         _, rep = _periodic_solve("thm2", 32)
         assert rep.converged
         assert False in rep.krylov_converged
@@ -410,6 +409,49 @@ class TestKrylovStep:
         b, rep_b = _periodic_solve("thm2", 64)
         np.testing.assert_array_equal(a.vals, b.vals)
         assert asdict(rep_a) == asdict(rep_b)
+
+
+def _assert_table_contract(terms):
+    # the interpreter weights only a term's first tap and adds the rest, and
+    # a zero coefficient or weight would add a pass that moves no value
+    for coef, denom, ((_, _, w), *rest) in terms:
+        assert coef != 0.0 and w != 0.0 and denom != 0.0
+        assert all(w_rest == 1.0 for _, _, w_rest in rest)
+
+
+class TestStencilTable:
+    @FRAMES
+    def test_frame_tables_keep_the_contract(self, frame, b1, c0):
+        grid = _grid(32)
+        terms = elliptic._stencil_terms(*elliptic._frame_problem(frame, np.zeros(1))[:2],
+                                        grid.h_s, grid.h_theta)
+        _assert_table_contract(terms)
+        assert len(terms) == 2 + (b1 != 0.0) + (c0 != 0.0)
+
+    def test_laplacian_table_keeps_the_contract(self, monkeypatch):
+        tables, stencil_terms = [], fields._stencil_terms
+
+        def recording(*args):
+            tables.append(stencil_terms(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(fields, "_stencil_terms", recording)
+        grid = _grid(32)
+        fields.laplacian_polar(ScalarField(grid, np.ones(grid.shape)))
+        assert tables and len(tables[0]) == 2  # no 0 psi pass for b1 = c0 = 0
+        for terms in tables:
+            _assert_table_contract(terms)
+
+    @FRAMES
+    def test_output_view_equals_fresh_output(self, frame, b1, c0):
+        # into a strided view of a larger array, bit for bit
+        terms = elliptic._stencil_terms(b1, c0, 0.1, 0.03)
+        Q = np.random.default_rng(7).standard_normal((21, 14))
+        big = np.full((25, 30), np.nan)
+        view = big[2:21, 3:27:2]
+        assert elliptic._apply_stencil(terms, Q, out=view) is view
+        assert view.tobytes() == elliptic._apply_stencil(terms, Q).tobytes()
+        assert np.isnan(big[:2]).all() and np.isnan(big[:, 4:27:2]).all()
 
 
 class TestPreconditioner:
@@ -465,17 +507,6 @@ class TestGmres:
         assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
         assert np.linalg.norm(b - A @ x) <= elliptic.KRYLOV_RTOL * np.linalg.norm(b)
 
-    def test_restart_runs_further_cycles(self, monkeypatch):
-        # a 12-unknown system cannot be solved in 4 iterations, so the later
-        # cycles restart from the true residual and finish the solve
-        monkeypatch.setattr(elliptic, "KRYLOV_RESTART", 4)
-        monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", 40)
-        A, b = _dense_system()
-        x, its, ok = elliptic._krylov_step(lambda v: A @ v, b, _identity)
-        assert ok and its > 4
-        exact = np.linalg.solve(A, b)
-        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
-
     def test_zero_rhs_is_a_zero_step(self):
         def never(v):
             raise AssertionError("no operator application for b = 0")
@@ -484,16 +515,15 @@ class TestGmres:
         assert ok and its == 0
         assert x.shape == (4, 3) and not x.any()
 
-    @pytest.mark.parametrize("restart, cycles", [(1, 1), (2, 2), (3, 1)])
-    def test_capped_solve_is_the_last_iterate(self, restart, cycles, monkeypatch):
+    @pytest.mark.parametrize("cap", [1, 3, 4])
+    def test_capped_solve_is_the_last_iterate(self, cap, monkeypatch):
         # a cap below the system size misses KRYLOV_RTOL: ok is False, and
         # the iterate's true residual, a minimum over a space holding 0, is
         # no larger than ||b||
-        monkeypatch.setattr(elliptic, "KRYLOV_RESTART", restart)
-        monkeypatch.setattr(elliptic, "KRYLOV_CYCLES", cycles)
+        monkeypatch.setattr(elliptic, "KRYLOV_MAX_ITER", cap)
         A, b = _dense_system()
         x, its, ok = elliptic._krylov_step(lambda v: A @ v, b, _identity)
-        assert not ok and its == restart * cycles
+        assert not ok and its == cap
         assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b)
 
 

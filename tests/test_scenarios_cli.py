@@ -217,6 +217,15 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("xi2", ["0.5", "2.0"])
+    def test_slide_sec_spot_follows_xi2(self, xi2, tmp_path):
+        # sec(theta + 0.1 xi2) - sec(theta) is least at theta = 0, so the
+        # closed form's spot value at tau = 0.1 is sec(0.1 xi2) - 1
+        scn = parse_config(CONFIGS / "slide.ini", {"slide": {"xi2": xi2}})
+        code, report = run_scenario(scn, tmp_path)
+        spot = [c for c in report["checks"] if c["name"] == "sec_spot_value"]
+        assert code == 0 and spot and spot[0]["passed"], report
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, tmp_path):
