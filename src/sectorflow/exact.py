@@ -133,8 +133,8 @@ class HomogeneousSolution:
         r = np.asarray(r, dtype=float)
         t = self._check(theta)
         if self.alpha == 1.0:
-            c = float(self.v(np.zeros(1))[0]) if np.ndim(t) else float(self.v(t))
-            return c * np.log(r) + self.stream_h(t)
+            # every alpha = 1 member has a constant swirl v
+            return float(self.v(np.zeros(1))[0]) * np.log(r) + self.stream_h(t)
         return self.stream_h(t) * r ** (1.0 - self.alpha)
 
     def profile(self, theta0: float, n: int = 1000) -> AngularProfile:
@@ -197,14 +197,23 @@ def construct_exact(
     return builder(dict(params), float(theta0))
 
 
-def _zero(t):
-    """Profile that is identically 0."""
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
 def _const(value: float):
     """Profile that is identically ``value``."""
     return lambda t: np.full_like(np.asarray(t, dtype=float), value)
+
+
+_zero = _const(0.0)
+
+
+def _constant(kind, alpha, p, params, v0, f0):
+    """The member with v == v0 and f == f0, finite for every theta; its stream
+    h is v0 / (1 - alpha), or for alpha = 1 the h with h' = -f0 and h(0) = 0."""
+    if alpha != 1.0:
+        stream_h = _const(v0 / (1.0 - alpha))
+    else:
+        stream_h = _zero if f0 == 0.0 else lambda t: -f0 * np.asarray(t, dtype=float)
+    return HomogeneousSolution(kind, alpha, p, params, (-math.inf, math.inf), v=_const(v0),
+                               f=_const(f0), v_prime=_zero, f_prime=_zero, stream_h=stream_h)
 
 
 def _build_radial_alpha1(params, theta0):
@@ -214,16 +223,8 @@ def _build_radial_alpha1(params, theta0):
         raise ParameterDomain("radial branch needs p <= 0 (f^2 = -2p)")
     if sign not in (-1.0, 1.0):
         raise ParameterDomain("sign must be +1 or -1")
-    f0 = sign * math.sqrt(-2.0 * p)
-    return HomogeneousSolution(
-        FamilyKind.RADIAL_ALPHA1, 1.0, p, {"p": p, "sign": sign},
-        (-math.inf, math.inf),
-        v=_zero,
-        f=_const(f0),
-        v_prime=_zero,
-        f_prime=_zero,
-        stream_h=lambda t: -f0 * np.asarray(t, dtype=float),
-    )
+    return _constant(FamilyKind.RADIAL_ALPHA1, 1.0, p, {"p": p, "sign": sign},
+                     0.0, sign * math.sqrt(-2.0 * p))
 
 
 def _build_tan(params, theta0):
@@ -247,7 +248,7 @@ def _build_tan(params, theta0):
 
     def stream_h(t):
         u = kv * np.asarray(t, dtype=float) + C
-        return v0 * (np.log(np.cos(u)) - math.log(math.cos(C)))
+        return v0 * (np.log(np.abs(np.cos(u))) - math.log(abs(math.cos(C))))
 
     return HomogeneousSolution(
         FamilyKind.TAN, 1.0, p, {"v": v0, "p": p, "C": C}, validity,
@@ -267,15 +268,7 @@ def _build_rational(params, theta0):
     C = params.get("C", None)
     if C is None:
         # f == 0 constant branch
-        return HomogeneousSolution(
-            FamilyKind.RATIONAL, 1.0, p, {"v": v0, "C": None},
-            (-math.inf, math.inf),
-            v=_const(v0),
-            f=_zero,
-            v_prime=_zero,
-            f_prime=_zero,
-            stream_h=_zero,
-        )
+        return _constant(FamilyKind.RATIONAL, 1.0, p, {"v": v0, "C": None}, v0, 0.0)
     C = float(C)
     validity = _validity_from_poles([-C], theta0)
 
@@ -308,15 +301,7 @@ def _build_tanh(params, theta0):
     m = 2.0 * k / v0
     if math.isinf(C):
         # constant branch f == -k, the C -> +-inf limit of the quotient
-        return HomogeneousSolution(
-            FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C},
-            (-math.inf, math.inf),
-            v=_const(v0),
-            f=_const(-k),
-            v_prime=_zero,
-            f_prime=_zero,
-            stream_h=lambda t: k * np.asarray(t, dtype=float),
-        )
+        return _constant(FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C}, v0, -k)
     poles = []
     if C < 0.0:
         poles.append(math.log(-1.0 / C) / m)
@@ -418,17 +403,8 @@ def _build_pure_rotation(params, theta0):
         raise ParameterDomain("pure rotation branch needs alpha >= 1")
     if c == 0.0:
         raise ParameterDomain("pure rotation needs c != 0")
-    p = -c * c / (2.0 * alpha)
-    stream_h = _zero if alpha == 1.0 else _const(c / (1.0 - alpha))
-    return HomogeneousSolution(
-        FamilyKind.PURE_ROTATION, alpha, p, {"alpha": alpha, "c": c},
-        (-math.inf, math.inf),
-        v=_const(c),
-        f=_zero,
-        v_prime=_zero,
-        f_prime=_zero,
-        stream_h=stream_h,
-    )
+    return _constant(FamilyKind.PURE_ROTATION, alpha, -c * c / (2.0 * alpha),
+                     {"alpha": alpha, "c": c}, c, 0.0)
 
 
 _BUILDERS = {

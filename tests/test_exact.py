@@ -86,6 +86,14 @@ class TestConstruction:
         with pytest.raises(ParameterDomain):
             construct_exact(FamilyKind.PURE_ROTATION, {"alpha": 0.5, "c": 1.0}, 1.0)
 
+    def test_tan_stream_where_cos_c_is_negative(self):
+        # cos(3) < 0, and the poles are at theta ~ 2.42, outside [0, 0.1]; the
+        # member is the C - pi one, since tan has period pi
+        t = np.linspace(0.0, 0.1, 101)
+        hs = [construct_exact(FamilyKind.TAN, {"v": 2.0, "p": -1.0, "C": C}, 0.1).stream_h(t)
+              for C in (3.0, 3.0 - math.pi)]
+        np.testing.assert_allclose(hs[0], hs[1], rtol=0, atol=1e-15)
+
     def test_out_of_validity_evaluation(self):
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
         with pytest.raises(OutOfValidity):
@@ -125,6 +133,66 @@ class TestEvaluation:
         k = math.sqrt(1.0)
         t = np.linspace(0, 1, 9)
         np.testing.assert_allclose(sol.f(t), -k)
+
+
+#: the constant members: (kind, params, v0, f0, stream_h on CONST_THETA)
+CONST_THETA = np.array([-0.5, -0.0, 0.0, 0.25, 1.0])
+CONSTANT_MEMBERS = [
+    (FamilyKind.RADIAL_ALPHA1, {"p": -0.5, "sign": 1.0}, 0.0, 1.0,
+     [0.5, 0.0, -0.0, -0.25, -1.0]),
+    (FamilyKind.RADIAL_ALPHA1, {"p": -0.5, "sign": -1.0}, 0.0, -1.0,
+     [-0.5, -0.0, 0.0, 0.25, 1.0]),
+    (FamilyKind.RATIONAL, {"v": 1.5, "C": None}, 1.5, 0.0, [0.0, 0.0, 0.0, 0.0, 0.0]),
+    (FamilyKind.TANH, {"v": 2.0, "p": -4.0, "C": math.inf}, 2.0, -2.0,
+     [-1.0, -0.0, 0.0, 0.5, 2.0]),
+    (FamilyKind.TANH, {"v": 2.0, "p": -4.0, "C": -math.inf}, 2.0, -2.0,
+     [-1.0, -0.0, 0.0, 0.5, 2.0]),
+    (FamilyKind.PURE_ROTATION, {"alpha": 1.0, "c": 3.0}, 3.0, 0.0, [0.0, 0.0, 0.0, 0.0, 0.0]),
+    (FamilyKind.PURE_ROTATION, {"alpha": 2.0, "c": 3.0}, 3.0, 0.0,
+     [-3.0, -3.0, -3.0, -3.0, -3.0]),
+]
+CONSTANT_IDS = ["radial+", "radial-", "rational-C-None", "tanh-C+inf", "tanh-C-inf",
+                "pure_rotation-alpha-1", "pure_rotation-alpha-2"]
+
+
+class TestConstantMembers:
+    @pytest.mark.parametrize("kind,params,v0,f0,h", CONSTANT_MEMBERS, ids=CONSTANT_IDS)
+    def test_profiles_bit_for_bit(self, kind, params, v0, f0, h):
+        sol = construct_exact(kind, params, 1.0)
+        assert sol.validity == (-math.inf, math.inf)
+        zero = np.zeros(5)
+        for got, want in ((sol.v, np.full(5, v0)), (sol.f, np.full(5, f0)),
+                          (sol.v_prime, zero), (sol.f_prime, zero), (sol.stream_h, np.array(h))):
+            vals = got(CONST_THETA)
+            assert vals.dtype == np.float64 and np.all(vals == want)
+            np.testing.assert_array_equal(np.signbit(vals), np.signbit(want))
+
+    @pytest.mark.parametrize("kind,params,v0,f0,h", CONSTANT_MEMBERS, ids=CONSTANT_IDS)
+    def test_stream_rule(self, kind, params, v0, f0, h):
+        # h' = -f for alpha = 1 (central differences are exact on a line), else h = v / (1 - alpha)
+        sol = construct_exact(kind, params, 1.0)
+        t = np.linspace(-1.0, 1.0, 9)
+        if sol.alpha == 1.0:
+            np.testing.assert_array_equal(np.gradient(sol.stream_h(t), t), -sol.f(t))
+        else:
+            np.testing.assert_array_equal(sol.stream_h(t), sol.v(t) / (1.0 - sol.alpha))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_radial_zero_pressure_stream_is_positive_zero(self, sign):
+        # f0 is a signed zero here; the zero flow's h is +0.0, as every f == 0 member's
+        sol = construct_exact(FamilyKind.RADIAL_ALPHA1, {"p": 0.0, "sign": sign}, 1.0)
+        assert np.all(sol.f(CONST_THETA) == 0.0)
+        np.testing.assert_array_equal(np.signbit(sol.stream_h(CONST_THETA)), False)
+
+    @pytest.mark.parametrize("kind,params,theta0", ATLAS[:4], ids=[k.value for k, _, _ in ATLAS[:4]])
+    def test_alpha1_stream_at_a_point_is_the_array_entry(self, kind, params, theta0):
+        sol = construct_exact(kind, params, theta0)
+        assert sol.alpha == 1.0
+        r, t = np.linspace(0.5, 3.0, 7), np.linspace(0.0, theta0, 7)
+        psi = sol.stream(r, t)
+        for i in range(len(t)):
+            point = sol.stream(r[i], t[i])
+            assert np.ndim(point) == 0 and point == psi[i]
 
 
 class TestProfileResidual:

@@ -176,6 +176,21 @@ class TestCli:
         )
         assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_tan_member_with_negative_cos_c_passes(self, tmp_path):
+        """cos(c) < 0 at c = 3; the poles are at theta ~ 2.42, outside theta0."""
+        cfg = _write(
+            tmp_path,
+            "tan_c3.ini",
+            "[scenario]\nname = tan_c3\ntag = Thm4_B1\n"
+            "[domain]\na = 1\nb = 2\ntheta0 = 0.1\n"
+            "[grid]\nn_s = 32\nn_theta = 32\n"
+            "[family]\nkind = tan\nv = 2.0\np = -1.0\nc = 3.0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["checks"]) == 7 and all(c["passed"] for c in report["checks"])
+
     def test_verify_subcommand(self, tmp_path, monkeypatch):
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
