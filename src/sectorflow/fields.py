@@ -214,14 +214,13 @@ BINARY_EXPORT_NODES = 512 * 512
 
 
 def write_field(field: ScalarField, path: str | Path) -> Path:
-    """Write CSV for small grids, row-major binary + sidecar for large ones.
-
-    Returns the path actually written (binary dumps get a .npy suffix and
-    a .json sidecar with the grid metadata).
+    """Write ``field`` for :func:`read_field`: the row-major binary dump plus
+    a .json grid sidecar for a .npy path, or any path from BINARY_EXPORT_NODES
+    nodes on, else CSV text.  Returns the path written (a dump's is .npy).
     """
     path = Path(path)
     n_nodes = field.grid.shape[0] * field.grid.shape[1]
-    if n_nodes < BINARY_EXPORT_NODES:
+    if path.suffix != ".npy" and n_nodes < BINARY_EXPORT_NODES:
         with path.open("w") as file:
             file.writelines(_csv_lines(field))
         return path

@@ -3,7 +3,7 @@ and deterministic report emission.
 
 A scenario names a theorem tag, a domain/grid, family or boundary data,
 and tolerances.  Running it executes the tag's pipeline (construct or
-solve, transform, certify), writes a JSON report plus CSV dumps, and
+solve, transform, certify), writes a JSON report plus field dumps, and
 returns exit status 0 only if every check for the tag passes.
 
 A tag is one :data:`TAGS` entry: its pipeline, the CLI subcommand that
@@ -314,14 +314,16 @@ def _recovery_grid(grid):
 
 def _solve(scn, grid, gspec, frame, h, out, variance_name):
     """Newton solve, periodic in s, from the seeded perturbed start, under
-    the [solver] settings, written to solution.csv; returns the report and
-    two checks: its s-variance, named ``variance_name``, and max |Psi -
-    h(theta)| over the mesh against 5 h^2 (h the larger step)."""
+    the [solver] settings; the stream psi mapped back from the working-frame
+    Psi is written to solution.npy.  Returns the report and two checks on
+    Psi: its s-variance, named ``variance_name``, and max |Psi - h(theta)|
+    over the mesh against 5 h^2 (h the larger step)."""
     solver = scn.solver
     init = elliptic.default_initial_guess(grid, h, amplitude=solver["perturbation"],
                                           seed=solver["seed"])
     Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=solver["tol"])
-    fields.write_field(Psi, out / "solution.csv")
+    psi = elliptic.from_working(grid.s_nodes[:, None], Psi.vals, frame)
+    fields.write_field(fields.ScalarField(grid, psi), out / "solution.npy")
     err = float(np.max(np.abs(Psi.vals - h(grid.theta_nodes))))
     return rep, [_check(variance_name, rep.s_variance, max(solver["tol"], 1e-6)),
                  _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)]

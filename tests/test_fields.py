@@ -134,10 +134,25 @@ class TestReadField:
         np.testing.assert_array_equal(back.vals.view(np.int64), vals.view(np.int64))
 
     def test_csv_export_read_back(self, tmp_path):
-        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)  # below the switch: CSV text
         field = _theta_field(grid)
         path = write_field(field, tmp_path / "stream.csv")
+        assert path.read_text() == field_to_csv(field)
+        assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
         np.testing.assert_array_equal(read_field(path, grid).vals, field.vals)
+
+    def test_npy_path_is_binary_at_any_size(self, tmp_path):
+        grid = LogPolarGrid(0.0, 1.0, 8, 8, 1.0)  # 9^2 nodes, far below the switch
+        vals = np.random.default_rng(1).standard_normal(grid.shape)
+        vals[4, 4] = -0.0
+        path = write_field(ScalarField(grid, vals), tmp_path / "psi.npy")
+        assert path == tmp_path / "psi.npy"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.json", "psi.npy"]
+        assert (tmp_path / "psi.json").read_text() == grid.to_json()
+        dump = path.read_bytes()
+        assert dump.startswith(b"\x93NUMPY") and b"s,theta,value" not in dump
+        back = read_field(path, grid)
+        np.testing.assert_array_equal(back.vals.view(np.int64), vals.view(np.int64))
 
     def _dump(self, tmp_path, grid, vals):
         np.save(tmp_path / "psi.npy", vals)

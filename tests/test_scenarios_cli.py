@@ -282,7 +282,8 @@ class TestDeterminism:
             assert proc.returncode == 0, output[-2000:]
         trees = [sorted(p.relative_to(tmp_path / t) for p in (tmp_path / t).rglob("*"))
                  for t in procs]
-        assert trees[0] == trees[1] and Path("solution.csv") in trees[0]
+        assert trees[0] == trees[1]
+        assert {Path("solution.npy"), Path("solution.json")} <= set(trees[0])
         for rel in trees[0]:
             assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
 
@@ -657,6 +658,50 @@ def test_solve_with_a_wrong_g_fails_on_profile_error(cfg, form, key, tmp_path, m
     assert main(["solve", "--config", str(CONFIGS / f"{cfg}.ini"), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["profile_error"]
+
+
+# Thm1i is left out: its psi = b theta / theta0 is harmonic, so Verify's
+# g_single_valued bound, 0.05 max |lap psi|, falls to roundoff and its
+# 2e-12 defect fails it.
+@pytest.mark.parametrize("cfg", ["thm1ii", "thm2_a1"])
+def test_verify_passes_the_solvers_solution_export(cfg, tmp_path):
+    """The solver exports the stream psi, not the working-frame Psi, so
+    Verify certifies the field the solve produced."""
+    solve = configparser.ConfigParser()
+    solve.read(CONFIGS / f"{cfg}.ini")
+    assert main(["solve", "--config", str(CONFIGS / f"{cfg}.ini"),
+                 "--out", str(tmp_path / "solve")]) == 0
+    verify = configparser.ConfigParser()
+    verify.read(CONFIGS / "verify.ini")
+    verify["domain"], verify["grid"] = solve["domain"], solve["grid"]
+    verify["verify"]["psi_csv"] = str(tmp_path / "solve" / "solution.npy")
+    with open(tmp_path / "verify.ini", "w") as fh:
+        verify.write(fh)
+    assert main(["verify", "--config", str(tmp_path / "verify.ini"),
+                 "--out", str(tmp_path / "verify")]) == 0
+
+
+@pytest.mark.parametrize("cfg", ["thm1i", "thm1ii", "thm2_a1"])
+def test_solution_export_is_the_stream_of_the_solved_field(cfg, tmp_path, monkeypatch):
+    """solution.npy holds from_working of the solver's Psi, bit for bit,
+    and no CSV copy is written."""
+    from sectorflow import elliptic
+
+    solved = []
+    real = elliptic.solve_semilinear
+
+    def spy(grid, gspec, frame, h, **kwargs):
+        Psi, rep = real(grid, gspec, frame, h, **kwargs)
+        solved.append((grid, frame, Psi))
+        return Psi, rep
+
+    monkeypatch.setattr(elliptic, "solve_semilinear", spy)
+    scn = parse_config(CONFIGS / f"{cfg}.ini", {"grid": {"n_s": 16, "n_theta": 16}})
+    run_scenario(scn, tmp_path)
+    (grid, frame, Psi), = solved
+    back = fields.read_field(tmp_path / "solution.npy", grid)
+    assert (back.vals == elliptic.from_working(grid.s_nodes[:, None], Psi.vals, frame)).all()
+    assert not (tmp_path / "solution.csv").exists()
 
 
 @pytest.mark.parametrize("text", [
