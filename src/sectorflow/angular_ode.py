@@ -5,9 +5,9 @@ the radial profile f solves the Riccati equation c f' = f^2 + c^2 + 2p.
 For alpha != 1 the pair (v, f) solves v' = (alpha - 1) f,
 f' = (alpha f^2 + v^2 + 2 alpha p) / v, which is singular at v = 0.
 Every integration is one vectorised RK4 march over an array of members
-(a shoot over many f(0), or a batch of one), each marched to the end and
-cut afterwards: tan-type branches blow up in finite angle and are cut with
-a flag and a pole estimate, swirl that reaches the v = 0 floor with a flag.
+(a shoot over many f(0), or a batch of one) until all are cut or the end:
+tan-type branches blow up in finite angle and are cut with a flag and a
+pole estimate, swirl that reaches the v = 0 floor with a flag.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def _pole_estimate(ts, f):
 
 def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResult]:
     """March RK4 over every member (row of ``y0``) to theta_span[1], whose
-    node the rounded step count lands on.  Members are independent, so each
-    is cut after the march at its first state with an |entry| outside
+    node the rounded step count lands on, or until every member is cut
+    (looked at every 256 steps).  Members are independent, so each is cut
+    after the march at its first state with an |entry| outside
     [lo, hi] (NaN fails both): below ``lo`` is a swirl-floor hit, else a
     blow-up; one cut at the first step keeps y0 as its second node.
     ``profile(nodes, rows)`` builds a member's AngularProfile."""
@@ -73,6 +74,8 @@ def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResul
     h = (t1 - t0) / n
     path = np.empty((n + 1, *np.shape(y0)))
     path[0] = y0
+    outside = lambda rows: ~((lo <= rows) & (rows <= hi)).all(axis=2)
+    stopped = np.zeros(len(path[0]), dtype=bool)
     with np.errstate(all="ignore"):  # a member past its cut may overflow
         for i in range(n):
             y = path[i]
@@ -81,10 +84,14 @@ def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResul
             k3 = rhs(y + h / 2 * k2)
             k4 = rhs(y + h * k3)
             np.add(y, (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=path[i + 1])
-    a = np.abs(path[1:])
-    bad = ~((lo <= a) & (a <= hi)).all(axis=2)
+            if (i + 1) % 256 == 0:  # every 256 steps: stop once every member is cut
+                stopped |= outside(np.abs(path[i - 254:i + 2])).any(axis=0)
+                if stopped.all():
+                    break
+    a = np.abs(path[1:i + 2])  # the rows marched
+    bad = outside(a)
     cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
-    floor = (cut < n) & (a[np.minimum(cut, n - 1), np.arange(len(cut))] < lo).any(axis=1)
+    floor = (cut < n) & (a[np.minimum(cut, len(a) - 1), np.arange(len(cut))] < lo).any(axis=1)
     path[1, cut == 0] = path[0, cut == 0]
     nodes = t0 + np.arange(n + 1) * h
     results = []

@@ -10,7 +10,6 @@ constants that the rigidity hypotheses prescribe.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +98,45 @@ def _log_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
 
 
+def _bin_defect(z: np.ndarray, gv: np.ndarray, splits: np.ndarray) -> float:
+    """The single-valuedness defect of gv in the bins ``splits`` cuts the sorted z into.
+
+    A bin of at least 3 samples over a z-range gives its largest residual
+    after np.polyfit's fit of degree min(2, size - 2) in zc, z scaled to
+    [0, 1]: gv less its projections onto 1, u1 = zc - mean zc and u1^2, made
+    orthogonal by Gram-Schmidt with per-bin np.add.reduceat sums.  A u1^2
+    direction left at roundoff (two distinct z) is dropped, leaving polyfit's
+    minimum-norm residual.  A bin of equal z gives its spread max - min.
+    """
+    bounds = np.concatenate([[0], splits, [z.size]])
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # the nonempty bins
+    # a pass takes the whole bins that start in one of 16 equal stretches of the samples
+    cuts = np.searchsorted(bounds, np.linspace(0, z.size, 17))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
+    defect = 0.0
+    # 0/0 in bins of equal z and in dropped directions, neither of them selected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in (bounds[lo:hi + 1] for lo, hi in zip(cuts[:-1], cuts[1:])):
+            zb, gb, starts, sizes = z[b[0]:b[-1]], gv[b[0]:b[-1]], b[:-1] - b[0], np.diff(b)
+            total, each = lambda x: np.add.reduceat(x, starts), lambda x: np.repeat(x, sizes)
+            first, last = zb[starts], zb[starts + sizes - 1]
+            zc = (zb - each(first)) / each(last - first)
+            u1 = zc - each(total(zc) / sizes)
+            n1 = total(u1 * u1)
+            r = gb - each(total(gb) / sizes)
+            r -= each(total(r * u1) / n1) * u1
+            u2 = np.multiply(u1, u1, out=zc)
+            u2 -= each(total(u2) / sizes)
+            roundoff = (4 * sizes * np.finfo(float).eps) ** 2 * total(u2 * u2)
+            u2 -= each(total(u2 * u1) / n1) * u1
+            n2 = total(u2 * u2)
+            r -= each(np.where((sizes >= 4) & (n2 > roundoff), total(r * u2) / n2, 0.0)) * u2
+            fitted = np.where(sizes >= 3, np.maximum.reduceat(np.abs(r, out=r), starts), 0.0)
+            spread = np.maximum.reduceat(gb, starts) - np.minimum.reduceat(gb, starts)
+            defect = max(defect, float(np.max(np.where(last > first, fitted, spread))))
+    return defect
+
+
 def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
     """Recover the scalar relation Laplacian = g(stream) from field data.
 
@@ -106,65 +144,40 @@ def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
     bins; bin means give the tabulated curve.  The single-valuedness
     defect is the worst residual of a local quadratic fit inside any bin
     (quadratic so that curvature of a genuine g does not register as
-    spread).  If the defect is at most 0.05 times the Laplacian scale,
-    both an exponential form (ln|g| linear in z) and a power form (ln|g|
-    linear in ln|z|) are regressed and the better r-squared is reported.
+    spread; a repeated stream value gives its spread), taken as one
+    least-squares projection over the whole bins in each sixteenth of the
+    samples (:func:`_bin_defect`), so its scratch is a few sixteenths of the
+    samples.  If the defect is at most 0.05 times the Laplacian scale, both
+    an exponential form (ln|g| linear in z) and a power form (ln|g| linear
+    in ln|z|) are regressed and the better r-squared is reported.
     """
     mask = np.isfinite(lap.vals) & np.isfinite(psi.vals)
-    z = psi.vals[mask].ravel()
-    gv = lap.vals[mask].ravel()
+    z, gv = psi.vals[mask], lap.vals[mask]
     if z.size < 100:
         raise ValueError("need at least 100 interior samples")
     order = np.argsort(z, kind="stable")
     z, gv = z[order], gv[order]
     edges = np.linspace(z[0], z[-1], 200 + 1)
     splits = np.searchsorted(z, edges[1:-1])
-    defect = 0.0
-    z_means, g_means = [], []
-    for zb, gb in zip(np.split(z, splits), np.split(gv, splits)):
-        if zb.size == 0:
-            continue
-        z_means.append(float(np.mean(zb)))
-        g_means.append(float(np.mean(gb)))
-        if zb.size >= 3 and zb[-1] > zb[0]:
-            zc = (zb - zb[0]) / (zb[-1] - zb[0])  # conditioning of the fit
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", np.exceptions.RankWarning)
-                coef = np.polyfit(zc, gb, min(2, zb.size - 2))
-            defect = max(defect, float(np.max(np.abs(gb - np.polyval(coef, zc)))))
-        elif zb.size >= 2 and zb[-1] == zb[0]:
-            # repeated stream value: any spread is pure multivaluedness
-            defect = max(defect, float(np.max(gb) - np.min(gb)))
-    z_means = np.asarray(z_means)
-    g_means = np.asarray(g_means)
+    means = np.array([(np.mean(zb), np.mean(gb)) for zb, gb in
+                      zip(np.split(z, splits), np.split(gv, splits)) if zb.size])
+    defect = _bin_defect(z, gv, splits)
     # enforce strict ordering for interpolation
-    keep = np.concatenate([[True], np.diff(z_means) > 0])
-    z_means, g_means = z_means[keep], g_means[keep]
+    keep = np.concatenate([[True], np.diff(means[:, 0]) > 0])
+    z_means, g_means = means[keep].T.copy()
 
     scale = float(np.max(np.abs(gv))) + 1e-300
     fits = {}
-    floor = 1e-12 * scale
-    nz = np.abs(g_means) > floor
+    nz = np.abs(g_means) > 1e-12 * scale
     if np.count_nonzero(nz) >= 10 and (np.all(g_means[nz] > 0) or np.all(g_means[nz] < 0)):
         sign = 1.0 if g_means[nz][0] > 0 else -1.0
         slope, icpt, r2 = _log_regression(z_means[nz], np.log(np.abs(g_means[nz])))
-        fits["exp"] = {
-            "slope": slope,
-            "coefficient": sign * math.exp(icpt),
-            "r_squared": r2,
-        }
+        fits["exp"] = {"slope": slope, "coefficient": sign * math.exp(icpt), "r_squared": r2}
         znz = nz & (np.abs(z_means) > 1e-12 * (np.max(np.abs(z_means)) + 1e-300))
-        if np.count_nonzero(znz) >= 10 and (
-            np.all(z_means[znz] > 0) or np.all(z_means[znz] < 0)
-        ):
-            q, icpt, r2 = _log_regression(
-                np.log(np.abs(z_means[znz])), np.log(np.abs(g_means[znz]))
-            )
-            fits["power"] = {
-                "q": q,
-                "coefficient": sign * math.exp(icpt),
-                "r_squared": r2,
-            }
+        if np.count_nonzero(znz) >= 10 and (np.all(z_means[znz] > 0) or np.all(z_means[znz] < 0)):
+            q, icpt, r2 = _log_regression(np.log(np.abs(z_means[znz])),
+                                          np.log(np.abs(g_means[znz])))
+            fits["power"] = {"q": q, "coefficient": sign * math.exp(icpt), "r_squared": r2}
     best = None
     if defect <= 0.05 * scale and fits:
         name = max(fits, key=lambda k: fits[k]["r_squared"])

@@ -14,7 +14,7 @@ from sectorflow import (
     shoot_alpha1,
     w_equation_residual,
 )
-from sectorflow.angular_ode import MAX_F, classify_periodic
+from sectorflow.angular_ode import MAX_F, OdeResult, _pole_estimate, classify_periodic
 from sectorflow.errors import ParameterDomain, SingularSwirl, ZeroSwirl
 from sectorflow.scenarios import parse_config, run_scenario
 
@@ -311,8 +311,8 @@ def _end_state(rhs, y0, span, step):
 
 
 class TestMarchPastTheCut:
-    """Every member is marched to the end before it is cut, so a cut member
-    may overflow to +-inf or NaN afterwards.  Its result must still be the
+    """A cut member is marched on until every member is cut or the span
+    ends, so it may overflow to +-inf or NaN after its cut.  Its result must still be the
     oracle's bit for bit, and no overflow warning may escape (the test
     configuration turns RuntimeWarning into an error)."""
 
@@ -394,3 +394,81 @@ def test_cor1_integrates_each_member_once(tmp_path, monkeypatch):
     assert code == 0
     assert "w_equation_residual" in [c["name"] for c in report["checks"]]
     assert marched == [9]
+
+
+def _full_march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F):
+    """_march with every member marched to the end of the span before any is cut."""
+    t0, t1 = float(theta_span[0]), float(theta_span[1])
+    n = max(1, round((t1 - t0) / cfg.step))
+    h = (t1 - t0) / n
+    path = np.empty((n + 1, *np.shape(y0)))
+    path[0] = y0
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            y = path[i]
+            k1 = rhs(y)
+            k2 = rhs(y + h / 2 * k1)
+            k3 = rhs(y + h / 2 * k2)
+            k4 = rhs(y + h * k3)
+            np.add(y, (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=path[i + 1])
+    a = np.abs(path[1:])
+    bad = ~((lo <= a) & (a <= hi)).all(axis=2)
+    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
+    floor = (cut < n) & (a[np.minimum(cut, n - 1), np.arange(len(cut))] < lo).any(axis=1)
+    path[1, cut == 0] = path[0, cut == 0]
+    nodes = t0 + np.arange(n + 1) * h
+    results = []
+    for m, k in enumerate(cut.tolist()):
+        prof = profile(nodes[:max(k, 1) + 1], path[:max(k, 1) + 1, m])
+        if k == n:
+            results.append(OdeResult(prof))
+        elif floor[m]:
+            results.append(OdeResult(prof, hit_swirl_floor=True, floor_theta=float(nodes[k])))
+        else:
+            results.append(OdeResult(prof, blew_up=True,
+                                     blowup_theta=_pole_estimate(prof.theta_nodes, prof.f_vals)))
+    return results
+
+
+def _bits(res):
+    prof = res.profile
+    return ([np.ascontiguousarray(a).tobytes()
+             for a in (prof.theta_nodes, prof.v_vals, prof.f_vals)],
+            res.blew_up, res.blowup_theta, res.hit_swirl_floor, res.floor_theta)
+
+
+@pytest.mark.parametrize("integrate, args, cut, early", [
+    # c^2 + 2p > 0: every member blows up, the last near theta = 1.8 of 2 pi
+    (shoot_alpha1, (1.0, 0.5, np.linspace(-2.0, 2.0, 41), (0.0, 2 * math.pi)), "all", True),
+    (shoot_alpha1, (1.0, -1.0, MIXED_GRID, (0.0, 2 * math.pi)), "some", False),
+    (shoot_alpha1, (1.0, -1.0, [-3.0, -1.0, 0.0, 0.5, 1.0], (0.0, 2 * math.pi)), "none", False),
+    # every member blows up between theta = 0.83 and 0.97, after the last look at step 768
+    (shoot_alpha1, (1.0, 0.5, [0.3, 0.45, 0.6], (0.0, 1.0)), "all", False),
+    (integrate_general, (2.0, -0.5, math.sin(0.4), -math.cos(0.4), (0.0, 3.0)), "all", True),
+    (integrate_general, (2.0, 0.0, 1.0, 0.0, (0.0, 2.0)), "all", True),
+], ids=["shoot-all-cut", "shoot-some-cut", "shoot-none-cut", "shoot-last-look",
+        "general-floor", "general-blowup"])
+def test_march_stops_once_every_member_is_cut(monkeypatch, integrate, args, cut, early):
+    """The march looks every 256 steps and stops once every member is cut:
+    each result equals the full march's bit for bit, and only a shoot whose
+    every member is cut takes fewer steps."""
+    from sectorflow import angular_ode
+
+    steps, march = [], angular_ode._march
+
+    def counting(profile, rhs, *rest, **kw):
+        def counted(y):
+            steps.append(1)
+            return rhs(y)
+        return march(profile, counted, *rest, **kw)
+
+    monkeypatch.setattr(angular_ode, "_march", counting)
+    got = integrate(*args)
+    monkeypatch.setattr(angular_ode, "_march", _full_march)
+    want = integrate(*args)
+    got, want = (got, want) if isinstance(got, list) else ([got], [want])
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert {"all": all, "some": any, "none": lambda c: not any(c)}[cut](
+        [r.blew_up or r.hit_swirl_floor for r in got])
+    n = round((args[-1][1] - args[-1][0]) / OdeConfig().step)
+    assert (len(steps) // 4 < n) == early and len(steps) % 4 == 0

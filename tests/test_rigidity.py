@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,69 @@ def _polyfit_homogeneity(u):
     W = np.exp(alpha_hat * s)[:, None] * u.ur_vals[:, rays]
     cross = float(np.max(W.max(axis=0) - W.min(axis=0))) / float(np.max(M))
     return alpha_hat, resid + cross, rays.size
+
+
+def _polyfit_defect(psi, lap):
+    """(z_samples, g_samples, fits, defect) of recover_g, by one np.polyfit per bin."""
+    mask = np.isfinite(lap.vals) & np.isfinite(psi.vals)
+    order = np.argsort(psi.vals[mask], kind="stable")
+    z, g = psi.vals[mask][order], lap.vals[mask][order]
+    splits = np.searchsorted(z, np.linspace(z[0], z[-1], 201)[1:-1])
+    zm, gm, defect = [], [], 0.0
+    for zb, gb in zip(np.split(z, splits), np.split(g, splits)):
+        if zb.size:
+            zm.append(np.mean(zb))
+            gm.append(np.mean(gb))
+        if zb.size >= 3 and zb[-1] > zb[0]:
+            zc = (zb - zb[0]) / (zb[-1] - zb[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", np.exceptions.RankWarning)
+                coef = np.polyfit(zc, gb, min(2, zb.size - 2))
+            defect = max(defect, float(np.max(np.abs(gb - np.polyval(coef, zc)))))
+        elif zb.size >= 2 and zb[-1] == zb[0]:
+            defect = max(defect, float(np.max(gb) - np.min(gb)))
+    keep = np.concatenate([[True], np.diff(zm) > 0])
+    zm, gm = np.array(zm)[keep], np.array(gm)[keep]
+
+    def line(x, y):  # slope, coefficient and r^2 of ln|g| against x
+        coef = np.polyfit(x, np.log(np.abs(y)), 1)
+        resid = np.sum((np.log(np.abs(y)) - np.polyval(coef, x)) ** 2)
+        spread = np.sum((np.log(np.abs(y)) - np.mean(np.log(np.abs(y)))) ** 2) + 1e-300
+        return float(coef[0]), np.sign(y[0]) * math.exp(coef[1]), 1.0 - float(resid) / float(spread)
+
+    fits = {}
+    nz = np.abs(gm) > 1e-12 * (float(np.max(np.abs(g))) + 1e-300)
+    if np.count_nonzero(nz) >= 10 and (np.all(gm[nz] > 0) or np.all(gm[nz] < 0)):
+        fits["exp"] = dict(zip(("slope", "coefficient", "r_squared"), line(zm[nz], gm[nz])))
+        znz = nz & (np.abs(zm) > 1e-12 * (np.max(np.abs(zm)) + 1e-300))
+        if np.count_nonzero(znz) >= 10 and (np.all(zm[znz] > 0) or np.all(zm[znz] < 0)):
+            fits["power"] = dict(zip(("q", "coefficient", "r_squared"),
+                                     line(np.log(np.abs(zm[znz])), gm[znz])))
+    return zm, gm, fits, defect
+
+
+#: the bins [k, k + 1) of _synthetic_bins that hold its chosen sample sets
+_SPECIAL_BINS = {"one": 0, "empty": 1, "two_distinct": 2, "two_equal": 3, "three": 4,
+                 "three_on_two_z": 5, "six_on_two_z": 6, "five_equal": 7, "twenty": 8}
+
+
+def _synthetic_bins(loud):
+    """A stream on 0 <= z <= 200, one unit per bin, whose bins hold the sample
+    sets of _SPECIAL_BINS, then 1 to 5 random z with the first repeated, cut
+    at 255 samples (the bins after it stay empty), and z = 200.  The Laplacian
+    is 2 + z/100 plus noise of size 0.01, so both fits are taken, and of size
+    1 in bin ``loud``."""
+    rng = np.random.default_rng(11)
+    z = [0.0, 2.1, 2.5, 3.3, 3.3, 4.1, 4.4, 4.9, 5.2, 5.2, 5.7, *[6.1] * 3, *[6.8] * 3,
+         *[7.25] * 5, *(8.0 + rng.random(20))]
+    for k in range(9, 70):
+        zb = k + rng.random(rng.integers(1, 6))
+        z += [*zb, *zb[:1]]
+    z = np.array(z[:255] + [200.0])
+    grid = LogPolarGrid(0.0, 1.0, 15, 15, 1.0)
+    at = rng.permutation(z.size).reshape(grid.shape)  # grid order is not z order
+    gv = 2.0 + z / 100.0 + np.where(np.floor(z) == loud, 1.0, 0.01) * rng.standard_normal(z.size)
+    return ScalarField(grid, z[at]), ScalarField(grid, gv[at])
 
 
 class TestHomogeneityFit:
@@ -108,6 +172,38 @@ class TestRecoverG:
         assert rec.fit is not None and rec.fit["form"] == "power"
         assert rec.fit["q"] == pytest.approx(3.0, abs=0.05)
         assert abs(rec.fit["coefficient"]) == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("kind, params", [
+        (FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}),
+        (FamilyKind.COS_POWER, {"alpha": 3.0, "C1": 1.0, "C2": -0.2}),
+        (FamilyKind.SIN, {"alpha": 0.5, "p": -1.0, "C": 0.3}),
+    ], ids=["tan", "cos_power", "sin"])
+    def test_matches_a_polyfit_per_bin(self, kind, params):
+        psi = sample_stream(construct_exact(kind, params, 1.0), _grid(256))
+        self._check_against_polyfit(psi, laplacian_polar(psi))
+
+    @pytest.mark.parametrize("loud", sorted(_SPECIAL_BINS, key=_SPECIAL_BINS.get))
+    def test_matches_a_polyfit_per_bin_on_sparse_and_repeated_bins(self, loud):
+        """Each bin of a chosen sample set in turn gets noise 100 times the
+        rest: it sets the defect unless it has fewer than 2 samples or 2 distinct z."""
+        psi, lap = _synthetic_bins(_SPECIAL_BINS[loud])
+        z = np.sort(psi.vals.ravel())
+        counts = np.diff(np.searchsorted(z, np.arange(201.0)))[list(_SPECIAL_BINS.values())]
+        assert counts.tolist() == [1, 0, 2, 2, 3, 3, 6, 5, 20]
+        rec = self._check_against_polyfit(psi, lap)
+        assert set(rec.fits) == {"exp", "power"}
+        quiet = loud in ("one", "empty", "two_distinct")
+        assert (rec.single_valued_defect < 0.1) == quiet
+
+    @staticmethod
+    def _check_against_polyfit(psi, lap):
+        rec = recover_g(psi, lap)
+        z, g, fits, defect = _polyfit_defect(psi, lap)
+        assert np.array_equal(rec.z_samples, z) and np.array_equal(rec.g_samples, g)
+        assert rec.fits == fits
+        allowance = 64 * np.finfo(float).eps * float(np.nanmax(np.abs(lap.vals)))
+        assert rec.single_valued_defect == pytest.approx(defect, rel=1e-8, abs=allowance)
+        return rec
 
     def test_unrelated_fields_no_fit(self):
         grid = _grid()

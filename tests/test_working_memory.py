@@ -418,6 +418,24 @@ def test_homogeneity_fit_holds_at_most_one_grid():
     assert _peak_above_entry(homogeneity_fit, u) <= u.ur_vals.nbytes
 
 
+@pytest.mark.parametrize("n", [256, 384])
+def test_recover_g_peaks_at_its_sort(n):
+    """The peak is the sort: the mask (1 byte a node), the masked stream and
+    Laplacian, the stable argsort's int64 order and the sorted copies formed
+    while the rest live, five arrays of the (n - 1)^2 interior samples, 5.05
+    grids at 257^2.  After it, the sorted pair and the order (3 interior
+    arrays) stay while the bin fits run in blocks of whole bins, a sixteenth
+    of the samples and a bin each: a few such arrays, 0.4 grids at 257^2,
+    under the sort's peak; fits over all samples at once peak at 7.1 grids.
+    The bins' views and means are under 64 kB."""
+    grid = _family_grid(n)
+    psi = sample_stream(construct_exact(*_FAMILIES[0], 1.0), grid)
+    lap = laplacian_polar(psi)
+    recover_g(psi, lap)  # a first call may import numpy submodules, which tracemalloc counts
+    bound = 5 * 8 * (n - 1) ** 2 + (n + 1) ** 2 + (64 << 10)
+    assert _peak_above_entry(recover_g, psi, lap) <= bound
+
+
 def test_boundary_report_holds_at_most_half_a_grid():
     """r^alpha u_r and its absolute value on one row block, 2 x 1/8 of a 513^2
     grid, and the 513 x 7 edge products; W and V on every node were 2 grids
