@@ -117,9 +117,6 @@ class LogPolarGrid:
             meta["b"] = dom.b if math.isfinite(dom.b) else "inf"
         return meta
 
-    def to_json(self, dom: SectorDomain | None = None) -> str:
-        return json.dumps(self.metadata(dom), sort_keys=True)
-
 
 def build_grid(dom: SectorDomain, n_s: int, n_theta: int,
                s_min: float | None = None, s_max: float | None = None) -> LogPolarGrid:
@@ -168,3 +165,10 @@ def repr_csv(header_rows, *columns) -> str:
     line = ",".join(["{!r}"] * len(columns)) + "\n"
     buf.write((line * len(rows)).format(*rows.ravel().tolist()))
     return buf.getvalue()
+
+
+def sorted_json(obj) -> str:
+    """JSON text of ``obj``, the one format of reports and grid sidecars:
+    sorted keys, indent 2 and a trailing newline; a numpy scalar or array is
+    written as its Python value or list."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"

@@ -216,6 +216,12 @@ def _constant(kind, alpha, p, params, v0, f0):
                                f=_const(f0), v_prime=_zero, f_prime=_zero, stream_h=stream_h)
 
 
+def _swirl(kind, p, params, validity, v0, f, f_prime, stream_h):
+    """The alpha = 1 member with constant swirl v == v0 and the given f."""
+    return HomogeneousSolution(kind, 1.0, p, params, validity, v=_const(v0), f=f,
+                               v_prime=_zero, f_prime=f_prime, stream_h=stream_h)
+
+
 def _build_radial_alpha1(params, theta0):
     p = float(params["p"])
     sign = float(params.get("sign", 1.0))
@@ -250,14 +256,8 @@ def _build_tan(params, theta0):
         u = kv * np.asarray(t, dtype=float) + C
         return v0 * (np.log(np.abs(np.cos(u))) - math.log(abs(math.cos(C))))
 
-    return HomogeneousSolution(
-        FamilyKind.TAN, 1.0, p, {"v": v0, "p": p, "C": C}, validity,
-        v=_const(v0),
-        f=f,
-        v_prime=_zero,
-        f_prime=f_prime,
-        stream_h=stream_h,
-    )
+    return _swirl(FamilyKind.TAN, p, {"v": v0, "p": p, "C": C}, validity, v0, f, f_prime,
+                  stream_h)
 
 
 def _build_rational(params, theta0):
@@ -272,18 +272,11 @@ def _build_rational(params, theta0):
     C = float(C)
     validity = _validity_from_poles([-C], theta0)
 
-    def f(t):
-        return -v0 / (np.asarray(t, dtype=float) + C)
-
-    return HomogeneousSolution(
-        FamilyKind.RATIONAL, 1.0, p, {"v": v0, "C": C}, validity,
-        v=_const(v0),
-        f=f,
-        v_prime=_zero,
-        f_prime=lambda t: v0 / (np.asarray(t, dtype=float) + C) ** 2,
-        stream_h=lambda t: v0
-        * (np.log(np.abs(np.asarray(t, dtype=float) + C)) - math.log(abs(C))),
-    )
+    return _swirl(FamilyKind.RATIONAL, p, {"v": v0, "C": C}, validity, v0,
+                  f=lambda t: -v0 / (np.asarray(t, dtype=float) + C),
+                  f_prime=lambda t: v0 / (np.asarray(t, dtype=float) + C) ** 2,
+                  stream_h=lambda t: v0 * (np.log(np.abs(np.asarray(t, dtype=float) + C))
+                                           - math.log(abs(C))))
 
 
 def _build_tanh(params, theta0):
@@ -321,14 +314,8 @@ def _build_tanh(params, theta0):
         t = np.asarray(t, dtype=float)
         return -k * t + v0 * (np.log(np.abs(quotient(t))) - math.log(abs(1.0 + C)))
 
-    return HomogeneousSolution(
-        FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C}, validity,
-        v=_const(v0),
-        f=f,
-        v_prime=_zero,
-        f_prime=f_prime,
-        stream_h=stream_h,
-    )
+    return _swirl(FamilyKind.TANH, p, {"v": v0, "p": p, "C": C}, validity, v0, f, f_prime,
+                  stream_h)
 
 
 def _build_cos_power(params, theta0):

@@ -6,13 +6,14 @@ nodes) and field I/O."""
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import LogPolarGrid
+from .domain import LogPolarGrid, sorted_json
 from .errors import GridError, GridMismatch
 from .exact import HomogeneousSolution
 
@@ -226,23 +227,28 @@ def write_field(field: ScalarField, path: str | Path) -> Path:
         return path
     bin_path = path.with_suffix(".npy")
     np.save(bin_path, np.ascontiguousarray(field.vals))
-    path.with_suffix(".json").write_text(field.grid.to_json())
+    path.with_suffix(".json").write_text(sorted_json(field.grid.metadata()))
     return bin_path
 
 
 def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:
     """Read an export of :func:`write_field` onto ``grid``: a .npy dump,
-    whose JSON sidecar and array shape must describe ``grid``, or else CSV
-    text.  Raises GridMismatch for another grid's export, and GridError
-    naming the path for a CSV file or .npy sidecar that is not UTF-8 text,
-    for a .npy that numpy cannot read or that does not hold a real
-    floating-point array, and for a non-finite value."""
+    whose JSON sidecar must parse to ``grid.metadata()`` (in any JSON
+    layout) and whose array shape must be the grid's, or else CSV text.
+    Raises GridMismatch for another grid's export or a sidecar that is not
+    JSON, and GridError naming the path for a CSV file or .npy sidecar that
+    is not UTF-8 text, for a .npy that numpy cannot read or that does not
+    hold a real floating-point array, and for a non-finite value."""
     path = Path(path)
     if path.suffix != ".npy":
         return field_from_csv(_utf8(path), grid)
     sidecar = path.with_suffix(".json")
-    if _utf8(sidecar) != grid.to_json():
-        raise GridMismatch(f"{sidecar} describes another grid than {grid.to_json()}")
+    try:
+        meta = json.loads(_utf8(sidecar))
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        raise GridMismatch(f"{sidecar} is not a JSON grid description: {exc}") from exc
+    if meta != grid.metadata():
+        raise GridMismatch(f"{sidecar} describes another grid than {grid.metadata()}")
     try:
         vals = np.load(path)
     except (ValueError, EOFError) as exc:  # empty, truncated or pickled

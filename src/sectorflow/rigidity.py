@@ -74,6 +74,7 @@ class GRecovery:
     single_valued_defect is the worst residual of a local quadratic fit
     inside any equal-width z-bin: near zero when the Laplacian is a
     function of the stream value, order the data spread when it is not.
+    scale is max |Laplacian| over the samples plus 1e-300, the scale of the defect.
     """
 
     z_samples: np.ndarray
@@ -81,6 +82,7 @@ class GRecovery:
     single_valued_defect: float
     fits: dict
     fit: dict | None
+    scale: float
 
     def g(self, z):
         return np.interp(np.asarray(z, dtype=float), self.z_samples, self.g_samples)
@@ -156,7 +158,8 @@ def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
     if z.size < 100:
         raise ValueError("need at least 100 interior samples")
     order = np.argsort(z, kind="stable")
-    z, gv = z[order], gv[order]
+    z = z[order]  # one sorted copy at a time, never two beside the unsorted pair
+    gv = gv[order]
     edges = np.linspace(z[0], z[-1], 200 + 1)
     splits = np.searchsorted(z, edges[1:-1])
     means = np.array([(np.mean(zb), np.mean(gb)) for zb, gb in
@@ -182,7 +185,7 @@ def recover_g(psi: ScalarField, lap: ScalarField) -> GRecovery:
     if defect <= 0.05 * scale and fits:
         name = max(fits, key=lambda k: fits[k]["r_squared"])
         best = dict(fits[name], form=name)
-    return GRecovery(z_means, g_means, defect, fits, best)
+    return GRecovery(z_means, g_means, defect, fits, best, scale)
 
 
 # --------------------------------------------------------------------------

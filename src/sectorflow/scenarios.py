@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ast
 import configparser
-import json
 import math
 import operator
 from dataclasses import asdict, dataclass, field as dc_field
@@ -28,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import angular_ode, elliptic, exact, fields, rigidity
-from .domain import MIN_CELLS, LogPolarGrid, SectorDomain, build_grid, make_sector
+from .domain import (MIN_CELLS, LogPolarGrid, SectorDomain, build_grid, make_sector,
+                     sorted_json)
 from .errors import (ConfigError, EmptyOverlap, GridError, GridMismatch, InvalidAngle,
                      InvalidRadii, NoConvergence, PipelineFailure, SectorflowError)
 from .exact import FamilyKind
@@ -264,6 +264,15 @@ def _build_family(family: dict, theta0: float) -> exact.HomogeneousSolution:
 # shared certification block
 
 
+def _closed_form(sol, grid, euler_name, profile_name):
+    """The Euler residual on ``grid`` and the analytic one on the 1000-cell profile, checked at
+    1e-9 and 1e-10 under the given names: (checks, Euler residual, profile, its residual)."""
+    e = exact.euler_residual_closed_form(sol, grid)
+    prof = sol.profile(grid.theta0, 1000)
+    r = sol.closed_form_residual(prof.theta_nodes)
+    return [_check(euler_name, max(e), 1e-9), _check(profile_name, max(r), 1e-10)], e, prof, r
+
+
 def _certify_exact(sol, grid):
     """Checks common to every exact-family scenario, their artifacts, the
     sampled stream and its Laplacian, and the profile: (checks, artifacts,
@@ -272,18 +281,15 @@ def _certify_exact(sol, grid):
     hom = rigidity.homogeneity_fit(u)
     br = rigidity.boundary_report(u, sol.alpha)
     del u  # the velocity is released before the stream and its Laplacian exist
-    e_r, e_t, e_d = exact.euler_residual_closed_form(sol, grid)
-    prof = sol.profile(grid.theta0, 1000)
-    r1, r2 = sol.closed_form_residual(prof.theta_nodes)
+    checks, e, prof, _ = _closed_form(sol, grid, "euler_residual_closed_form",
+                                      "profile_residual_analytic")
     d1, d2 = exact.profile_residual(prof)
     psi = fields.sample_stream(sol, grid)
     lap = fields.laplacian_polar(psi)
     jac = rigidity.jacobian_check(lap, psi)
     h2 = grid.h_theta**2
     mass_tol = 100.0 * h2 * max(1.0, abs(br.c1_hat) + abs(br.c2_hat))
-    checks = [
-        _check("euler_residual_closed_form", max(e_r, e_t, e_d), 1e-9),
-        _check("profile_residual_analytic", max(r1, r2), 1e-10),
+    checks += [
         _check("profile_residual_discrete", max(d1, d2), 1e4 * h2 + 1e-10),
         _check("homogeneity_alpha", abs(hom["alpha_hat"] - sol.alpha), 1e-8),
         _check("jacobian_identity", jac, max(1e-4, 20.0 * h2)),
@@ -295,7 +301,7 @@ def _certify_exact(sol, grid):
     artifacts = {
         "boundary_report": asdict(br),
         "homogeneity": hom,
-        "euler_residual": [e_r, e_t, e_d],
+        "euler_residual": list(e),
     }
     return checks, artifacts, psi, lap, prof
 
@@ -331,13 +337,12 @@ def _solve(scn, grid, gspec, frame, h, out, variance_name):
 
 def _recover_g(psi, lap, bound):
     """g recovered from the stream ``psi`` and its Laplacian ``lap``: (the
-    recovery, its g_single_valued check against ``bound`` times max |lap|,
+    recovery, its g_single_valued check against ``bound`` times max |lap| (rec.scale),
     its report summary)."""
     rec = rigidity.recover_g(psi, lap)
-    scale = float(np.nanmax(np.abs(lap.vals))) + 1e-300
     summary = {"single_valued_defect": rec.single_valued_defect, "fits": rec.fits,
                "fit": rec.fit, "n_bins": len(rec.z_samples)}
-    return rec, _check("g_single_valued", rec.single_valued_defect, bound * scale), summary
+    return rec, _check("g_single_valued", rec.single_valued_defect, bound * rec.scale), summary
 
 
 def _run_thm1i(scn, grid, out):
@@ -464,15 +469,11 @@ _ATLAS = [
 def _run_atlas(scn, grid, out):
     checks = []
     artifacts = {}
-    theta0 = grid.theta0
     for kind_name, params in _ATLAS:
-        sol = exact.construct_exact(FamilyKind(kind_name), params, theta0)
-        e = exact.euler_residual_closed_form(sol, grid)
-        prof = sol.profile(theta0, 1000)
-        r1, r2 = sol.closed_form_residual(prof.theta_nodes)
-        checks.append(_check(f"{kind_name}_euler", max(e), 1e-9))
-        checks.append(_check(f"{kind_name}_profile", max(r1, r2), 1e-10))
-        artifacts[kind_name] = {"euler_residual": list(e), "profile_residual": [r1, r2]}
+        sol = exact.construct_exact(FamilyKind(kind_name), params, grid.theta0)
+        pair, e, prof, r = _closed_form(sol, grid, f"{kind_name}_euler", f"{kind_name}_profile")
+        checks += pair
+        artifacts[kind_name] = {"euler_residual": list(e), "profile_residual": list(r)}
         (out / f"profile_{kind_name}.csv").write_text(prof.to_csv(kind_name, sol.params))
     return checks, {"families": artifacts}
 
@@ -566,20 +567,13 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
         if isinstance(exc, NoConvergence) and exc.report is not None:
             report["solve_report"] = asdict(exc.report)
         report["passed"] = False
-        _write_json(out / "report.json", report)
+        (out / "report.json").write_text(sorted_json(report))
         return 3, report
     report["checks"] = checks
     report["passed"] = all(c["passed"] for c in checks)
     report.update(artifacts)
-    _write_json(out / "report.json", report)
+    (out / "report.json").write_text(sorted_json(report))
     return (0 if report["passed"] else 1), report
-
-
-def _write_json(path: Path, obj: dict):
-    """``obj`` as sorted-key JSON; a numpy scalar or array is written as its
-    Python value or list."""
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2,
-                               default=lambda o: o.tolist()) + "\n")
 
 
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
@@ -615,5 +609,5 @@ def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:
         summary["scenarios"].append({"name": scn.name, "tag": scn.tag, "exit_code": code,
                                      "passed": report.get("passed", False)})
     summary["exit_code"] = worst = max(item["exit_code"] for item in summary["scenarios"])
-    _write_json(out / "summary.json", summary)
+    (out / "summary.json").write_text(sorted_json(summary))
     return worst, summary

@@ -76,7 +76,7 @@ def test_profile_bytes_match_row_loop(params, n):
 
 @pytest.mark.parametrize("n", [14, 4097])
 def test_g_scatter_bytes_match_row_loop(n):
-    rec = GRecovery(_edge_column(n, 4), _edge_column(n, 5), 0.0, {}, None)
+    rec = GRecovery(_edge_column(n, 4), _edge_column(n, 5), 0.0, {}, None, 1.0)
     assert rec.to_csv() == _scatter_oracle(rec)
 
 

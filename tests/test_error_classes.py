@@ -89,7 +89,7 @@ def test_degenerate_field(zero_row):
     ],
 )
 def test_insufficient_overlap(z, frame):
-    rec = GRecovery(z, -np.exp(-2.0 * z), 0.0, {}, None)
+    rec = GRecovery(z, -np.exp(-2.0 * z), 0.0, {}, None, 1.0)
     with pytest.raises(InsufficientOverlap):
         g_functional_check(rec, frame.alpha, frame.c)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -10,7 +11,7 @@ from sectorflow import (
     field_to_csv,
     laplacian_polar,
 )
-from sectorflow.domain import LogPolarGrid
+from sectorflow.domain import LogPolarGrid, sorted_json
 from sectorflow.errors import GridError, GridMismatch
 from sectorflow.fields import field_from_csv, read_field, write_field
 
@@ -148,7 +149,7 @@ class TestReadField:
         path = write_field(ScalarField(grid, vals), tmp_path / "psi.npy")
         assert path == tmp_path / "psi.npy"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.json", "psi.npy"]
-        assert (tmp_path / "psi.json").read_text() == grid.to_json()
+        assert (tmp_path / "psi.json").read_text() == sorted_json(grid.metadata())
         dump = path.read_bytes()
         assert dump.startswith(b"\x93NUMPY") and b"s,theta,value" not in dump
         back = read_field(path, grid)
@@ -156,7 +157,7 @@ class TestReadField:
 
     def _dump(self, tmp_path, grid, vals):
         np.save(tmp_path / "psi.npy", vals)
-        (tmp_path / "psi.json").write_text(grid.to_json())
+        (tmp_path / "psi.json").write_text(sorted_json(grid.metadata()))
         return tmp_path / "psi.npy"
 
     def test_sidecar_of_another_grid_rejected(self, tmp_path):
@@ -165,6 +166,43 @@ class TestReadField:
         other = LogPolarGrid(0.0, 1.0, 10, 8, 1.0)
         with pytest.raises(GridMismatch, match="another grid"):
             read_field(path, other)
+
+    def test_compact_sidecar_reads_back(self, tmp_path):
+        """A sidecar in the compact one-line layout that write_field wrote
+        before reports and sidecars shared one serializer still reads: the
+        sidecar is checked by value, not by its bytes."""
+        grid = LogPolarGrid(0.0, math.log(2), 8, 10, 1.0)
+        vals = np.random.default_rng(2).standard_normal(grid.shape)
+        path = self._dump(tmp_path, grid, vals)
+        (tmp_path / "psi.json").write_text(json.dumps(grid.metadata(), sort_keys=True))
+        back = read_field(path, grid)
+        np.testing.assert_array_equal(back.vals.view(np.int64), vals.view(np.int64))
+
+    @pytest.mark.parametrize("spoil", [
+        lambda meta: meta.update(n_s=meta["n_s"] + 1),
+        lambda meta: meta.update(s_max=math.nextafter(meta["s_max"], math.inf)),
+        lambda meta: meta.update(theta0=str(meta["theta0"])),
+        lambda meta: meta.update(a=1.0),
+        lambda meta: meta.pop("s_min"),
+    ], ids=["n_s", "s_max-one-ulp", "theta0-as-text", "extra-key", "missing-key"])
+    def test_sidecar_with_another_value_or_key_rejected(self, tmp_path, spoil):
+        grid = LogPolarGrid(0.0, math.log(2), 8, 10, 1.0)
+        path = self._dump(tmp_path, grid, _theta_field(grid).vals)
+        meta = grid.metadata()
+        spoil(meta)
+        (tmp_path / "psi.json").write_text(sorted_json(meta))
+        with pytest.raises(GridMismatch, match="another grid"):
+            read_field(path, grid)
+
+    @pytest.mark.parametrize("text", ["", "n_s = 8\n", '{"n_s": 8,', "s_min\u00e9",
+                                      "[" * 100_000 + "]" * 100_000],
+                             ids=["empty", "ini", "truncated", "non-ascii", "nested-too-deep"])
+    def test_sidecar_that_is_not_json_rejected(self, tmp_path, text):
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
+        path = self._dump(tmp_path, grid, _theta_field(grid).vals)
+        (tmp_path / "psi.json").write_text(text, encoding="utf-8")
+        with pytest.raises(GridMismatch, match="is not a JSON grid description"):
+            read_field(path, grid)
 
     def test_missing_sidecar_is_os_error(self, tmp_path):
         grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)

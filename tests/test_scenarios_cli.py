@@ -13,10 +13,10 @@ import pytest
 from sectorflow import FamilyKind, ScalarField, construct_exact, field_to_csv, sample_stream
 from sectorflow import fields
 from sectorflow.cli import main
-from sectorflow.domain import LogPolarGrid
+from sectorflow.domain import LogPolarGrid, sorted_json
 from sectorflow.errors import ConfigError
 from sectorflow.scenarios import parse_config, run_batch, run_scenario
-from sectorflow.scenarios import TAGS, _num, _write_json
+from sectorflow.scenarios import TAGS, _num
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = CONFIGS.parent / "src"
@@ -209,7 +209,7 @@ class TestCli:
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)
         sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
         np.save(tmp_path / "stream.npy", sample_stream(sol, grid).vals)
-        (tmp_path / "stream.json").write_text(grid.to_json())
+        (tmp_path / "stream.json").write_text(sorted_json(grid.metadata()))
         text = (CONFIGS / "verify.ini").read_text().replace(
             "psi_csv = stream.csv", f"psi_csv = {tmp_path / 'stream.npy'}")
         cfg = _write(tmp_path, "verify.ini", text)
@@ -510,15 +510,23 @@ class TestConfigMistakes:
     def test_verify_npy_of_another_grid_exits_2(self, tmp_path, capsys):
         other = LogPolarGrid(0.0, math.log(2), 64, 64, 0.5)
         np.save(tmp_path / "stream.npy", np.ones(other.shape))
-        (tmp_path / "stream.json").write_text(other.to_json())
+        (tmp_path / "stream.json").write_text(sorted_json(other.metadata()))
         code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
         assert code == 2 and not (out / "report.json").exists()
         assert "describes another grid" in captured.err
 
+    def test_verify_npy_with_a_sidecar_not_json_exits_2(self, tmp_path, capsys):
+        grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)  # the verify.ini grid
+        np.save(tmp_path / "stream.npy", np.ones(grid.shape))
+        (tmp_path / "stream.json").write_text("n_s = 64\n", encoding="utf-8")
+        code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
+        assert code == 2 and not (out / "report.json").exists()
+        assert "is not a JSON grid description" in captured.err
+
     def test_verify_npy_of_another_shape_exits_2(self, tmp_path, capsys):
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)  # the verify.ini grid
         np.save(tmp_path / "stream.npy", np.ones((10, 10)))
-        (tmp_path / "stream.json").write_text(grid.to_json())
+        (tmp_path / "stream.json").write_text(sorted_json(grid.metadata()))
         code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
         assert code == 2 and not (out / "report.json").exists()
         assert "(10, 10) array" in captured.err
@@ -526,7 +534,7 @@ class TestConfigMistakes:
     def test_verify_empty_npy_is_a_grid_error(self, tmp_path, capsys):
         grid = LogPolarGrid(0.0, math.log(2), 64, 64, 1.0)  # the verify.ini grid
         (tmp_path / "stream.npy").write_bytes(b"")
-        (tmp_path / "stream.json").write_text(grid.to_json())
+        (tmp_path / "stream.json").write_text(sorted_json(grid.metadata()))
         code, out, captured = self._verify(tmp_path, tmp_path / "stream.npy", capsys)
         report = json.loads((out / "report.json").read_text())
         assert code == 3 and report["error"].startswith("GridError: ")
@@ -746,12 +754,12 @@ def test_rigidity_solve_samples_the_stream_once_from_256_cells(tmp_path, monkeyp
     assert calls == [64, 256, 256]
 
 
-def test_report_writer_takes_numpy_values(tmp_path):
-    """The report writer writes a numpy scalar or array as its Python value."""
-    _write_json(tmp_path / "r.json", {"f": np.float64(0.1), "g": np.float32(0.5),
-                                      "i": np.int64(3), "b": np.bool_(True),
-                                      "a": np.arange(2.0), "m": np.eye(2, dtype=int)})
-    assert (tmp_path / "r.json").read_text() == json.dumps(
+def test_report_writer_takes_numpy_values():
+    """The JSON serializer writes a numpy scalar or array as its Python value."""
+    text = sorted_json({"f": np.float64(0.1), "g": np.float32(0.5),
+                        "i": np.int64(3), "b": np.bool_(True),
+                        "a": np.arange(2.0), "m": np.eye(2, dtype=int)})
+    assert text == json.dumps(
         {"a": [0.0, 1.0], "b": True, "f": 0.1, "g": 0.5, "i": 3, "m": [[1, 0], [0, 1]]},
         sort_keys=True, indent=2) + "\n"
 

@@ -31,7 +31,7 @@ import pytest
 
 from sectorflow import FamilyKind, construct_exact, field_to_csv, sample_stream
 from sectorflow.cli import main
-from sectorflow.domain import LogPolarGrid
+from sectorflow.domain import LogPolarGrid, sorted_json
 from sectorflow.scenarios import TAGS, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -93,16 +93,36 @@ def _differences(pinned: dict, runs: dict) -> list[str]:
     return diffs
 
 
-def test_shipped_outputs_match_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """(work directory, runs) of one shipped_runs pass shared by this module."""
+    work = tmp_path_factory.mktemp("shipped")
+    return work, shipped_runs(work)
+
+
+def test_shipped_outputs_match_the_manifest(shipped):
     manifest = json.loads(MANIFEST.read_text())
     pinned_env = {key: manifest[key] for key in _environment()}
     assert pinned_env == _environment(), (
         f"the manifest was written with numpy {pinned_env['numpy']} on "
         f"{pinned_env['platform']}; this is numpy {np.__version__} on "
         f"{_environment()['platform']}: rewrite it here and check its diff")
-    diffs = _differences(manifest["runs"], shipped_runs(tmp_path))
+    diffs = _differences(manifest["runs"], shipped[1])
     if diffs:
         pytest.fail("outputs differ from tests/shipped_digests.json:\n" + "\n".join(diffs))
+
+
+def test_every_shipped_json_file_is_in_the_one_format(shipped):
+    """Reports, batch summaries and .npy grid sidecars all come from one
+    serializer: each .json file a shipped config writes is sorted_json of
+    its own parsed content."""
+    work, runs = shipped
+    written = sorted(work.rglob("*.json"))
+    names = {p.name for p in written}
+    assert {"report.json", "summary.json", "solution.json"} <= names
+    for path in written:
+        text = path.read_text()
+        assert text == sorted_json(json.loads(text)), path.relative_to(work)
 
 
 if __name__ == "__main__":

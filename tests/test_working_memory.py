@@ -421,18 +421,20 @@ def test_homogeneity_fit_holds_at_most_one_grid():
 @pytest.mark.parametrize("n", [256, 384])
 def test_recover_g_peaks_at_its_sort(n):
     """The peak is the sort: the mask (1 byte a node), the masked stream and
-    Laplacian, the stable argsort's int64 order and the sorted copies formed
-    while the rest live, five arrays of the (n - 1)^2 interior samples, 5.05
-    grids at 257^2.  After it, the sorted pair and the order (3 interior
-    arrays) stay while the bin fits run in blocks of whole bins, a sixteenth
-    of the samples and a bin each: a few such arrays, 0.4 grids at 257^2,
-    under the sort's peak; fits over all samples at once peak at 7.1 grids.
-    The bins' views and means are under 64 kB."""
+    Laplacian, the stable argsort's int64 order and one sorted copy, formed
+    while the unsorted one it replaces lives, four arrays of the (n - 1)^2
+    interior samples, 4.09 grids at 257^2 and 385^2 (both sorted copies
+    formed beside the unsorted pair made five, 5.05 and 5.07 grids).  After it, the
+    sorted pair and the order (3 interior arrays) stay while the bin fits
+    run in blocks of whole bins, a sixteenth of the samples and a bin each:
+    a few such arrays, 0.4 grids at 257^2, under the sort's peak; fits over
+    all samples at once peak at 7.1 grids.  The bins' views and means are
+    under 64 kB."""
     grid = _family_grid(n)
     psi = sample_stream(construct_exact(*_FAMILIES[0], 1.0), grid)
     lap = laplacian_polar(psi)
     recover_g(psi, lap)  # a first call may import numpy submodules, which tracemalloc counts
-    bound = 5 * 8 * (n - 1) ** 2 + (n + 1) ** 2 + (64 << 10)
+    bound = 4 * 8 * (n - 1) ** 2 + (n + 1) ** 2 + (64 << 10)
     assert _peak_above_entry(recover_g, psi, lap) <= bound
 
 
