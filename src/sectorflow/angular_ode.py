@@ -61,12 +61,12 @@ def _pole_estimate(ts, f):
 
 def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResult]:
     """March RK4 over every member (row of ``y0``) to theta_span[1], whose
-    node the rounded step count lands on, or until every member is cut
-    (looked at every 256 steps).  Members are independent, so each is cut
-    after the march at its first state with an |entry| outside
-    [lo, hi] (NaN fails both): below ``lo`` is a swirl-floor hit, else a
-    blow-up; one cut at the first step keeps y0 as its second node.
-    ``profile(nodes, rows)`` builds a member's AngularProfile."""
+    node the rounded step count lands on, or until every member is cut.
+    Every 256 steps, and at the last, the rows marched since the last look
+    are looked at: a member not yet cut is cut at its first state with an
+    |entry| outside [lo, hi] (NaN fails both), below ``lo`` a swirl-floor
+    hit, else a blow-up; one cut at the first step keeps y0 as its second
+    node.  ``profile(nodes, rows)`` builds a member's AngularProfile."""
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     if not t1 > t0:
         raise ValueError("theta_span must be increasing")
@@ -74,8 +74,8 @@ def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResul
     h = (t1 - t0) / n
     path = np.empty((n + 1, *np.shape(y0)))
     path[0] = y0
-    outside = lambda rows: ~((lo <= rows) & (rows <= hi)).all(axis=2)
-    stopped = np.zeros(len(path[0]), dtype=bool)
+    cut = np.full(len(path[0]), n)  # each member's node before its first state outside; n: none
+    floor = np.zeros(len(cut), dtype=bool)  # that state fell below lo
     with np.errstate(all="ignore"):  # a member past its cut may overflow
         for i in range(n):
             y = path[i]
@@ -84,14 +84,16 @@ def _march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F) -> list[OdeResul
             k3 = rhs(y + h / 2 * k2)
             k4 = rhs(y + h * k3)
             np.add(y, (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=path[i + 1])
-            if (i + 1) % 256 == 0:  # every 256 steps: stop once every member is cut
-                stopped |= outside(np.abs(path[i - 254:i + 2])).any(axis=0)
-                if stopped.all():
+            if (i + 1) % 256 == 0 or i + 1 == n:
+                start = i - i % 256 + 1  # the first row after the last look
+                a = np.abs(path[start:i + 2])
+                bad = ~((lo <= a) & (a <= hi)).all(axis=2) & (cut == n)
+                new = np.flatnonzero(bad.any(axis=0))
+                first = bad[:, new].argmax(axis=0)
+                cut[new] = start - 1 + first
+                floor[new] = (a[first, new] < lo).any(axis=1)
+                if (cut < n).all():
                     break
-    a = np.abs(path[1:i + 2])  # the rows marched
-    bad = outside(a)
-    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
-    floor = (cut < n) & (a[np.minimum(cut, len(a) - 1), np.arange(len(cut))] < lo).any(axis=1)
     path[1, cut == 0] = path[0, cut == 0]
     nodes = t0 + np.arange(n + 1) * h
     results = []
@@ -121,7 +123,8 @@ def shoot_alpha1(
         raise ZeroSwirl("alpha=1 profile equation needs c != 0")
     const = c * c + 2.0 * p
     f0 = np.asarray(f0_grid, dtype=float)[:, None]
-    return _march(lambda t, f: AngularProfile(1.0, p, t, np.full(len(t), float(c)), f[:, 0]),
+    swirl = lambda t: np.broadcast_to(float(c), len(t))  # read-only views of c, no array
+    return _march(lambda t, f: AngularProfile(1.0, p, t, swirl(t), f[:, 0]),
                   lambda f: (f * f + const) / c, f0, theta_span, cfg)
 
 

@@ -348,15 +348,16 @@ def solve_semilinear(grid: LogPolarGrid, gspec: GSpec, frame: Frame, boundary_h,
 
         # R is negated in place: the step's right-hand side, not read after it
         delta, its, ok = _krylov_step(jvp, np.negative(R, out=R), precond)
+        del R, nonlinear, precond, jvp  # the line search holds no Krylov state
         krylov_its.append(its)
         krylov_ok.append(ok)
         lam = 1.0
         while True:
             trial = U + lam * delta
-            R_trial = residual(trial)
-            trial_norm = float(np.max(np.abs(R_trial)))
+            R = residual(trial)  # the trial's residual, the next step's once accepted
+            trial_norm = float(np.max(np.abs(R)))
             if trial_norm < res_norm or trial_norm <= tol:
-                U, R, res_norm = trial, R_trial, trial_norm
+                U, res_norm = trial, trial_norm
                 break
             lam *= 0.5
             if lam < DAMPING_FLOOR:

@@ -288,13 +288,12 @@ def _build_tanh(params, theta0):
     disc = v0 * v0 + 2.0 * p
     if disc >= 0.0:
         raise ParameterDomain("exponential-quotient branch needs v^2 + 2p < 0")
-    if C == 0.0:
-        raise ParameterDomain("C must be nonzero (C -> +-inf gives the constant branch)")
     k = math.sqrt(-disc)
     m = 2.0 * k / v0
-    if math.isinf(C):
-        # constant branch f == -k, the C -> +-inf limit of the quotient
-        return _constant(FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C}, v0, -k)
+    if C == 0.0 or math.isinf(C):
+        # the constant roots of f^2 = k^2: f == k at C = 0, f == -k in the C -> +-inf limit
+        f0 = k if C == 0.0 else -k
+        return _constant(FamilyKind.TANH, 1.0, p, {"v": v0, "p": p, "C": C}, v0, f0)
     poles = []
     if C < 0.0:
         poles.append(math.log(-1.0 / C) / m)

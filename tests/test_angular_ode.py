@@ -16,6 +16,7 @@ from sectorflow import (
 )
 from sectorflow.angular_ode import MAX_F, OdeResult, _pole_estimate, classify_periodic
 from sectorflow.errors import ParameterDomain, SingularSwirl, ZeroSwirl
+from sectorflow.exact import AngularProfile
 from sectorflow.scenarios import parse_config, run_scenario
 
 
@@ -452,6 +453,18 @@ def test_march_stops_once_every_member_is_cut(monkeypatch, integrate, args, cut,
     """The march looks every 256 steps and stops once every member is cut:
     each result equals the full march's bit for bit, and only a shoot whose
     every member is cut takes fewer steps."""
+    got, want, calls = _march_and_full_march(monkeypatch, integrate, args)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert {"all": all, "some": any, "none": lambda c: not any(c)}[cut](
+        [r.blew_up or r.hit_swirl_floor for r in got])
+    n = round((args[-1][1] - args[-1][0]) / OdeConfig().step)
+    assert (calls // 4 < n) == early and calls % 4 == 0
+
+
+def _march_and_full_march(monkeypatch, integrate, args):
+    """``integrate(*args)`` through the march and through _full_march, each as
+    a list of results, and the right-hand-side calls the march made (four a
+    step)."""
     from sectorflow import angular_ode
 
     steps, march = [], angular_ode._march
@@ -467,8 +480,51 @@ def test_march_stops_once_every_member_is_cut(monkeypatch, integrate, args, cut,
     monkeypatch.setattr(angular_ode, "_march", _full_march)
     want = integrate(*args)
     got, want = (got, want) if isinstance(got, list) else ([got], [want])
+    return got, want, len(steps)
+
+
+def _ramp(y0, span, hi):
+    """Members y' = 1 from ``y0`` at step 2^-10, where every sum is exact, cut
+    above ``hi``."""
+    from sectorflow import angular_ode
+
+    return angular_ode._march(lambda t, y: AngularProfile(1.0, 0.0, t, np.ones(len(t)), y[:, 0]),
+                              np.ones_like, np.array(y0)[:, None], span,
+                              OdeConfig(step=2.0**-10), hi=hi)
+
+
+def _nodes_kept(results):
+    return [len(r.profile.theta_nodes) - 1 for r in results]
+
+
+@pytest.mark.parametrize("integrate, args, steps, shows", [
+    # 200 steps: the one look is at the last step, and finds the early blow-up
+    (shoot_alpha1, (1.0, -1.0, MIXED_GRID, (0.0, 0.2)), 200,
+     lambda rs: _nodes_kept(rs)[-1] == 50 and not any(r.blew_up for r in rs[:-1])),
+    (shoot_alpha1, (1.0, 0.5, [20.0, 50.0], (0.0, 0.2)), 200,
+     lambda rs: _nodes_kept(rs) == [50, 20]),
+    # 512 steps: the last look is a full window, and no tail is left
+    (shoot_alpha1, (1.0, -1.0, MIXED_GRID, (0.0, 0.512)), 512,
+     lambda rs: _nodes_kept(rs)[-2:] == [347, 50] and sum(r.blew_up for r in rs) == 2),
+    (shoot_alpha1, (1.0, 0.5, [0.3, 0.45, 0.6], (0.0, 1.024)), 1024,
+     lambda rs: _nodes_kept(rs) == [963, 893, 827]),
+    # the first member's first state outside is row 257, the first of the
+    # second window; the second's is row 256, the last of the first
+    (_ramp, ([0.0, 2.0**-10], (0.0, 600 * 2.0**-10), 256.5 * 2.0**-10), 512,
+     lambda rs: _nodes_kept(rs) == [256, 255] and all(r.blew_up for r in rs)),
+    # every member is out at the first step: y0 is kept as the second node
+    (shoot_alpha1, (1.0, -1.0, [2.5e8, -np.inf], (0.0, 2 * math.pi)), 256,
+     lambda rs: [list(r.profile.f_vals) for r in rs] == [[2.5e8] * 2, [-np.inf] * 2]),
+    # the swirl floor at row 400, after the last full window: the tail look's
+    (integrate_general, (2.0, -0.5, math.sin(0.4), -math.cos(0.4), (0.0, 0.45)), 450,
+     lambda rs: rs[0].hit_swirl_floor and rs[0].floor_theta == 0.399),
+], ids=["under-256-some-cut", "under-256-all-cut", "multiple-of-256", "multiple-of-256-all-cut",
+        "window-first-row", "cut-at-first-step", "general-floor-in-the-tail"])
+def test_window_edges_match_the_full_march(monkeypatch, integrate, args, steps, shows):
+    """The looks' bookkeeping at its edges: each result equals the full
+    march's bit for bit, and the march takes the RK4 steps up to the look
+    that cuts its last member, or every step."""
+    got, want, calls = _march_and_full_march(monkeypatch, integrate, args)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
-    assert {"all": all, "some": any, "none": lambda c: not any(c)}[cut](
-        [r.blew_up or r.hit_swirl_floor for r in got])
-    n = round((args[-1][1] - args[-1][0]) / OdeConfig().step)
-    assert (len(steps) // 4 < n) == early and len(steps) % 4 == 0
+    assert calls == 4 * steps
+    assert shows(got)

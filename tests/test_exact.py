@@ -78,8 +78,6 @@ class TestConstruction:
         with pytest.raises(ParameterDomain):
             construct_exact(FamilyKind.TANH, {"v": 1.0, "p": 0.5, "C": 1.0}, 1.0)
         with pytest.raises(ParameterDomain):
-            construct_exact(FamilyKind.TANH, {"v": 1.0, "p": -1.0, "C": 0.0}, 1.0)
-        with pytest.raises(ParameterDomain):
             construct_exact(FamilyKind.COS_POWER, {"alpha": 1.0, "C1": 1, "C2": 0}, 1.0)
         with pytest.raises(ParameterDomain):
             construct_exact(FamilyKind.SIN, {"alpha": 2.0, "p": 0.5, "C": 0.0}, 1.0)
@@ -143,6 +141,8 @@ CONSTANT_MEMBERS = [
     (FamilyKind.RADIAL_ALPHA1, {"p": -0.5, "sign": -1.0}, 0.0, -1.0,
      [-0.5, -0.0, 0.0, 0.25, 1.0]),
     (FamilyKind.RATIONAL, {"v": 1.5, "C": None}, 1.5, 0.0, [0.0, 0.0, 0.0, 0.0, 0.0]),
+    (FamilyKind.TANH, {"v": 2.0, "p": -4.0, "C": 0.0}, 2.0, 2.0,
+     [1.0, 0.0, -0.0, -0.5, -2.0]),
     (FamilyKind.TANH, {"v": 2.0, "p": -4.0, "C": math.inf}, 2.0, -2.0,
      [-1.0, -0.0, 0.0, 0.5, 2.0]),
     (FamilyKind.TANH, {"v": 2.0, "p": -4.0, "C": -math.inf}, 2.0, -2.0,
@@ -151,7 +151,7 @@ CONSTANT_MEMBERS = [
     (FamilyKind.PURE_ROTATION, {"alpha": 2.0, "c": 3.0}, 3.0, 0.0,
      [-3.0, -3.0, -3.0, -3.0, -3.0]),
 ]
-CONSTANT_IDS = ["radial+", "radial-", "rational-C-None", "tanh-C+inf", "tanh-C-inf",
+CONSTANT_IDS = ["radial+", "radial-", "rational-C-None", "tanh-C-0", "tanh-C+inf", "tanh-C-inf",
                 "pure_rotation-alpha-1", "pure_rotation-alpha-2"]
 
 
@@ -166,6 +166,7 @@ class TestConstantMembers:
             vals = got(CONST_THETA)
             assert vals.dtype == np.float64 and np.all(vals == want)
             np.testing.assert_array_equal(np.signbit(vals), np.signbit(want))
+        assert sol.closed_form_residual(CONST_THETA) == (0.0, 0.0)
 
     @pytest.mark.parametrize("kind,params,v0,f0,h", CONSTANT_MEMBERS, ids=CONSTANT_IDS)
     def test_stream_rule(self, kind, params, v0, f0, h):

@@ -241,6 +241,18 @@ class TestCli:
         spot = [c for c in report["checks"] if c["name"] == "sec_spot_value"]
         assert code == 0 and spot and spot[0]["passed"], report
 
+    def test_slide_theta_profile(self, tmp_path):
+        # theta(t + tau xi2) - theta(t) is tau xi2 on every node, up to roundoff;
+        # the sec spot check belongs to the sec profile alone
+        cfg = _write(tmp_path, "slide.ini", "[scenario]\nname = slide\ntag = Slide\n[slide]\n"
+                     "profile = theta\nn = 16\nxi1 = 1\nxi2 = 1\ntaus = 0.1,0.5\n")
+        out = tmp_path / "out"
+        assert main(["slide", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        spot = [e for e in report["sliding"]["per_tau"] if e["tau"] == 0.1][0]
+        assert abs(spot["min_w"] - 0.1 * 1.0) <= 1e-12
+        assert "sec_spot_value" not in [c["name"] for c in report["checks"]]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, tmp_path):
