@@ -210,25 +210,18 @@ def _malformed(text: str, exc: ValueError) -> GridError:
     return GridError(f"malformed field CSV: {exc}")
 
 
-#: node count beyond which exports switch to binary + JSON sidecar
-BINARY_EXPORT_NODES = 512 * 512
-
-
 def write_field(field: ScalarField, path: str | Path) -> Path:
-    """Write ``field`` for :func:`read_field`: the row-major binary dump plus
-    a .json grid sidecar for a .npy path, or any path from BINARY_EXPORT_NODES
-    nodes on, else CSV text.  Returns the path written (a dump's is .npy).
-    """
+    """Write ``field`` for :func:`read_field`, in the format the suffix of
+    ``path`` names: the row-major binary dump plus a .json grid sidecar for
+    a .npy path, else CSV text.  Returns ``path``."""
     path = Path(path)
-    n_nodes = field.grid.shape[0] * field.grid.shape[1]
-    if path.suffix != ".npy" and n_nodes < BINARY_EXPORT_NODES:
+    if path.suffix != ".npy":
         with path.open("w") as file:
             file.writelines(_csv_lines(field))
         return path
-    bin_path = path.with_suffix(".npy")
-    np.save(bin_path, np.ascontiguousarray(field.vals))
+    np.save(path, np.ascontiguousarray(field.vals))
     path.with_suffix(".json").write_text(sorted_json(field.grid.metadata()))
-    return bin_path
+    return path
 
 
 def read_field(path: str | Path, grid: LogPolarGrid) -> ScalarField:

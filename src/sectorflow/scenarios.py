@@ -3,14 +3,14 @@ and deterministic report emission.
 
 A scenario names a theorem tag, a domain/grid, family or boundary data,
 and tolerances.  Running it executes the tag's pipeline (construct or
-solve, transform, certify), writes a JSON report plus field dumps, and
+solve, transform, certify), writes its files and a JSON report, and
 returns exit status 0 only if every check for the tag passes.
 
 A tag is one :data:`TAGS` entry: its pipeline, the CLI subcommand that
 runs it, its default domain and family, and the config keys it cannot run
 without.  :func:`parse_config` parses and checks every config value, from
 the one :data:`_KEYS` table, and builds the domain and grid; the pipelines
-only compute.
+only compute, and :func:`run_scenario` writes every file a run produces.
 """
 
 from __future__ import annotations
@@ -175,9 +175,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TagSpec:
-    """What a scenario tag is: its pipeline, the CLI subcommand that runs
-    it, its default (a, b, theta0) and [family], whether it must run on the
-    annulus a = 1, b = 2, and the (section, key) pairs it cannot run without."""
+    """What a scenario tag is: its pipeline (from the Scenario to its checks,
+    report artifacts and files, each file name with its text or field), the
+    CLI subcommand that runs it, its default (a, b, theta0) and [family],
+    whether it must run on the annulus a = 1, b = 2, and the (section, key)
+    pairs it cannot run without."""
 
     pipeline: Callable
     subcommand: str
@@ -318,21 +320,21 @@ def _recovery_grid(grid):
     return LogPolarGrid(grid.s_min, grid.s_max, n_s, n_t, grid.theta0)
 
 
-def _solve(scn, grid, gspec, frame, h, out, variance_name):
+def _solve(scn, gspec, frame, h, variance_name):
     """Newton solve, periodic in s, from the seeded perturbed start, under
-    the [solver] settings; the stream psi mapped back from the working-frame
-    Psi is written to solution.npy.  Returns the report and two checks on
-    Psi: its s-variance, named ``variance_name``, and max |Psi - h(theta)|
-    over the mesh against 5 h^2 (h the larger step)."""
-    solver = scn.solver
+    the [solver] settings.  Returns the report, two checks on Psi: its
+    s-variance, named ``variance_name``, and max |Psi - h(theta)| over the
+    mesh against 5 h^2 (h the larger step), and the files: solution.npy,
+    the stream psi mapped back from the working-frame Psi."""
+    grid, solver = scn.grid, scn.solver
     init = elliptic.default_initial_guess(grid, h, amplitude=solver["perturbation"],
                                           seed=solver["seed"])
     Psi, rep = elliptic.solve_semilinear(grid, gspec, frame, h, init=init, tol=solver["tol"])
-    psi = elliptic.from_working(grid.s_nodes[:, None], Psi.vals, frame)
-    fields.write_field(fields.ScalarField(grid, psi), out / "solution.npy")
+    psi = fields.ScalarField(grid, elliptic.from_working(grid.s_nodes[:, None], Psi.vals, frame))
     err = float(np.max(np.abs(Psi.vals - h(grid.theta_nodes))))
-    return rep, [_check(variance_name, rep.s_variance, max(solver["tol"], 1e-6)),
-                 _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)]
+    return (rep, [_check(variance_name, rep.s_variance, max(solver["tol"], 1e-6)),
+                  _check("profile_error", err, 5.0 * max(grid.h_s, grid.h_theta) ** 2)],
+            {"solution.npy": psi})
 
 
 def _recover_g(psi, lap, bound):
@@ -345,11 +347,11 @@ def _recover_g(psi, lap, bound):
     return rec, _check("g_single_valued", rec.single_valued_defect, bound * rec.scale), summary
 
 
-def _run_thm1i(scn, grid, out):
-    h = lambda th: scn.solver["b"] * th / grid.theta0
-    rep, checks = _solve(scn, grid, elliptic.ZeroG(), elliptic.Frame(1.0), h, out, "s_variance")
+def _run_thm1i(scn):
+    h = lambda th: scn.solver["b"] * th / scn.grid.theta0
+    rep, checks, files = _solve(scn, elliptic.ZeroG(), elliptic.Frame(1.0), h, "s_variance")
     checks.insert(0, _check("converged", 0 if rep.converged else 1, 0))
-    return checks, {"solve_report": asdict(rep)}
+    return checks, {"solve_report": asdict(rep)}, files
 
 
 def _exp_case(sol, fit, boundary):
@@ -379,9 +381,10 @@ def _power_case(sol, fit, boundary):
     return checks, elliptic.PowerForm(C, q), elliptic.Frame(alpha)
 
 
-def _run_rigidity_solve(scn, grid, out, case):
+def _run_rigidity_solve(scn, case):
     """Certify the family, recover g from its stream, then re-solve the
     semilinear problem from a perturbed start with the case's g-spec."""
+    grid = scn.grid
     sol = _build_family(scn.family, grid.theta0)
     checks, artifacts, psi, lap, _ = _certify_exact(sol, grid)
     if _recovery_grid(grid) is not grid:
@@ -397,11 +400,9 @@ def _run_rigidity_solve(scn, grid, out, case):
                rigidity.g_functional_check(rec, frame.alpha, frame.c), 1e-3),
     ]
     # an s-free Psi passes solve_s_variance under a wrong K or C too
-    rep, solve_checks = _solve(scn, grid, gspec, frame, sol.stream_h, out, "solve_s_variance")
+    rep, solve_checks, files = _solve(scn, gspec, frame, sol.stream_h, "solve_s_variance")
     artifacts["solve_report"] = asdict(rep)
-    # written only once the solve returns: a failed solve leaves no scatter
-    (out / "g_scatter.csv").write_text(rec.to_csv())
-    return checks + solve_checks, artifacts
+    return checks + solve_checks, artifacts, {**files, "g_scatter.csv": rec.to_csv()}
 
 
 def _rotation_checks(psi, artifacts):
@@ -420,29 +421,29 @@ def _truncation_gap(psi, artifacts):
     return []
 
 
-def _run_family_certification(scn, grid, out, extra=lambda psi, artifacts: []):
+def _run_family_certification(scn, extra=lambda psi, artifacts: []):
     """Generic pipeline: construct the configured family and certify it.
     ``extra`` returns the tag's own checks and may add artifacts."""
+    grid = scn.grid
     sol = _build_family(scn.family, grid.theta0)
     checks, artifacts, psi, _, prof = _certify_exact(sol, grid)
     checks += extra(psi, artifacts)
-    (out / "profile.csv").write_text(prof.to_csv(sol.kind.value, sol.params))
-    fields.write_field(psi, out / "stream.csv")
-    return checks, artifacts
+    stream = "stream.npy" if grid.shape[0] * grid.shape[1] >= 512 * 512 else "stream.csv"
+    return checks, artifacts, {"profile.csv": prof.to_csv(sol.kind.value, sol.params),
+                               stream: psi}
 
 
-def _run_cor1(scn, grid, out):
+def _run_cor1(scn):
     c, p, step = scn.ode["c"], scn.ode["p"], scn.ode["step"]
     f0 = np.linspace(scn.ode["f0_min"], scn.ode["f0_max"], scn.ode["f0_count"])
     shots = angular_ode.shoot_alpha1(c, p, f0, (0.0, 2 * math.pi),
                                      angular_ode.OdeConfig(step=step))
     rep = angular_ode.classify_periodic(c, p, shots)
-    expected = 2 if c * c + 2.0 * p < 0 else 0
-    non_periodic_ok = all(
-        m.get("defect", np.inf) > 1e-3 or "blowup_theta" in m
-        for m in rep["members"]
-        if not m["is_periodic"]
-    )
+    # the closed form's periodic members: the constants f0 = +-sqrt(-(c^2 + 2p))
+    expected = int(np.sum(np.abs(f0 * f0 + (c * c + 2.0 * p)) < angular_ode.PERIODIC_TOL))
+    # a blown-up member has no defect
+    non_periodic_ok = all(m.get("defect", np.inf) > 1e-3
+                          for m in rep["members"] if not m["is_periodic"])
     checks = [
         _check("n_periodic", abs(rep["n_periodic"] - expected), 0),
         _check("periodic_members_constant",
@@ -452,7 +453,7 @@ def _run_cor1(scn, grid, out):
     w_res = [angular_ode.w_equation_residual(r.profile, c) for r in shots if not r.blew_up]
     if w_res:
         checks.append(_check("w_equation_residual", max(w_res), 100.0 * step**2))
-    return checks, {"shooting": rep}
+    return checks, {"shooting": rep}, {}
 
 
 _ATLAS = [
@@ -466,21 +467,20 @@ _ATLAS = [
 ]
 
 
-def _run_atlas(scn, grid, out):
-    checks = []
-    artifacts = {}
+def _run_atlas(scn):
+    checks, artifacts, files = [], {}, {}
     for kind_name, params in _ATLAS:
-        sol = exact.construct_exact(FamilyKind(kind_name), params, grid.theta0)
-        pair, e, prof, r = _closed_form(sol, grid, f"{kind_name}_euler", f"{kind_name}_profile")
+        sol = exact.construct_exact(FamilyKind(kind_name), params, scn.grid.theta0)
+        pair, e, prof, r = _closed_form(sol, scn.grid, f"{kind_name}_euler", f"{kind_name}_profile")
         checks += pair
         artifacts[kind_name] = {"euler_residual": list(e), "profile_residual": list(r)}
-        (out / f"profile_{kind_name}.csv").write_text(prof.to_csv(kind_name, sol.params))
-    return checks, {"families": artifacts}
+        files[f"profile_{kind_name}.csv"] = prof.to_csv(kind_name, sol.params)
+    return checks, {"families": artifacts}, files
 
 
-def _run_slide(scn, grid, out):
+def _run_slide(scn):
     profile, n, taus = scn.slide["profile"], scn.slide["n"], scn.slide["taus"]
-    g = LogPolarGrid(grid.s_min, grid.s_max, n, n, grid.theta0)
+    g = LogPolarGrid(scn.grid.s_min, scn.grid.s_max, n, n, scn.grid.theta0)
     # every s-row is the profile: one row as a read-only view, which sliding_check only reads
     Psi = fields.ScalarField(g, np.broadcast_to(_SLIDE_PROFILES[profile](g.theta_nodes), g.shape))
     try:
@@ -492,20 +492,20 @@ def _run_slide(scn, grid, out):
         spot = [e for e in rep["per_tau"] if abs(e["tau"] - 0.1) < 1e-12][0]
         oracle = 1.0 / math.cos(0.1 * scn.slide["xi2"]) - 1.0  # the gap at theta = 0, its least
         checks.append(_check("sec_spot_value", abs(spot["min_w"] - oracle), 1e-6))
-    return checks, {"sliding": rep}
+    return checks, {"sliding": rep}, {}
 
 
-def _run_verify(scn, grid, out):
+def _run_verify(scn):
     try:
-        psi = fields.read_field(scn.verify["psi_csv"], grid)
+        psi = fields.read_field(scn.verify["psi_csv"], scn.grid)
     except (OSError, GridMismatch) as exc:  # a missing file or another grid's export
         raise ConfigError(f"cannot read psi_csv: {exc}")
     lap = fields.laplacian_polar(psi)
     rec, single_valued, summary = _recover_g(psi, lap, 0.05)
     jac = rigidity.jacobian_check(lap, psi)
-    (out / "g_scatter.csv").write_text(rec.to_csv())
     artifacts = {"g_recovery": summary, "jacobian": jac, "s_variance": rigidity.s_variance(psi)}
-    return [single_valued, _check("jacobian_identity", jac, 1e-2)], artifacts
+    return ([single_valued, _check("jacobian_identity", jac, 1e-2)], artifacts,
+            {"g_scatter.csv": rec.to_csv()})
 
 
 _KIND = (("family", "kind"),)
@@ -546,15 +546,17 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
 
     Exit codes: 0 all checks passed, 1 at least one check failed,
     3 numerical failure or exhausted memory inside a pipeline step (a
-    failed solve keeps its ``solve_report``).  The report is written as
-    sorted-key JSON to out_dir/report.json either way; a ConfigError
-    propagates unwritten.
+    failed solve keeps its ``solve_report``).  The pipeline's files go to
+    out_dir, then the sorted-key JSON report to out_dir/report.json; a
+    failed step writes the report alone, and a ConfigError propagates unwritten.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": scn.name, "tag": scn.tag, "grid": scn.grid.metadata(scn.domain)}
     try:
-        checks, artifacts = TAGS[scn.tag].pipeline(scn, scn.grid, out)
+        checks, artifacts, files = TAGS[scn.tag].pipeline(scn)
+        report["checks"] = checks
+        code = 0 if all(c["passed"] for c in checks) else 1
     except ConfigError:
         raise
     except (SectorflowError, ValueError, ArithmeticError, MemoryError,
@@ -564,16 +566,17 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, dict]:
         elif not isinstance(exc, SectorflowError):
             exc = PipelineFailure(f"pipeline step failed: {exc}")
         report["error"] = f"{type(exc).__name__}: {exc}"
+        artifacts, files, code = {}, {}, 3
         if isinstance(exc, NoConvergence) and exc.report is not None:
-            report["solve_report"] = asdict(exc.report)
-        report["passed"] = False
-        (out / "report.json").write_text(sorted_json(report))
-        return 3, report
-    report["checks"] = checks
-    report["passed"] = all(c["passed"] for c in checks)
-    report.update(artifacts)
+            artifacts["solve_report"] = asdict(exc.report)
+    for name, data in files.items():
+        if isinstance(data, str):
+            (out / name).write_text(data)
+        else:
+            fields.write_field(data, out / name)
+    report.update(artifacts, passed=code == 0)
     (out / "report.json").write_text(sorted_json(report))
-    return (0 if report["passed"] else 1), report
+    return code, report
 
 
 def run_batch(config_path: str | Path, out_dir: str | Path) -> tuple[int, dict]:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +396,35 @@ def test_cor1_integrates_each_member_once(tmp_path, monkeypatch):
     assert code == 0
     assert "w_equation_residual" in [c["name"] for c in report["checks"]]
     assert marched == [9]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("ode", [{"f0_count": "40"}, {"f0_count": "42"},
+                                 {"c": "1", "p": "-0.5"}])
+def test_cor1_counts_the_periodic_members_of_its_own_f0_grid(ode, tmp_path):
+    """n_periodic expects the grid's f0 with f0^2 = -(c^2 + 2p): with 40 or
+    42 members on [-2, 2] no f0 is +-1, so none is periodic; at c^2 + 2p = 0
+    the f0 = 0 member is the constant f = 0, the one periodic member."""
+    code, report = run_scenario(parse_config(CONFIGS / "cor1.ini", {"ode": ode}), tmp_path)
+    assert code == 0, [c for c in report["checks"] if not c["passed"]]
+    expected = 1 if "p" in ode else 0
+    assert report["shooting"]["n_periodic"] == expected
+    assert type(report["checks"][0]["value"]) is int
+
+
+def test_cor1_shoot_that_misses_the_constant_members_fails_n_periodic(tmp_path, monkeypatch):
+    """A control: a march of c f' = f^2 + c^2 + 2p' with p' = p + 0.01 has
+    no constant member at f0 = +-1, which the shipped grid holds."""
+    from sectorflow import angular_ode
+
+    shoot = angular_ode.shoot_alpha1
+    monkeypatch.setattr(angular_ode, "shoot_alpha1",
+                        lambda c, p, *args: shoot(c, p + 0.01, *args))
+    code, report = run_scenario(parse_config(CONFIGS / "cor1.ini"), tmp_path)
+    assert code == 1 and report["shooting"]["n_periodic"] == 0
+    assert next(c for c in report["checks"] if c["name"] == "n_periodic")["value"] == 2
 
 
 def _full_march(profile, rhs, y0, theta_span, cfg, lo=0.0, hi=MAX_F):

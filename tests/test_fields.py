@@ -126,16 +126,17 @@ class TestCsv:
 
 class TestReadField:
     def test_binary_export_round_trip_is_bitwise(self, tmp_path):
-        grid = LogPolarGrid(-0.3, 1.7, 512, 512, 2.0)  # 513^2 nodes: a .npy export
+        grid = LogPolarGrid(-0.3, 1.7, 512, 512, 2.0)
         vals = np.random.default_rng(0).standard_normal(grid.shape)
         vals[0, 0] = -0.0
-        path = write_field(ScalarField(grid, vals), tmp_path / "stream.csv")
-        assert path.name == "stream.npy" and not (tmp_path / "stream.csv").exists()
+        path = write_field(ScalarField(grid, vals), tmp_path / "stream.npy")
+        assert path == tmp_path / "stream.npy"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stream.json", "stream.npy"]
         back = read_field(path, grid)
         np.testing.assert_array_equal(back.vals.view(np.int64), vals.view(np.int64))
 
     def test_csv_export_read_back(self, tmp_path):
-        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)  # below the switch: CSV text
+        grid = LogPolarGrid(0.0, 1.0, 8, 10, 1.0)
         field = _theta_field(grid)
         path = write_field(field, tmp_path / "stream.csv")
         assert path.read_text() == field_to_csv(field)
@@ -143,7 +144,7 @@ class TestReadField:
         np.testing.assert_array_equal(read_field(path, grid).vals, field.vals)
 
     def test_npy_path_is_binary_at_any_size(self, tmp_path):
-        grid = LogPolarGrid(0.0, 1.0, 8, 8, 1.0)  # 9^2 nodes, far below the switch
+        grid = LogPolarGrid(0.0, 1.0, 8, 8, 1.0)
         vals = np.random.default_rng(1).standard_normal(grid.shape)
         vals[4, 4] = -0.0
         path = write_field(ScalarField(grid, vals), tmp_path / "psi.npy")

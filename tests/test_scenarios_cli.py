@@ -641,6 +641,39 @@ def test_failed_solve_keeps_its_solve_report(tmp_path):
     assert rep["residual_history"][-1] == rep["final_residual"] > 1e-30
 
 
+_FAILED_RUNS = {
+    # the tan member's pole at pi/2 is met after the radial member's profile exists
+    "atlas-pole": ("atlas.ini", {"domain": {"theta0": "2"}}, "SingularityInRange"),
+    # the solve fails after the g-scatter exists
+    "no-convergence": ("thm2_a1.ini", {"grid": {"n_s": "16", "n_theta": "16"},
+                                       "solver": {"tol": "1e-30"}}, "NoConvergence"),
+    # 7 x 7 interior nodes, below recover_g's 100 samples
+    "verify-few-samples": ("verify.ini", {"grid": {"n_s": "8", "n_theta": "8"},
+                                          "verify": {"psi_csv": "psi.csv"}}, "PipelineFailure"),
+}
+
+
+@pytest.mark.parametrize("case", _FAILED_RUNS)
+def test_a_failed_run_writes_only_its_report(case, tmp_path, monkeypatch):
+    cfg, overrides, error = _FAILED_RUNS[case]
+    grid = LogPolarGrid(0.0, math.log(2), 8, 8, 1.0)  # Verify's
+    sol = construct_exact(FamilyKind.TAN, {"v": 1.0, "p": 0.0, "C": 0.0}, 1.0)
+    (tmp_path / "psi.csv").write_text(field_to_csv(sample_stream(sol, grid)))
+    monkeypatch.chdir(tmp_path)
+    code, report = run_scenario(parse_config(CONFIGS / cfg, overrides), tmp_path / "out")
+    assert code == 3 and report["error"].startswith(error)
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("n_s,names", [(511, ["stream.json", "stream.npy"]), (510, ["stream.csv"])])
+def test_family_run_exports_its_stream_as_npy_from_512_squared_nodes(n_s, names, tmp_path):
+    """512^2 nodes (511 cells a side) is the smallest grid whose stream is
+    exported as .npy; one s-row fewer is exported as CSV."""
+    scn = parse_config(CONFIGS / "thm2_a3.ini", {"grid": {"n_s": n_s, "n_theta": 511}})
+    code, _ = run_scenario(scn, tmp_path)
+    assert code == 0 and sorted(p.name for p in tmp_path.glob("stream.*")) == names
+
+
 def test_out_of_memory_exits_3_with_a_report(tmp_path, monkeypatch, capsys):
     """A pipeline step that exhausts memory (a tiny Cor1 step asks numpy for
     terabytes) is a numerical failure.  The march is replaced so that no
