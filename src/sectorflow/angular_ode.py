@@ -50,7 +50,9 @@ class OdeResult:
 
 def _pole_estimate(ts, f):
     """Zero of 1/f extrapolated linearly from the last two nodes (1/f
-    vanishes linearly at a pole); None where f is 0 at either node."""
+    vanishes linearly at a pole); None where f is 0 at either node.  It is
+    first-order and late, as RK4 has lost f there: on c = 1, p = 0.5 it lands
+    0.59 to 0.69 steps past the exact pole at every step from 2e-3 to 2.5e-4."""
     if f[-1] == 0.0 or f[-2] == 0.0:
         return None
     g_prev, g_last = 1.0 / f[-2], 1.0 / f[-1]

@@ -172,16 +172,28 @@ def default_initial_guess(grid: LogPolarGrid, boundary_h, amplitude: float = 0.0
 
     The perturbation vanishes on the boundary so Dirichlet data stays
     exact; a nonzero amplitude gives the rigidity demos a genuinely
-    s-dependent start.
+    s-dependent start.  Before the windows it is ``amplitude`` times noise
+    of unit variance, uniform on [-sqrt 3, sqrt 3): node k (row-major) takes
+    the top 53 bits of splitmix64's k-th output for ``seed`` (Steele, Lea &
+    Flood, OOPSLA 2014) in wrapping uint64 arithmetic, so no generator loads.
     """
     th = grid.theta_nodes
-    vals = np.tile(np.asarray(boundary_h(th), dtype=float), (grid.n_s + 1, 1))
-    if amplitude != 0.0:
-        rng = np.random.default_rng(seed)
-        bump = rng.standard_normal(grid.shape)
-        win_s = np.sin(np.pi * (grid.s_nodes - grid.s_min) / (grid.s_max - grid.s_min))[:, None]
-        win_t = np.sin(np.pi * th / grid.theta0)[None, :]
-        vals = vals + amplitude * bump * win_s * win_t
+    h = np.asarray(boundary_h(th), dtype=float)
+    if amplitude == 0.0:
+        return ScalarField(grid, np.tile(h, (grid.n_s + 1, 1)))
+    z = np.arange(1, 1 + np.prod(grid.shape), dtype=np.uint64) * 0x9E3779B97F4A7C15 + seed
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    z >>= 11
+    vals = z.reshape(grid.shape).astype(float)
+    del z  # before the broadcast passes below, which add numpy's 64 kB buffers
+    vals -= 2.0**52
+    vals *= amplitude * np.sqrt(3.0) / 2.0**52 * np.sin(
+        np.pi * (grid.s_nodes - grid.s_min) / (grid.s_max - grid.s_min))[:, None]
+    vals *= np.sin(np.pi * th / grid.theta0)
+    vals += h
     return ScalarField(grid, vals)
 
 

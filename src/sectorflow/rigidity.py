@@ -92,12 +92,13 @@ class GRecovery:
 
 
 def _log_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(slope, intercept, r_squared) of y against x."""
-    coef = np.polyfit(x, y, 1)
-    pred = np.polyval(coef, x)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2)) + 1e-300
-    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
+    """(slope, intercept, r_squared) of y against x: the closed-form
+    least-squares line on the centred samples dx, dy, without LAPACK."""
+    xm, ym = np.mean(x), np.mean(y)
+    dx, dy = x - xm, y - ym
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    r2 = 1.0 - float(np.sum((dy - slope * dx) ** 2)) / (float(np.sum(dy * dy)) + 1e-300)
+    return slope, float(ym - slope * xm), r2
 
 
 def _bin_defect(z: np.ndarray, gv: np.ndarray, splits: np.ndarray) -> float:

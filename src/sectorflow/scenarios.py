@@ -109,7 +109,7 @@ _KEYS = {
              "s_min": (_finite, None), "s_max": (_finite, None)},
     "family": None,
     "solver": {"tol": (_NONNEGATIVE, 1e-10),
-               "seed": (_where(int, lambda n: n >= 0, "nonnegative"), 0),
+               "seed": (_where(int, lambda n: 0 <= n < 2**64, "in [0, 2**64)"), 0),
                "perturbation": (_finite, 0.1), "b": (_finite, 1.0)},
     "ode": {"c": (_finite, None), "p": (_finite, -1.0), "f0_min": (_finite, -2.0),
             "f0_max": (_finite, 2.0),
@@ -492,7 +492,7 @@ def _run_slide(scn):
         spot = [e for e in rep["per_tau"] if abs(e["tau"] - 0.1) < 1e-12][0]
         oracle = 1.0 / math.cos(0.1 * scn.slide["xi2"]) - 1.0  # the gap at theta = 0, its least
         checks.append(_check("sec_spot_value", abs(spot["min_w"] - oracle), 1e-6))
-    return checks, {"sliding": rep}, {}
+    return checks, {"sliding": rep, "grid": g.metadata(scn.domain)}, {}
 
 
 def _run_verify(scn):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sectorflow import (
 )
 from sectorflow.domain import LogPolarGrid
 from sectorflow.errors import EmptyOverlap, InsufficientOverlap, ParameterDomain
+from sectorflow.rigidity import _log_regression
 
 
 def _grid(n=64, theta0=1.0, s_max=math.log(2)):
@@ -84,6 +86,14 @@ def _polyfit_defect(psi, lap):
                                      line(np.log(np.abs(zm[znz])), gm[znz])))
     return zm, gm, fits, defect
 
+
+#: recover_g's closed-form line and np.polyfit solve the same least-squares
+#: problem, both backward stably, on n <= 200 bin means.  The slope then agrees
+#: to about n eps |slope| / r (r^2 the fit's r-squared, >= 0.08 in these
+#: tests), the intercept, and so the coefficient's relative value, to |mean x|
+#: times that plus eps |mean y| (|slope mean x| <= 0.6 here), and r-squared to
+#: about n eps: 200 eps / 0.28 = 1.6e-13, so 1e-12 of max(1, |value|) holds them all
+_FIT_TOL = 1e-12
 
 #: the bins [k, k + 1) of _synthetic_bins that hold its chosen sample sets
 _SPECIAL_BINS = {"one": 0, "empty": 1, "two_distinct": 2, "two_equal": 3, "three": 4,
@@ -200,10 +210,38 @@ class TestRecoverG:
         rec = recover_g(psi, lap)
         z, g, fits, defect = _polyfit_defect(psi, lap)
         assert np.array_equal(rec.z_samples, z) and np.array_equal(rec.g_samples, g)
-        assert rec.fits == fits
+        assert rec.fits.keys() == fits.keys()
+        for form, fit in fits.items():
+            assert rec.fits[form].keys() == fit.keys()
+            for key, value in fit.items():
+                assert rec.fits[form][key] == pytest.approx(value, rel=_FIT_TOL, abs=_FIT_TOL), \
+                    (form, key)
         allowance = 64 * np.finfo(float).eps * float(np.nanmax(np.abs(lap.vals)))
         assert rec.single_valued_defect == pytest.approx(defect, rel=1e-8, abs=allowance)
         return rec
+
+    @pytest.mark.parametrize("lo", [2.0, -1000.5], ids=["x_in_2_3", "x_near_minus_1e3"])
+    def test_log_regression_matches_polyfit_on_offset_abscissae(self, lo):
+        """50 noisy points on a line over x in [lo, lo + 1).  np.polyfit solves
+        with x's column scaled to unit norm beside the ones column; at an offset
+        the two are near parallel, and kappa = max|x| / std x (10 and 3.3e3
+        here) scales its error to about kappa n eps.  The centred line has no
+        such factor: its slope is the exact one, in rational arithmetic, to n eps."""
+        rng = np.random.default_rng(5)
+        x = lo + np.sort(rng.random(50))
+        y = 0.7 - 1.3 * x + 0.05 * rng.standard_normal(50)
+        slope, icpt, r2 = _log_regression(x, y)
+        coef = np.polyfit(x, y, 1)
+        pred = np.polyval(coef, x)
+        r2_ref = 1.0 - np.sum((y - pred) ** 2) / np.sum((y - np.mean(y)) ** 2)
+        tol = float(np.max(np.abs(x)) / np.std(x)) * x.size * np.finfo(float).eps
+        assert slope == pytest.approx(coef[0], rel=tol, abs=0)
+        assert np.max(np.abs(slope * x + icpt - pred)) <= tol * np.max(np.abs(y))
+        assert r2 == pytest.approx(r2_ref, rel=0, abs=tol)
+        X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        xm, ym = sum(X) / len(X), sum(Y) / len(Y)
+        exact = sum((a - xm) * (b - ym) for a, b in zip(X, Y)) / sum((a - xm) ** 2 for a in X)
+        assert slope == pytest.approx(float(exact), rel=x.size * np.finfo(float).eps, abs=0)
 
     def test_unrelated_fields_no_fit(self):
         grid = _grid()

@@ -232,6 +232,15 @@ class TestCli:
         )
         assert code == 0
 
+    def test_slide_report_names_the_slide_grid(self, tmp_path):
+        # [slide] n sets the grid the check runs on; the [grid] default goes unused
+        scn = parse_config(CONFIGS / "slide.ini", {"slide": {"n": "24"}})
+        run_scenario(scn, tmp_path)
+        grid = json.loads((tmp_path / "report.json").read_text())["grid"]
+        assert (grid["n_s"], grid["n_theta"]) == (24, 24) != (scn.grid.n_s, scn.grid.n_theta)
+        assert (grid["s_min"], grid["s_max"], grid["theta0"], grid["a"], grid["b"]) == (
+            scn.grid.s_min, scn.grid.s_max, scn.grid.theta0, 1.0, 2.0)
+
     @pytest.mark.parametrize("xi2", ["0.5", "2.0"])
     def test_slide_sec_spot_follows_xi2(self, xi2, tmp_path):
         # sec(theta + 0.1 xi2) - sec(theta) is least at theta = 0, so the
@@ -461,6 +470,8 @@ _NUMBER_MISTAKES = {
     "cli-tol-nan": ("solve", _THM1I, ["--tol", "nan"]),
     "seed-negative": ("solve", _THM1I + "seed = -1\n", []),
     "cli-seed-negative": ("solve", _THM1I, ["--seed", "-1"]),
+    "seed-2**64": ("solve", _THM1I + f"seed = {2**64}\n", []),
+    "cli-seed-2**64": ("solve", _THM1I, ["--seed", str(2**64)]),
     "slide-xi1-nan": ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = nan\n", []),
     "slide-tau-nan": ("slide", "tag = Slide\n[slide]\nn = 16\ntaus = 0.1,nan\n", []),
     "slide-xi1-negative": ("slide", "tag = Slide\n[slide]\nn = 16\nxi1 = -1\n", []),

@@ -499,6 +499,23 @@ def test_read_field_holds_at_most_two_and_a_half_file_sizes(tmp_path):
     assert _peak_above_entry(read_field, path, grid) <= 2.5 * path.stat().st_size
 
 
+def test_initial_guess_holds_two_grids():
+    """Thm1ii's perturbed start at 385^2, on a first call.  The counter hash
+    runs in place on one uint64 grid beside one temporary for each
+    xor-shift, 2 grids; the noise is converted to floats beside the
+    counters, 2 grids, then windowed and offset by h in place once the
+    counters are released, with the two windows and h a row each and
+    numpy's 64 kB buffer for the broadcast operands: 2.00 grids measured
+    (2.06 when the counters were held through those passes).  Drawing from
+    numpy.random's generator beside the tiled h and the windowed products
+    held 4.06 grids, and 4.70 on a first call, which loaded numpy.random."""
+    n = 384
+    grid = LogPolarGrid(0.0, math.log(2.0), n, n, 1.0)
+    h = lambda th: np.log(np.cos(th))
+    peak = _peak_above_entry(default_initial_guess, grid, h, 0.05, 0)
+    assert peak <= 2 * 8 * (n + 1) ** 2 + (64 << 10)
+
+
 def test_newton_krylov_solve_holds_at_most_eleven_grids():
     """Thm1ii's solve, from the shipped config's start, at 257^2.  Into each
     Newton step it holds the residual, the nonlinear diagonal, the action's
